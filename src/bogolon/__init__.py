@@ -23,7 +23,7 @@ from .polariton import (HopfieldMode, branch_energy, find_resonance_k,
 from .presets import RunSetup, reference_lattice, reference_setup, reference_waveguide
 from .pumpprobe import (DriveConfig, PumpSolution, SpectrumPoint, SteadyState,
                         Trajectory, polariton_damping, pump_occupation,
-                        spectrum, steady_state, time_evolve)
+                        spectrum, spectrum_columns, steady_state, time_evolve)
 from .waveguide import (WaveguideConfig, coupling_bright, coupling_dark,
                         photon_dispersion)
 

@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -35,13 +35,15 @@ from .lattice import (SuperLatticeConfig, antisymmetric_energy,
 from .oracle import validate_band, validate_blocking
 from .polariton import find_resonance_k, hopfield
 from .presets import reference_setup
-from .pumpprobe import DriveConfig, spectrum, steady_state, time_evolve
+from .pumpprobe import DriveConfig, spectrum_columns, steady_state, time_evolve
 from .waveguide import WaveguideConfig, photon_dispersion
 
-COMMANDS = ("levels", "dispersion", "fractions", "spectrum", "evolve", "oracle")
 SWEEP_VARIABLES = ("theta", "k", "E_drive")
 _MAX_SWEEP = 10_000_000
 _MAX_EVOLVE_STEPS = 1_000_000
+#: Grid points evaluated per block of column expressions; bounds the
+#: temporaries of a sweep at any count up to _MAX_SWEEP.
+_CHUNK = 65_536
 
 
 class ConfigError(ValueError):
@@ -79,12 +81,19 @@ class RunConfig:
 
 
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where} must be a number or [re, im] pair")
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
+    if all(isinstance(x, (int, float)) and math.isfinite(x) for x in parts):
+        return complex(*parts)
+    raise ConfigError(f"{where} must be a finite number or [re, im] pair")
+
+
+def _settings(config) -> dict:
+    """A config dataclass as its JSON section: fields in declaration order,
+    the angle theta given as theta_deg."""
+    def entry(name):
+        value = getattr(config, name)
+        return ("theta_deg", math.degrees(value)) if name == "theta" else (name, value)
+    return dict(entry(f.name) for f in fields(config))
 
 
 def _section(data: dict, name: str) -> dict:
@@ -101,11 +110,7 @@ def build_run_config(data: dict, preset: bool = False) -> RunConfig:
     lat_in = _section(data, "lattice")
     if base is None and not lat_in:
         raise ConfigError("lattice section required without a preset")
-    lat_defaults = (dict(E_A=base.cfg.E_A, a=base.cfg.a, R=base.cfg.R,
-                         mu=base.cfg.mu,
-                         theta_deg=math.degrees(base.cfg.theta), N=base.cfg.N)
-                    if base else {})
-    lat = {**lat_defaults, **lat_in}
+    lat = {**(_settings(base.cfg) if base else {}), **lat_in}
     try:
         cfg = SuperLatticeConfig(
             E_A=float(lat["E_A"]), a=float(lat["a"]), R=float(lat["R"]),
@@ -117,10 +122,7 @@ def build_run_config(data: dict, preset: bool = False) -> RunConfig:
         raise ConfigError(f"bad lattice section: {err}") from err
 
     wg_in = _section(data, "waveguide")
-    wg_defaults = (dict(epsilon=base.wg.epsilon, u_b=base.wg.u_b,
-                        S_bar=base.wg.S_bar, L=base.wg.L, q0=base.wg.q0)
-                   if base else {})
-    wgd = {**wg_defaults, **wg_in}
+    wgd = {**(_settings(base.wg) if base else {}), **wg_in}
     try:
         length = float(wgd["L"]) if wgd.get("L") is not None else cfg.N * cfg.a
         if wgd.get("q0") is not None:
@@ -137,14 +139,8 @@ def build_run_config(data: dict, preset: bool = False) -> RunConfig:
         raise ConfigError(f"bad waveguide section: {err}") from err
 
     drv_in = _section(data, "drive")
-    drv_defaults: dict = (
-        dict(E_drive=base.drive.E_drive, F_pump=base.drive.F_pump,
-             F_probe_plus=base.drive.F_probe_plus,
-             F_probe_minus=base.drive.F_probe_minus,
-             hGamma_ph=base.drive.hGamma_ph, hGamma_s=base.drive.hGamma_s,
-             hGamma_a=base.drive.hGamma_a, k_pump=base.drive.k_pump,
-             q=base.drive.q, n_pump=base.drive.n_pump)
-        if base else
+    drv_defaults = (
+        _settings(base.drive) if base else
         dict(E_drive=None, F_pump=0.0, F_probe_plus=1e-9, F_probe_minus=0.0,
              hGamma_ph=0.0, hGamma_s=0.0, hGamma_a=0.0, k_pump=None,
              q=1e-6, n_pump=None))
@@ -219,28 +215,18 @@ class Dataset:
 
 
 def _common_meta(run: RunConfig) -> list:
-    cfg, wg, drive = run.lattice, run.waveguide, run.drive
-    lv = exciton_levels(cfg)
-    meta = [
+    lv = exciton_levels(run.lattice)
+    return [
         ("constants.hbar_c", CONSTANTS.hbar_c),
         ("constants.coulomb_mu2_prefactor", CONSTANTS.coulomb_mu2_prefactor),
-        ("lattice.E_A", cfg.E_A), ("lattice.a", cfg.a), ("lattice.R", cfg.R),
-        ("lattice.mu", cfg.mu), ("lattice.theta_deg", math.degrees(cfg.theta)),
-        ("lattice.N", cfg.N),
-        ("waveguide.epsilon", wg.epsilon), ("waveguide.q0", wg.q0),
-        ("waveguide.u_b", wg.u_b), ("waveguide.S_bar", wg.S_bar),
-        ("waveguide.L", wg.L),
-        ("drive.E_drive", drive.E_drive), ("drive.F_pump", drive.F_pump),
-        ("drive.F_probe_plus", drive.F_probe_plus),
-        ("drive.F_probe_minus", drive.F_probe_minus),
-        ("drive.hGamma_ph", drive.hGamma_ph), ("drive.hGamma_s", drive.hGamma_s),
-        ("drive.hGamma_a", drive.hGamma_a), ("drive.k_pump", drive.k_pump),
-        ("drive.q", drive.q),
-        ("drive.n_pump", "none" if drive.n_pump is None else drive.n_pump),
+        *((f"{section}.{key}", "none" if value is None else value)
+          for section, config in (("lattice", run.lattice),
+                                  ("waveguide", run.waveguide),
+                                  ("drive", run.drive))
+          for key, value in _settings(config).items()),
         ("derived.J0", lv.J0), ("derived.J", lv.J),
         ("derived.E_s", lv.E_s), ("derived.E_a", lv.E_a),
     ]
-    return meta
 
 
 def _sweep_or_default(run: RunConfig, variable: str,
@@ -253,21 +239,33 @@ def _sweep_or_default(run: RunConfig, variable: str,
     return default
 
 
+def _rows(grid: np.ndarray, columns) -> list:
+    """The rows of ``columns(grid)``, a tuple of column arrays (scalars
+    broadcast), computed on _CHUNK grid points at a time."""
+    rows = []
+    for lo in range(0, grid.size, _CHUNK):
+        cols = np.broadcast_arrays(*columns(grid[lo:lo + _CHUNK]))
+        rows += np.column_stack(cols).tolist()
+    return rows
+
+
 def cmd_levels(run: RunConfig) -> Dataset:
     """Branch and bare level energies (offsets from E_A) vs angle at k = 0."""
     cfg, wg = run.lattice, run.waveguide
     sweep = _sweep_or_default(run, "theta",
                               SweepSpec("theta", 0.0, 90.0, 1001))
-    rows = []
-    for theta_deg in sweep.grid():
-        c = replace(cfg, theta=math.radians(float(theta_deg)))
-        mode = hopfield(0.0, wg, c)
-        lv = exciton_levels(c)
-        rows.append((theta_deg, mode.E_upper - c.E_A, mode.E_lower - c.E_A,
-                     lv.E_s - c.E_A, lv.E_a - c.E_A))
+
+    def columns(theta_deg):
+        theta = np.radians(theta_deg)
+        mode = hopfield(0.0, wg, cfg, theta=theta)
+        lv = exciton_levels(cfg, theta=theta)
+        return (theta_deg, mode.E_upper - cfg.E_A, mode.E_lower - cfg.E_A,
+                lv.E_s - cfg.E_A, lv.E_a - cfg.E_A)
+
     meta = _common_meta(run) + [("note", "energies as offsets from E_A at k=0")]
     return Dataset("levels", meta,
-                   ["theta_deg", "E_plus", "E_minus", "E_s", "E_a"], rows)
+                   ["theta_deg", "E_plus", "E_minus", "E_s", "E_a"],
+                   _rows(sweep.grid(), columns))
 
 
 def _default_k_sweep(cfg: SuperLatticeConfig, wg: WaveguideConfig) -> SweepSpec:
@@ -279,34 +277,37 @@ def cmd_dispersion(run: RunConfig) -> Dataset:
     """Branch, photon and bare level energies (offsets from E_A) vs k."""
     cfg, wg = run.lattice, run.waveguide
     sweep = _sweep_or_default(run, "k", _default_k_sweep(cfg, wg))
-    lv = exciton_levels(cfg)
-    rows = []
-    for k in sweep.grid():
-        mode = hopfield(float(k), wg, cfg)
-        rows.append((k, mode.E_upper - cfg.E_A, mode.E_lower - cfg.E_A,
-                     photon_dispersion(float(k), wg) - cfg.E_A,
-                     symmetric_band(float(k), cfg) - cfg.E_A,
-                     lv.E_a - cfg.E_A))
+    e_a = exciton_levels(cfg).E_a
+
+    def columns(k):
+        mode = hopfield(k, wg, cfg)
+        return (k, mode.E_upper - cfg.E_A, mode.E_lower - cfg.E_A,
+                photon_dispersion(k, wg) - cfg.E_A,
+                symmetric_band(k, cfg) - cfg.E_A, e_a - cfg.E_A)
+
     meta = _common_meta(run) + [
         ("derived.k_star", run.drive.k_pump),
         ("note", "energies as offsets from E_A"),
     ]
     return Dataset("dispersion", meta,
-                   ["k", "E_plus", "E_minus", "E_ph", "E_s", "E_a"], rows)
+                   ["k", "E_plus", "E_minus", "E_ph", "E_s", "E_a"],
+                   _rows(sweep.grid(), columns))
 
 
 def cmd_fractions(run: RunConfig) -> Dataset:
     """Excitation and photon fractions of both branches vs k."""
     cfg, wg = run.lattice, run.waveguide
     sweep = _sweep_or_default(run, "k", _default_k_sweep(cfg, wg))
-    rows = []
-    for k in sweep.grid():
-        mode = hopfield(float(k), wg, cfg)
-        rows.append((k, mode.X_upper ** 2, mode.Y_upper ** 2,
-                     mode.X_lower ** 2, mode.Y_lower ** 2))
+
+    def columns(k):
+        mode = hopfield(k, wg, cfg)
+        return (k, mode.X_upper ** 2, mode.Y_upper ** 2,
+                mode.X_lower ** 2, mode.Y_lower ** 2)
+
     meta = _common_meta(run) + [("derived.k_star", run.drive.k_pump)]
     return Dataset("fractions", meta,
-                   ["k", "X2_upper", "Y2_upper", "X2_lower", "Y2_lower"], rows)
+                   ["k", "X2_upper", "Y2_upper", "X2_lower", "Y2_lower"],
+                   _rows(sweep.grid(), columns))
 
 
 def _operating_point(run: RunConfig):
@@ -325,8 +326,8 @@ def cmd_spectrum(run: RunConfig) -> Dataset:
     span = 4.0 * ip.Delta_tilde * max(n_for_span, 1e-3)
     sweep = _sweep_or_default(run, "E_drive",
                               SweepSpec("E_drive", e_a, e_a + span, 10001))
-    points = spectrum(run.drive, mode, ip, cfg, sweep.grid())
-    rows = [(p.E_offset, p.I_minus_scaled, p.I_plus_scaled) for p in points]
+    rows = _rows(sweep.grid(),
+                 lambda e: spectrum_columns(run.drive, mode, ip, cfg, e))
     meta = _common_meta(run) + [
         ("derived.Delta", ip.Delta), ("derived.Delta_tilde", ip.Delta_tilde),
         ("derived.X2", ip.X2),
@@ -471,24 +472,16 @@ def main(argv=None) -> int:
             data = {**data, "sweep": dict(variable=sweep.variable, min=sweep.min,
                                           max=sweep.max, count=sweep.count)}
         run = build_run_config(data, preset=args.preset == "paper")
+        out_path = args.out or run.output_path or f"{args.command}.csv"
+        dataset = _HANDLERS[args.command](run)
     except ModelError as err:
         # resolving derived quantities (e.g. the pump wavenumber) can fail
         # numerically even for a well-formed configuration
         print(f"numerical-domain error: {err}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as err:
+    except (ConfigError, ValueError, OverflowError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-
-    out_path = args.out or run.output_path or f"{args.command}.csv"
-    try:
-        dataset = _HANDLERS[args.command](run)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except ModelError as err:
-        print(f"numerical-domain error: {err}", file=sys.stderr)
-        return 3
 
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

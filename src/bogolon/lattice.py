@@ -14,13 +14,15 @@ disperses the bright level into the band
 
     E_s(k) = E_A + J0 + 4 J cos(k a),
 
-while the dark level stays flat at E_a.
+while the dark level stays flat at E_a.  The formulas broadcast over arrays
+of distances, wavenumbers and (as a ``theta`` override) dipole angles.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +51,7 @@ class SuperLatticeConfig:
     N: int
 
     def __post_init__(self):
+        _check_finite(self)
         if self.a <= 0:
             raise DomainError("cell pitch a must be positive")
         if not 0 < self.R < self.a:
@@ -82,22 +85,50 @@ class ExcitonLevels:
     J: float
 
 
-def dipole_coupling(r: float, cfg: SuperLatticeConfig,
-                    constants: PhysicalConstants = CONSTANTS) -> float:
+def _check_finite(config) -> None:
+    """Reject NaN and infinite fields of a config dataclass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value}")
+
+
+# Helpers of the broadcasting formulas; scalars skip numpy's per-call cost.
+
+def _unwrap(x):
+    """Python scalar for a 0-d numpy result, so scalar calls return floats."""
+    return x.item() if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0 else x
+
+
+def _any(mask) -> bool:
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+
+
+def _where(cond, a, b):
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def dipole_coupling(r, cfg: SuperLatticeConfig,
+                    constants: PhysicalConstants = CONSTANTS, *, theta=None):
     """Resonant dipole-dipole coupling at distance r (Angstrom), in eV.
 
-    Positive for theta beyond the magic angle, negative below it.
+    Positive for theta beyond the magic angle, negative below it.  ``theta``
+    (rad) overrides ``cfg.theta``.
     """
-    if r <= 0:
-        raise DomainError(f"distance must be positive, got {r}")
-    angular = 1.0 - 3.0 * math.cos(cfg.theta) ** 2
-    return constants.coulomb_mu2_prefactor * cfg.mu ** 2 * angular / r ** 3
+    if _any(r <= 0):
+        raise DomainError(f"distance must be positive, got {np.min(r)}")
+    if theta is None:
+        theta = cfg.theta
+    elif not np.all((np.asarray(theta) >= 0.0) & (np.asarray(theta) <= math.pi / 2)):
+        raise DomainError("theta must lie in [0, pi/2]")
+    angular = 1.0 - 3.0 * np.cos(theta) ** 2
+    return _unwrap(constants.coulomb_mu2_prefactor * cfg.mu ** 2 * angular / r ** 3)
 
 
-def exciton_levels(cfg: SuperLatticeConfig) -> ExcitonLevels:
-    """Symmetric/antisymmetric level energies and hopping constants."""
-    J0 = dipole_coupling(cfg.R, cfg)
-    J = dipole_coupling(cfg.a, cfg)
+def exciton_levels(cfg: SuperLatticeConfig, *, theta=None) -> ExcitonLevels:
+    """Level energies and hopping constants (arrays over an array theta)."""
+    J0 = dipole_coupling(cfg.R, cfg, theta=theta)
+    J = dipole_coupling(cfg.a, cfg, theta=theta)
     return ExcitonLevels(E_s=cfg.E_A + J0, E_a=cfg.E_A - J0, J0=J0, J=J)
 
 
@@ -116,16 +147,16 @@ def intercell_couplings(cfg: SuperLatticeConfig) -> tuple[float, float, float]:
     return j11, j12, j21
 
 
-def symmetric_band(k: float, cfg: SuperLatticeConfig) -> float:
+def symmetric_band(k, cfg: SuperLatticeConfig, *, theta=None):
     """Bright-exciton band E_A + J0 + 4 J cos(k a) at wavenumber k.
 
     k must lie in the first Brillouin zone |k| <= pi/a; callers fold first
     (see :func:`fold_wavenumber`).
     """
-    if abs(k) > math.pi / cfg.a * (1.0 + 1e-12):
-        raise DomainError(f"k = {k} outside the first Brillouin zone")
-    lv = exciton_levels(cfg)
-    return cfg.E_A + lv.J0 + 4.0 * lv.J * math.cos(k * cfg.a)
+    if _any(abs(k) > math.pi / cfg.a * (1.0 + 1e-12)):
+        raise DomainError(f"k = {np.max(np.abs(k))} outside the first Brillouin zone")
+    lv = exciton_levels(cfg, theta=theta)
+    return _unwrap(cfg.E_A + lv.J0 + 4.0 * lv.J * np.cos(k * cfg.a))
 
 
 def antisymmetric_energy(cfg: SuperLatticeConfig) -> float:

@@ -233,7 +233,7 @@ def validate_band(cfg: SuperLatticeConfig, n_cells: int) -> BandReport:
     e_a = antisymmetric_energy(small)
     analytic = np.sort(np.concatenate([
         np.full(n_cells, e_a),
-        [symmetric_band(k, small) for k in allowed_wavenumbers(small)]]))
+        symmetric_band(allowed_wavenumbers(small), small)]))
     max_dev = float(np.max(np.abs(w - analytic)))
 
     window = DARK_WINDOW_OVER_J * abs(lv.J)

@@ -14,7 +14,8 @@ with detuning delta_k = (E_ph(k) - E_s(k))/2 and real mixing amplitudes
     X_pm = +-sqrt((D -+ delta)/(2D)),  Y_pm = f / sqrt(2D(D -+ delta)),
 
 normalized as X^2 + Y^2 = 1 per branch.  Amplitudes are kept real: all
-downstream quantities use X^2, X^4 and |f|^2 only.
+downstream quantities use X^2, X^4 and |f|^2 only.  The formulas
+broadcast over arrays of wavenumbers and, in :func:`hopfield`, angles.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousSolutionError, DegenerateModeError, DomainError, NoSolutionError
-from .lattice import SuperLatticeConfig, symmetric_band
+from .lattice import SuperLatticeConfig, _any, _unwrap, _where, symmetric_band
 from .waveguide import WaveguideConfig, coupling_bright, photon_dispersion
 
 #: Points of the coarse bracket scan used by the resonance finder.
@@ -36,7 +37,7 @@ _ENERGY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HopfieldMode:
-    """Branch energies and mixing amplitudes at one wavenumber."""
+    """Branch energies and mixing amplitudes at one wavenumber (or a grid)."""
 
     k: float
     E_upper: float
@@ -49,29 +50,29 @@ class HopfieldMode:
     D: float
 
 
-def hopfield(k: float, wg: WaveguideConfig, cfg: SuperLatticeConfig) -> HopfieldMode:
-    """Diagonalize the bright-exciton/photon pair at wavenumber k."""
+def hopfield(k, wg: WaveguideConfig, cfg: SuperLatticeConfig, *,
+             theta=None) -> HopfieldMode:
+    """Diagonalize the bright-exciton/photon pair at wavenumber k.  ``k`` and
+    ``theta`` (rad, default ``cfg.theta``) may be arrays; fields broadcast."""
     e_ph = photon_dispersion(k, wg)
-    e_s = symmetric_band(k, cfg)
+    e_s = symmetric_band(k, cfg, theta=theta)
     f = coupling_bright(k, wg, cfg)
     delta = (e_ph - e_s) / 2.0
-    d = math.hypot(delta, f)
-    if d == 0.0:
+    d = np.hypot(delta, f)
+    if _any(d == 0.0):
         raise DegenerateModeError(
             "coupling and detuning both vanish; mixing amplitudes undefined")
     mean = (e_ph + e_s) / 2.0
-    # Cancellation-free small differences: D -+ delta = f^2 / (D +- delta).
-    d_minus = f ** 2 / (d + delta) if delta > 0.0 else d - delta
-    d_plus = f ** 2 / (d - delta) if delta < 0.0 else d + delta
-    x_up = math.sqrt(d_minus / (2.0 * d))
-    # d_minus/d_plus vanish only when f = 0; the branch is then pure photon.
-    y_up = f / math.sqrt(2.0 * d * d_minus) if d_minus > 0.0 else 1.0
-    x_lo = -math.sqrt(d_plus / (2.0 * d))
-    y_lo = f / math.sqrt(2.0 * d * d_plus) if d_plus > 0.0 else 1.0
-    return HopfieldMode(
-        k=k, E_upper=mean + d, E_lower=mean - d,
-        X_upper=x_up, Y_upper=y_up, X_lower=x_lo, Y_lower=y_lo,
-        delta=delta, D=d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Cancellation-free small differences: D -+ delta = f^2 / (D +- delta).
+        d_minus = _where(delta > 0.0, f ** 2 / (d + delta), d - delta)
+        d_plus = _where(delta < 0.0, f ** 2 / (d - delta), d + delta)
+        # d_minus/d_plus vanish only when f = 0; the branch is then pure photon.
+        y_up = _where(d_minus > 0.0, f / np.sqrt(2.0 * d * d_minus), 1.0)
+        y_lo = _where(d_plus > 0.0, f / np.sqrt(2.0 * d * d_plus), 1.0)
+    return HopfieldMode(*map(_unwrap, (
+        k, mean + d, mean - d, np.sqrt(d_minus / (2.0 * d)), y_up,
+        -np.sqrt(d_plus / (2.0 * d)), y_lo, delta, d)))
 
 
 def verify_diagonalization(mode: HopfieldMode, wg: WaveguideConfig,
@@ -92,8 +93,7 @@ def verify_diagonalization(mode: HopfieldMode, wg: WaveguideConfig,
     return float(max(abs(rotated[0, 1]), abs(rotated[1, 0])))
 
 
-def branch_energy(k: float, branch: str, wg: WaveguideConfig,
-                  cfg: SuperLatticeConfig) -> float:
+def branch_energy(k, branch: str, wg: WaveguideConfig, cfg: SuperLatticeConfig):
     """Energy of one branch ('upper' or 'lower') at wavenumber k."""
     mode = hopfield(k, wg, cfg)
     if branch == "upper":
@@ -115,7 +115,7 @@ def find_resonance_k(target: float, branch: str, wg: WaveguideConfig,
     """
     k_max = math.pi / cfg.a
     ks = np.linspace(0.0, k_max, _SCAN_POINTS + 1)
-    vals = np.array([branch_energy(k, branch, wg, cfg) - target for k in ks])
+    vals = branch_energy(ks, branch, wg, cfg) - target
 
     hits = [float(ks[i]) for i in np.flatnonzero(vals == 0.0)]
     brackets = [(float(ks[i]), float(ks[i + 1]))

@@ -22,6 +22,7 @@ channel), which for real drives reduces to the familiar closed forms
     B- = V F / ((E - E_a~)^2 - V^2),
 
 for a single probe F at k + q with no damping.  Time units are hbar/eV.
+The stationary formulas broadcast over drive energies and mode fields.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import numpy as np
 
 from .errors import BistabilityError, DomainError, PoleError, StabilityError
 from .kinematic import InteractionParams
-from .lattice import SuperLatticeConfig, antisymmetric_energy
+from .lattice import (SuperLatticeConfig, _any, _check_finite, _unwrap, _where,
+                      antisymmetric_energy)
 from .polariton import HopfieldMode
 
 _FIXED_POINT_TOL = 1e-12
@@ -65,6 +67,7 @@ class DriveConfig:
     n_pump: Optional[float] = None
 
     def __post_init__(self):
+        _check_finite(self)
         if self.E_drive <= 0:
             raise DomainError("E_drive must be positive")
         if min(self.hGamma_ph, self.hGamma_s, self.hGamma_a) < 0:
@@ -75,7 +78,8 @@ class DriveConfig:
 
 @dataclass(frozen=True)
 class PumpSolution:
-    """Pump occupation together with the shifted mode energy."""
+    """Pump occupation together with the shifted mode energy (arrays for an
+    array call, with ``iterations`` summed over elements)."""
 
     n_pump: float
     E_pol_tilde: float
@@ -126,7 +130,7 @@ def polariton_damping(mode: HopfieldMode, drive: DriveConfig) -> float:
 
 
 def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
-                    ip: InteractionParams) -> PumpSolution:
+                    ip: InteractionParams, *, E_drive=None) -> PumpSolution:
     """Pump occupation N and shifted energy E_pol~ = E_pol + Delta X^4 N.
 
     With ``drive.n_pump`` set, returns it together with the pump amplitude
@@ -136,8 +140,11 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
 
     with damped updates to 1e-12 relative tolerance; non-convergence
     (bistable drive) raises ``BistabilityError`` with the straddling pair.
+    Broadcasts over an array ``E_drive`` (default ``drive.E_drive``) and
+    over array mode fields: each element iterates until it converges, and
+    any element that fails raises for the whole call.
     """
-    e = drive.E_drive
+    e = drive.E_drive if E_drive is None else E_drive
     e_pol = mode.E_lower
     hg = polariton_damping(mode, drive)
     shift = ip.Delta * ip.X2 ** 2
@@ -145,37 +152,74 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
     if drive.n_pump is not None:
         n = drive.n_pump
         e_t = e_pol + shift * n
-        f_mag = math.sqrt(n * ((e - e_t) ** 2 + hg ** 2))
+        f_mag = np.sqrt(n * ((e - e_t) ** 2 + hg ** 2))
         return PumpSolution(n_pump=n, E_pol_tilde=e_t,
-                            f_pump_magnitude=f_mag, iterations=0)
+                            f_pump_magnitude=_unwrap(f_mag), iterations=0)
 
     f2 = abs(drive.F_pump) ** 2
-    n = 0.0
-    for it in range(1, _FIXED_POINT_MAX_ITER + 1):
-        denom = (e - e_pol - shift * n) ** 2 + hg ** 2
-        if denom == 0.0:
+    shape = np.broadcast(e, e_pol, hg).shape
+    # The unconverged elements: flat index, E - E_pol, hG_pol^2 and N.
+    idx = np.arange(math.prod(shape))
+    detuning = np.broadcast_to(e - e_pol, shape).ravel()
+    hg2 = np.broadcast_to(hg ** 2, shape).ravel()
+    n, n_out, iterations = np.zeros(idx.size), np.zeros(idx.size), 0
+    for _ in range(_FIXED_POINT_MAX_ITER):
+        denom = (detuning - shift * n) ** 2 + hg2
+        if (denom == 0.0).any():
             raise BistabilityError(
                 "undamped drive exactly on resonance; occupation diverges",
-                bracket=(n, math.inf))
-        n_new = 0.5 * n + 0.5 * f2 / denom
-        if abs(n_new - n) <= _FIXED_POINT_TOL * max(n_new, 1e-300):
-            return PumpSolution(n_pump=n_new, E_pol_tilde=e_pol + shift * n_new,
-                                f_pump_magnitude=abs(drive.F_pump),
-                                iterations=it)
-        n = n_new
+                bracket=(float(n[denom == 0.0][0]), math.inf))
+        n, n_prev = 0.5 * n + 0.5 * f2 / denom, n
+        iterations += idx.size
+        keep = ~(np.abs(n - n_prev) <= _FIXED_POINT_TOL * np.maximum(n, 1e-300))
+        if not keep.all():
+            n_out[idx[~keep]] = n[~keep]
+            idx, detuning, hg2, n, n_prev = (
+                x[keep] for x in (idx, detuning, hg2, n, n_prev))
+        if idx.size == 0:
+            n_out = _unwrap(n_out.reshape(shape))
+            return PumpSolution(n_out, _unwrap(e_pol + shift * n_out),
+                                abs(drive.F_pump), iterations)
     raise BistabilityError(
         f"occupation fixed point did not converge in {_FIXED_POINT_MAX_ITER} "
-        "iterations", bracket=(min(n, n_new), max(n, n_new)))
+        "iterations", bracket=tuple(sorted((float(n_prev[0]), float(n[0])))))
 
 
 def _rotating_frame(drive: DriveConfig, mode: HopfieldMode,
-                    ip: InteractionParams, cfg: SuperLatticeConfig):
-    """Shared renormalized energies: (pump, E_a~, V_mf, hG_pol, E_a bare)."""
-    pump = pump_occupation(drive, mode, ip)
-    e_a = antisymmetric_energy(cfg)
-    e_a_t = e_a + 2.0 * ip.Delta_tilde * pump.n_pump
+                    ip: InteractionParams, cfg: SuperLatticeConfig, e):
+    """Renormalized energies at drive energy e: (pump, E_a~, V_mf, hG_pol)."""
+    pump = pump_occupation(drive, mode, ip, E_drive=e)
+    e_a_t = antisymmetric_energy(cfg) + 2.0 * ip.Delta_tilde * pump.n_pump
     v_mf = ip.Delta_tilde * pump.n_pump
-    return pump, e_a_t, v_mf, polariton_damping(mode, drive), e_a
+    return pump, e_a_t, v_mf, polariton_damping(mode, drive)
+
+
+def _stationary(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
+                cfg: SuperLatticeConfig, e) -> tuple[SteadyState, object]:
+    """The stationary solution at drive energy (or energies) e and the pair
+    determinant; where that vanishes, the intensities are infinite."""
+    pump, e_a_t, v, hg_pol = _rotating_frame(drive, mode, ip, cfg, e)
+    hg_a = drive.hGamma_a
+    denom_pump = e - pump.E_pol_tilde + 1j * hg_pol
+    # (E_a~ - E - i hG_a) B+ + V conj(B-) + F+ = 0 and the conjugated
+    # partner equation; unknowns (B+, conj(B-)).  The determinant is real,
+    # so the solve divides real and imaginary parts by it.
+    z_conj = e_a_t - e + 1j * hg_a
+    det = (e_a_t - e) ** 2 + hg_a ** 2 - v ** 2
+    num_plus = -drive.F_probe_plus * z_conj + v * drive.F_probe_minus.conjugate()
+    num_minus = -z_conj * drive.F_probe_minus + v * drive.F_probe_plus.conjugate()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_amp = _where(denom_pump != 0, np.divide(drive.F_pump, denom_pump),
+                       complex(math.inf))
+        b_plus = np.divide(num_plus.real, det) + 1j * np.divide(num_plus.imag, det)
+        b_minus = np.divide(num_minus.real, det) + 1j * np.divide(num_minus.imag, det)
+        i_plus = _where(det == 0.0, math.inf, np.hypot(b_plus.real, b_plus.imag) ** 2)
+        i_minus = _where(det == 0.0, math.inf, np.hypot(b_minus.real, b_minus.imag) ** 2)
+    rad = v ** 2 - hg_a ** 2
+    split = _where(rad > 0, np.sqrt(abs(rad)), math.nan)
+    return SteadyState(*map(_unwrap, (
+        a_amp, pump.n_pump, b_plus, b_minus, i_plus, i_minus, e_a_t,
+        pump.E_pol_tilde, v, e_a_t + split, e_a_t - split))), det
 
 
 def steady_state(drive: DriveConfig, mode: HopfieldMode,
@@ -185,62 +229,43 @@ def steady_state(drive: DriveConfig, mode: HopfieldMode,
     The dark pair (B+, conj(B-)) satisfies a 2x2 linear system with real
     determinant (E_a~ - E)^2 + hG_a^2 - V^2; a vanishing determinant (drive
     exactly at a resonance that damping does not lift) raises ``PoleError``.
+    A mode with array fields gives array fields; the pair resonances
+    E_res_+- are None (NaN elements in arrays) when damping exceeds V_mf.
     """
-    pump, e_a_t, v, hg_pol, _ = _rotating_frame(drive, mode, ip, cfg)
-    e = drive.E_drive
-    hg_a = drive.hGamma_a
-
-    denom_pump = e - pump.E_pol_tilde + 1j * hg_pol
-    a_amp = drive.F_pump / denom_pump if denom_pump != 0 else complex(math.inf)
-
-    # (E_a~ - E - i hG_a) B+ + V conj(B-) + F+ = 0 and the conjugated
-    # partner equation; unknowns (B+, conj(B-)).
-    z = e_a_t - e - 1j * hg_a
-    det = (e_a_t - e) ** 2 + hg_a ** 2 - v ** 2
-    if det == 0.0:
+    ss, det = _stationary(drive, mode, ip, cfg, drive.E_drive)
+    if _any(det == 0.0):
         raise PoleError(
-            f"drive energy {e} eV sits exactly on a pair resonance")
-    b_plus = (-drive.F_probe_plus * z.conjugate()
-              + v * drive.F_probe_minus.conjugate()) / det
-    b_minus = (-z.conjugate() * drive.F_probe_minus
-               + v * drive.F_probe_plus.conjugate()) / det
-
-    rad = v ** 2 - hg_a ** 2
-    res_p = e_a_t + math.sqrt(rad) if rad > 0 else None
-    res_m = e_a_t - math.sqrt(rad) if rad > 0 else None
-    return SteadyState(
-        A_amp=a_amp, N_pump=pump.n_pump, B_plus=b_plus, B_minus=b_minus,
-        I_plus=abs(b_plus) ** 2, I_minus=abs(b_minus) ** 2,
-        E_a_tilde=e_a_t, E_pol_tilde=pump.E_pol_tilde, V_mf=v,
-        E_res_plus=res_p, E_res_minus=res_m)
+            f"drive energy {drive.E_drive} eV sits exactly on a pair resonance")
+    if isinstance(ss.E_res_plus, float) and math.isnan(ss.E_res_plus):
+        ss = replace(ss, E_res_plus=None, E_res_minus=None)
+    return ss
 
 
-def spectrum(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
-             cfg: SuperLatticeConfig,
-             energies: Sequence[float]) -> list[SpectrumPoint]:
-    """Probe-normalized dark intensities over a drive-energy grid.
+def spectrum_columns(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
+                     cfg: SuperLatticeConfig, energies) -> tuple:
+    """Probe-normalized dark intensities over a drive-energy grid, as the
+    columns (E - E_a, I_minus_scaled, I_plus_scaled), in one broadcast pass.
 
     Intensities are scaled by the total injected probe intensity
     |F+|^2 + |F-|^2; energies are reported as offsets from the bare dark
     level.  Grid points landing exactly on an undamped resonance are
     reported as infinite rather than raised.
     """
-    if len(energies) == 0:
+    energies = np.asarray(energies, dtype=float)
+    if energies.size == 0:
         raise DomainError("energy grid must be nonempty")
-    e_a = antisymmetric_energy(cfg)
+    ss, _ = _stationary(drive, mode, ip, cfg, energies)
     i_probe = abs(drive.F_probe_plus) ** 2 + abs(drive.F_probe_minus) ** 2
-    points = []
-    for e in energies:
-        try:
-            ss = steady_state(replace(drive, E_drive=float(e)), mode, ip, cfg)
-            i_m, i_p = ss.I_minus, ss.I_plus
-        except PoleError:
-            i_m = i_p = math.inf
-        if i_probe > 0.0:
-            i_m, i_p = i_m / i_probe, i_p / i_probe
-        points.append(SpectrumPoint(E_offset=float(e) - e_a,
-                                    I_minus_scaled=i_m, I_plus_scaled=i_p))
-    return points
+    norm = i_probe if i_probe > 0.0 else 1.0
+    return energies - antisymmetric_energy(cfg), ss.I_minus / norm, ss.I_plus / norm
+
+
+def spectrum(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
+             cfg: SuperLatticeConfig,
+             energies: Sequence[float]) -> list[SpectrumPoint]:
+    """:func:`spectrum_columns` as one ``SpectrumPoint`` per grid point."""
+    columns = spectrum_columns(drive, mode, ip, cfg, energies)
+    return [SpectrumPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
@@ -257,8 +282,8 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
         raise DomainError("t_end and dt must be positive")
     if sample_every < 1:
         raise DomainError("sample_every must be >= 1")
-    pump, e_a_t, v, hg_pol, _ = _rotating_frame(drive, mode, ip, cfg)
     e = drive.E_drive
+    pump, e_a_t, v, hg_pol = _rotating_frame(drive, mode, ip, cfg, e)
 
     scale = max(abs(e_a_t - e), abs(pump.E_pol_tilde - e), v,
                 drive.hGamma_a, hg_pol)

@@ -13,7 +13,7 @@ sin(kR/2) (antisymmetric state, dark), both on top of the prefactor
 
 where Sbar is the effective photon cross-section and u_b the mode amplitude
 at the lattice position.  Only magnitudes are exposed; every downstream
-observable depends on |f|^2.
+observable depends on |f|^2.  Wavenumbers may be given as arrays.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import CONSTANTS, PhysicalConstants
 from .errors import DomainError
-from .lattice import SuperLatticeConfig
+from .lattice import SuperLatticeConfig, _check_finite, _unwrap
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,7 @@ class WaveguideConfig:
     L: float
 
     def __post_init__(self):
+        _check_finite(self)
         if self.epsilon < 1.0:
             raise DomainError("epsilon must be >= 1")
         if self.q0 <= 0:
@@ -64,30 +67,32 @@ class WaveguideConfig:
         return cls(epsilon=epsilon, q0=q0, u_b=u_b, S_bar=S_bar, L=L)
 
 
-def photon_dispersion(q: float, wg: WaveguideConfig,
-                      constants: PhysicalConstants = CONSTANTS) -> float:
+def photon_dispersion(q, wg: WaveguideConfig,
+                      constants: PhysicalConstants = CONSTANTS):
     """Guided-photon energy at wavenumber q (any real q), in eV."""
-    return constants.hbar_c / math.sqrt(wg.epsilon) * math.hypot(wg.q0, q)
+    return _unwrap(constants.hbar_c / math.sqrt(wg.epsilon) * np.hypot(wg.q0, q))
 
 
-def _coupling_prefactor(k: float, wg: WaveguideConfig, cfg: SuperLatticeConfig,
-                        constants: PhysicalConstants) -> float:
+def _coupling_prefactor(k, wg: WaveguideConfig, cfg: SuperLatticeConfig,
+                        constants: PhysicalConstants):
     # sqrt(E_ph/(eps0 Sbar a)) * u_b * mu with 1/eps0 = 4 pi e^2/(4 pi eps0)
     e_ph = photon_dispersion(k, wg, constants)
-    return math.sqrt(e_ph * constants.inv_eps0 / (wg.S_bar * cfg.a)) * wg.u_b * cfg.mu
+    return np.sqrt(e_ph * constants.inv_eps0 / (wg.S_bar * cfg.a)) * wg.u_b * cfg.mu
 
 
-def coupling_bright(k: float, wg: WaveguideConfig, cfg: SuperLatticeConfig,
-                    constants: PhysicalConstants = CONSTANTS) -> float:
+def coupling_bright(k, wg: WaveguideConfig, cfg: SuperLatticeConfig,
+                    constants: PhysicalConstants = CONSTANTS):
     """|f_k| for the bright (symmetric) exciton: prefactor * |cos(kR/2)|."""
-    return _coupling_prefactor(k, wg, cfg, constants) * abs(math.cos(k * cfg.R / 2.0))
+    return _unwrap(_coupling_prefactor(k, wg, cfg, constants)
+                   * np.abs(np.cos(k * cfg.R / 2.0)))
 
 
-def coupling_dark(k: float, wg: WaveguideConfig, cfg: SuperLatticeConfig,
-                  constants: PhysicalConstants = CONSTANTS) -> float:
+def coupling_dark(k, wg: WaveguideConfig, cfg: SuperLatticeConfig,
+                  constants: PhysicalConstants = CONSTANTS):
     """|f_k| for the dark (antisymmetric) exciton: prefactor * |sin(kR/2)|.
 
     Vanishes at k = 0; at the operating wavenumbers k R << 1 it is smaller
     than the bright coupling by tan(kR/2) ~ kR/2.
     """
-    return _coupling_prefactor(k, wg, cfg, constants) * abs(math.sin(k * cfg.R / 2.0))
+    return _unwrap(_coupling_prefactor(k, wg, cfg, constants)
+                   * np.abs(np.sin(k * cfg.R / 2.0)))

@@ -21,7 +21,13 @@ from bogolon.kinematic import InteractionParams
 from bogolon.oracle import build_basis
 from bogolon.pumpprobe import DriveConfig
 
-SETUP = reference_setup()
+
+@pytest.fixture(scope="module")
+def SETUP():
+    """The reference operating point.  Built per test module rather than at
+    import, so a fault in a formula it uses fails the criteria that need it
+    instead of the collection of all eight."""
+    return reference_setup()
 
 
 def _verdict(number: int, checks: list) -> None:
@@ -36,7 +42,7 @@ def _within(value: float, target: float, rel: float) -> bool:
     return abs(value - target) <= rel * abs(target)
 
 
-def test_criterion_1_constants_chain():
+def test_criterion_1_constants_chain(SETUP):
     t0 = time.perf_counter()
     q0 = SETUP.wg.q0
     mc2 = SETUP.ip.m_c2
@@ -54,7 +60,7 @@ def test_criterion_1_constants_chain():
     _verdict(1, checks)
 
 
-def test_criterion_2_operating_point():
+def test_criterion_2_operating_point(SETUP):
     t0 = time.perf_counter()
     k_star = SETUP.mode.k
     x2 = SETUP.mode.X_lower ** 2
@@ -99,7 +105,7 @@ def test_criterion_3_level_structure():
     _verdict(3, checks)
 
 
-def test_criterion_4_dark_spectrum():
+def test_criterion_4_dark_spectrum(SETUP):
     t0 = time.perf_counter()
     e_a = antisymmetric_energy(SETUP.cfg)
     dt = SETUP.ip.Delta_tilde
@@ -128,7 +134,7 @@ def test_criterion_4_dark_spectrum():
     _verdict(4, checks)
 
 
-def test_criterion_5_pair_transformation_equivalence():
+def test_criterion_5_pair_transformation_equivalence(SETUP):
     t0 = time.perf_counter()
     e_a = antisymmetric_energy(SETUP.cfg)
     rng = np.random.default_rng(2024)
@@ -161,7 +167,7 @@ def test_criterion_5_pair_transformation_equivalence():
     _verdict(5, checks)
 
 
-def test_criterion_6_ode_against_closed_form():
+def test_criterion_6_ode_against_closed_form(SETUP):
     t0 = time.perf_counter()
     e_a = antisymmetric_energy(SETUP.cfg)
     rng = np.random.default_rng(77)
@@ -195,7 +201,7 @@ def test_criterion_6_ode_against_closed_form():
     _verdict(6, checks)
 
 
-def test_criterion_7_oracle_equivalence():
+def test_criterion_7_oracle_equivalence(SETUP):
     # The nearest-neighbour-cell ring is a 2x2 Bloch problem with levels
     # E_A + 2 J11 cos ka -+ |J0 + J12 e^{ika} + J21 e^{-ika}|; with x = R/a,
     # J12 + J21 = J [(1+x)^-3 + (1-x)^-3] = J (2 + 12 x^2 + 30 x^4 + ...).
@@ -238,7 +244,7 @@ def test_criterion_7_oracle_equivalence():
     _verdict(7, checks)
 
 
-def test_criterion_8_property_suite():
+def test_criterion_8_property_suite(SETUP):
     t0 = time.perf_counter()
     rng = np.random.default_rng(88)
     cfg, wg = SETUP.cfg, SETUP.wg

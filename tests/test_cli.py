@@ -182,6 +182,18 @@ def test_exit_code_numerical_domain(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("section,key", [("lattice", "mu"),
+                                         ("drive", "E_drive"),
+                                         ("drive", "F_pump")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])
+def test_exit_code_non_finite_inputs(tmp_path, section, key, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({section: {key: value}}))
+    rc = main(["levels", "--preset", "paper", "--config", str(config),
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+
+
 def test_config_without_preset(tmp_path):
     out = tmp_path / "lv.csv"
     config = tmp_path / "cfg.json"

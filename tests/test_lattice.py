@@ -169,6 +169,9 @@ def test_config_invariants():
     SuperLatticeConfig(**good)
     for bad in (dict(good, a=-1.0), dict(good, R=0.0), dict(good, R=1000.0),
                 dict(good, mu=0.0), dict(good, E_A=0.0),
-                dict(good, theta=2.0), dict(good, N=4), dict(good, N=1)):
+                dict(good, theta=2.0), dict(good, N=4), dict(good, N=1),
+                dict(good, mu=math.nan), dict(good, mu=math.inf),
+                dict(good, E_A=math.nan), dict(good, a=math.inf),
+                dict(good, R=math.nan), dict(good, theta=math.nan)):
         with pytest.raises((DomainError, ValueError)):
             SuperLatticeConfig(**bad)

@@ -3,14 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bogolon import (WaveguideConfig, antisymmetric_energy, coupling_bright,
                      exciton_levels, find_resonance_k, hopfield,
-                     symmetric_band, verify_diagonalization)
+                     reference_lattice, reference_waveguide, symmetric_band,
+                     verify_diagonalization)
 from bogolon.errors import AmbiguousSolutionError, NoSolutionError
 from bogolon.polariton import branch_energy
 
 K_STAR_REFERENCE = 1.4e-5       # quoted operating wavenumber
+K_STAR_PRESET = 1.3817490737859908e-05   # frozen find_resonance_k result
 X2_LOWER_REFERENCE = 0.56       # quoted excitonic fraction there
 
 
@@ -133,3 +137,39 @@ def test_lower_fraction_monotone_through_anticrossing(wg, cfg):
     fractions = [hopfield(float(k), wg, cfg).X_lower ** 2 for k in ks]
     assert all(b > a for a, b in zip(fractions, fractions[1:]))
     assert fractions[0] < 0.5 < fractions[-1]
+
+
+def test_find_resonance_k_preset_value_frozen(wg, cfg):
+    k_star = find_resonance_k(antisymmetric_energy(cfg), "lower", wg, cfg)
+    assert k_star == pytest.approx(K_STAR_PRESET, rel=1e-15)
+
+
+def test_hopfield_array_matches_scalar_calls(wg, cfg):
+    ks = np.linspace(0.0, math.pi / cfg.a, 301)
+    grid = hopfield(ks, wg, cfg)
+    for i, k in enumerate(ks):
+        one = hopfield(float(k), wg, cfg)
+        for field in ("E_upper", "E_lower", "X_upper", "Y_upper", "X_lower",
+                      "Y_lower", "delta", "D"):
+            assert getattr(grid, field)[i] == pytest.approx(
+                getattr(one, field), rel=1e-14, abs=1e-300)
+    thetas = np.linspace(0.0, math.pi / 2, 91)
+    by_angle = hopfield(0.0, wg, cfg, theta=thetas)
+    for i, theta in enumerate(thetas):
+        one = hopfield(0.0, wg, replace(cfg, theta=float(theta)))
+        assert by_angle.E_lower[i] == pytest.approx(one.E_lower, rel=1e-14)
+        assert by_angle.X_lower[i] == pytest.approx(one.X_lower, rel=1e-14)
+
+
+@settings(max_examples=50, deadline=None)
+@given(k_over_zone=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
+       theta=st.floats(0.0, math.pi / 2))
+def test_hopfield_array_normalized_and_orthogonal(k_over_zone, theta):
+    cfg = reference_lattice()
+    wg = reference_waveguide(cfg)
+    ks = np.array(k_over_zone) * math.pi / cfg.a
+    mode = hopfield(ks, wg, cfg, theta=theta)
+    assert np.all(np.abs(mode.X_upper ** 2 + mode.Y_upper ** 2 - 1.0) < 1e-12)
+    assert np.all(np.abs(mode.X_lower ** 2 + mode.Y_lower ** 2 - 1.0) < 1e-12)
+    assert np.all(np.abs(mode.X_upper * mode.X_lower
+                         + mode.Y_upper * mode.Y_lower) < 1e-12)

@@ -322,3 +322,83 @@ def test_drive_config_invariants():
         _drive(hGamma_a=-1e-12)
     with pytest.raises(DomainError):
         _drive(n_pump=-0.5)
+    for bad in (dict(E_drive=math.nan), dict(E_drive=math.inf),
+                dict(hGamma_a=math.nan), dict(hGamma_s=math.inf),
+                dict(F_pump=complex(math.nan, 0.0)), dict(F_probe_plus=math.inf),
+                dict(k_pump=math.nan), dict(q=math.inf), dict(n_pump=math.inf),
+                dict(n_pump=math.nan)):
+        with pytest.raises(DomainError):
+            _drive(**bad)
+
+
+# -- the array path: each element as in the scalar call ---------------------
+
+def _red_detuned_mode() -> HopfieldMode:
+    # lower branch above every drive energy used below, even with its
+    # Hartree shift: the occupation has a single fixed point
+    return _mode(e_lower=1.501)
+
+
+def test_pump_occupation_array_fixed_point_elementwise():
+    mode, ip = _red_detuned_mode(), _ip()
+    drive = _drive(F_pump=1e-3, n_pump=None)
+    energies = np.linspace(1.4998, 1.5004, 41)
+    sol = pump_occupation(drive, mode, ip, E_drive=energies)
+    assert sol.n_pump.shape == energies.shape
+    hg = polariton_damping(mode, drive)
+    shift = ip.Delta * ip.X2 ** 2
+    lorentzian = abs(drive.F_pump) ** 2 / (
+        (energies - mode.E_lower - shift * sol.n_pump) ** 2 + hg ** 2)
+    assert np.all(np.abs(sol.n_pump - lorentzian) <= 1e-12 * sol.n_pump)
+    assert np.all(sol.n_pump > 0.1)
+    # the loop over scalar calls is the reference
+    scalar = [pump_occupation(replace(drive, E_drive=float(e)), mode, ip)
+              for e in energies]
+    assert sol.n_pump == pytest.approx([s.n_pump for s in scalar], rel=1e-14)
+    assert sol.E_pol_tilde == pytest.approx([s.E_pol_tilde for s in scalar],
+                                            rel=1e-14)
+    assert isinstance(sol.iterations, int)
+    assert sol.iterations == sum(s.iterations for s in scalar)
+
+
+def test_pump_occupation_array_with_one_bistable_element_raises():
+    # the bistable drive of test_pump_occupation_bistable_drive_raises
+    # placed among drives that converge
+    ip = _ip(delta=1e-4, x2=0.5)
+    mode = _mode(0.5)
+    shift = ip.Delta * ip.X2 ** 2
+    drive = _drive(F_pump=5e-5, n_pump=None, hGamma_s=1e-7, hGamma_ph=1e-7)
+    energies = mode.E_lower - np.array([1e-3, 2e-3, -3.0 * shift, 3e-3])
+    with pytest.raises(BistabilityError):
+        pump_occupation(drive, mode, ip, E_drive=energies)
+    pump_occupation(drive, mode, ip, E_drive=np.delete(energies, 2))
+
+
+def test_spectrum_self_consistent_equals_prescribed_at_solved_occupation(cfg):
+    mode, ip = _red_detuned_mode(), _ip()
+    e_a = antisymmetric_energy(cfg)
+    drive = _drive(F_pump=1e-3, n_pump=None, hGamma_a=1e-7)
+    grid = np.linspace(e_a, e_a + 4.0 * ip.Delta_tilde, 201)
+    points = spectrum(drive, mode, ip, cfg, grid)
+    n = pump_occupation(drive, mode, ip, E_drive=grid).n_pump
+    assert np.ptp(n) > 0.01 * n.max()      # the occupation follows the drive
+    for e, n_e, p in zip(grid, n, points):
+        (q,) = spectrum(replace(drive, n_pump=float(n_e)), mode, ip, cfg,
+                        [float(e)])
+        assert p.E_offset == q.E_offset
+        assert p.I_minus_scaled == pytest.approx(q.I_minus_scaled, rel=1e-12)
+        assert p.I_plus_scaled == pytest.approx(q.I_plus_scaled, rel=1e-12)
+
+
+def test_spectrum_exact_pole_is_infinite_between_finite_neighbours(cfg):
+    # pump off, no damping: the pair determinant vanishes exactly at E_a
+    mode, ip = _mode(), _ip()
+    e_a = antisymmetric_energy(cfg)
+    drive = _drive(hGamma_a=0.0, n_pump=0.0)
+    grid = np.array([e_a - 2e-6, e_a - 1e-6, e_a, e_a + 1e-6, e_a + 2e-6])
+    points = spectrum(drive, mode, ip, cfg, grid)
+    assert math.isinf(points[2].I_plus_scaled)
+    assert math.isinf(points[2].I_minus_scaled)
+    for p in points[:2] + points[3:]:
+        assert math.isfinite(p.I_plus_scaled) and p.I_plus_scaled > 0.0
+        assert p.I_minus_scaled == 0.0

@@ -96,6 +96,9 @@ def test_waveguide_config_invariants():
     WaveguideConfig(**good)
     for bad in (dict(good, epsilon=0.5), dict(good, q0=0.0),
                 dict(good, u_b=0.0), dict(good, u_b=1.5),
-                dict(good, S_bar=-1.0), dict(good, L=0.0)):
+                dict(good, S_bar=-1.0), dict(good, L=0.0),
+                dict(good, epsilon=math.inf), dict(good, q0=math.nan),
+                dict(good, u_b=math.nan), dict(good, S_bar=math.inf),
+                dict(good, L=math.inf)):
         with pytest.raises((DomainError, ValueError)):
             WaveguideConfig(**bad)
