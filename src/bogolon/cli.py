@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import ModelError, StabilityError
+from .errors import DomainError, ModelError, StabilityError
 from .kinematic import interaction_params
 from .lattice import (SuperLatticeConfig, antisymmetric_energy,
                       exciton_levels, symmetric_band)
@@ -351,6 +351,8 @@ def cmd_evolve(run: RunConfig) -> Dataset:
               if g > 0]
     default_t_end = 25.0 / min(gammas) if gammas else dt * 10_000
     t_end = float(run.evolve.get("t_end", default_t_end))
+    if dt <= 0 or t_end <= 0:
+        raise DomainError("evolve.dt and evolve.t_end must be positive")
     capped = False
     if t_end / dt > _MAX_EVOLVE_STEPS:
         if "t_end" in run.evolve or "dt" in run.evolve:
@@ -363,9 +365,8 @@ def cmd_evolve(run: RunConfig) -> Dataset:
     sample_every = int(run.evolve.get("sample_every", max(1, steps // 2000)))
 
     traj = time_evolve(drive, mode, ip, cfg, t_end, dt, sample_every)
-    rows = [(t, abs(a) ** 2, abs(bp) ** 2, abs(bm) ** 2)
-            for t, a, bp, bm in zip(traj.times, traj.A, traj.B_plus,
-                                    traj.B_minus)]
+    rows = np.column_stack([traj.times] + [
+        np.abs(x) ** 2 for x in (traj.A, traj.B_plus, traj.B_minus)]).tolist()
     meta = _common_meta(run) + [
         ("evolve.dt", dt), ("evolve.t_end", t_end),
         ("evolve.sample_every", sample_every), ("evolve.capped", capped),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import DomainError
 
 #: Angle where 1 - 3 cos^2(theta) vanishes and all couplings turn off.
@@ -108,8 +108,7 @@ def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
-def dipole_coupling(r, cfg: SuperLatticeConfig,
-                    constants: PhysicalConstants = CONSTANTS, *, theta=None):
+def dipole_coupling(r, cfg: SuperLatticeConfig, *, theta=None):
     """Resonant dipole-dipole coupling at distance r (Angstrom), in eV.
 
     Positive for theta beyond the magic angle, negative below it.  ``theta``
@@ -122,7 +121,7 @@ def dipole_coupling(r, cfg: SuperLatticeConfig,
     elif not np.all((np.asarray(theta) >= 0.0) & (np.asarray(theta) <= math.pi / 2)):
         raise DomainError("theta must lie in [0, pi/2]")
     angular = 1.0 - 3.0 * np.cos(theta) ** 2
-    return _unwrap(constants.coulomb_mu2_prefactor * cfg.mu ** 2 * angular / r ** 3)
+    return _unwrap(CONSTANTS.coulomb_mu2_prefactor * cfg.mu ** 2 * angular / r ** 3)
 
 
 def exciton_levels(cfg: SuperLatticeConfig, *, theta=None) -> ExcitonLevels:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -70,7 +71,8 @@ def build_basis(n_cells: int, n_exc: int) -> PaulionBasis:
     dim = comb(n_atoms, n_exc)
     if dim > _MAX_DIM:
         raise SectorSizeError(f"sector dimension {dim} exceeds {_MAX_DIM}")
-    states = [s for s in range(1 << n_atoms) if bin(s).count("1") == n_exc]
+    states = sorted(sum(1 << i for i in atoms)
+                    for atoms in combinations(range(n_atoms), n_exc))
     return PaulionBasis(n_cells=n_cells, n_exc=n_exc, states=tuple(states))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import DomainError
 from .lattice import SuperLatticeConfig, _check_finite, _unwrap
 
@@ -59,40 +59,35 @@ class WaveguideConfig:
 
     @classmethod
     def from_resonance(cls, epsilon: float, E_A: float, u_b: float,
-                       S_bar: float, L: float,
-                       constants: PhysicalConstants = CONSTANTS) -> "WaveguideConfig":
+                       S_bar: float, L: float) -> "WaveguideConfig":
         """Fix q0 so that the photon band bottom sits at E_A:
         q0 = sqrt(eps) * E_A / (hbar c)."""
-        q0 = math.sqrt(epsilon) * E_A / constants.hbar_c
+        q0 = math.sqrt(epsilon) * E_A / CONSTANTS.hbar_c
         return cls(epsilon=epsilon, q0=q0, u_b=u_b, S_bar=S_bar, L=L)
 
 
-def photon_dispersion(q, wg: WaveguideConfig,
-                      constants: PhysicalConstants = CONSTANTS):
+def photon_dispersion(q, wg: WaveguideConfig):
     """Guided-photon energy at wavenumber q (any real q), in eV."""
-    return _unwrap(constants.hbar_c / math.sqrt(wg.epsilon) * np.hypot(wg.q0, q))
+    return _unwrap(CONSTANTS.hbar_c / math.sqrt(wg.epsilon) * np.hypot(wg.q0, q))
 
 
-def _coupling_prefactor(k, wg: WaveguideConfig, cfg: SuperLatticeConfig,
-                        constants: PhysicalConstants):
+def _coupling_prefactor(k, wg: WaveguideConfig, cfg: SuperLatticeConfig):
     # sqrt(E_ph/(eps0 Sbar a)) * u_b * mu with 1/eps0 = 4 pi e^2/(4 pi eps0)
-    e_ph = photon_dispersion(k, wg, constants)
-    return np.sqrt(e_ph * constants.inv_eps0 / (wg.S_bar * cfg.a)) * wg.u_b * cfg.mu
+    e_ph = photon_dispersion(k, wg)
+    return np.sqrt(e_ph * CONSTANTS.inv_eps0 / (wg.S_bar * cfg.a)) * wg.u_b * cfg.mu
 
 
-def coupling_bright(k, wg: WaveguideConfig, cfg: SuperLatticeConfig,
-                    constants: PhysicalConstants = CONSTANTS):
+def coupling_bright(k, wg: WaveguideConfig, cfg: SuperLatticeConfig):
     """|f_k| for the bright (symmetric) exciton: prefactor * |cos(kR/2)|."""
-    return _unwrap(_coupling_prefactor(k, wg, cfg, constants)
+    return _unwrap(_coupling_prefactor(k, wg, cfg)
                    * np.abs(np.cos(k * cfg.R / 2.0)))
 
 
-def coupling_dark(k, wg: WaveguideConfig, cfg: SuperLatticeConfig,
-                  constants: PhysicalConstants = CONSTANTS):
+def coupling_dark(k, wg: WaveguideConfig, cfg: SuperLatticeConfig):
     """|f_k| for the dark (antisymmetric) exciton: prefactor * |sin(kR/2)|.
 
     Vanishes at k = 0; at the operating wavenumbers k R << 1 it is smaller
     than the bright coupling by tan(kR/2) ~ kR/2.
     """
-    return _unwrap(_coupling_prefactor(k, wg, cfg, constants)
+    return _unwrap(_coupling_prefactor(k, wg, cfg)
                    * np.abs(np.sin(k * cfg.R / 2.0)))

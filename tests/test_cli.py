@@ -174,12 +174,18 @@ def test_exit_code_config_errors(tmp_path):
 
 def test_exit_code_numerical_domain(tmp_path):
     config = tmp_path / "cfg.json"
-    # dark level far above the lower branch: no resonance wavenumber
-    config.write_text(json.dumps({"drive": {"E_drive": 1.6, "k_pump": None},
-                                  "lattice": {"theta_deg": 10.0}}))
-    rc = main(["spectrum", "--preset", "paper", "--config", str(config),
-               "--out", str(tmp_path / "x.csv")])
-    assert rc == 3
+    cases = [
+        # dark level far above the lower branch: no resonance wavenumber
+        ("spectrum", {"drive": {"E_drive": 1.6, "k_pump": None},
+                      "lattice": {"theta_deg": 10.0}}),
+        # a zero step is rejected before the step count divides by it
+        ("evolve", {"evolve": {"dt": 0}}),
+    ]
+    for command, settings in cases:
+        config.write_text(json.dumps(settings))
+        rc = main([command, "--preset", "paper", "--config", str(config),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 3, (command, settings)
 
 
 @pytest.mark.parametrize("section,key", [("lattice", "mu"),

@@ -13,7 +13,7 @@ from bogolon.lattice import MAGIC_ANGLE
 
 def test_basis_dimensions_and_ordering(small_cfg):
     for n_cells, n_exc, dim in ((1, 1, 2), (2, 2, 6), (3, 1, 6), (7, 2, 91),
-                                (5, 0, 1)):
+                                (5, 0, 1), (50, 2, 4950)):
         basis = build_basis(n_cells, n_exc)
         assert basis.dim == dim == math.comb(2 * n_cells, n_exc)
         assert list(basis.states) == sorted(basis.states)

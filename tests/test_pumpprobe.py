@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bogolon import (DriveConfig, antisymmetric_energy, interaction_params,
                      polariton_damping, pump_occupation, spectrum,
@@ -313,6 +315,65 @@ def test_time_evolve_rejects_unstable_step(cfg):
         time_evolve(drive, mode, ip, cfg, t_end=1e6, dt=1e5)
     with pytest.raises(DomainError):
         time_evolve(drive, mode, ip, cfg, t_end=-1.0, dt=1.0)
+
+
+def _rk4_loop(drive, mode, ip, cfg, t_end, dt, sample_every):
+    """Classical four-stage RK4 on (A, B+, B-), one Python step at a time."""
+    ss = steady_state(drive, mode, ip, cfg)
+    e, v = drive.E_drive, ss.V_mf
+    z_pol = (ss.E_pol_tilde - e) - 1j * polariton_damping(mode, drive)
+    z_a = (ss.E_a_tilde - e) - 1j * drive.hGamma_a
+
+    def rhs(a, bp, bm):
+        return (-1j * (z_pol * a + drive.F_pump),
+                -1j * (z_a * bp + v * bm.conjugate() + drive.F_probe_plus),
+                -1j * (z_a * bm + v * bp.conjugate() + drive.F_probe_minus))
+
+    def shifted(y, k, c):
+        return [x + c * kx for x, kx in zip(y, k)]
+
+    n_steps = max(1, math.ceil(t_end / dt))
+    h = t_end / n_steps
+    y = [0j, 0j, 0j]
+    times, ys = [0.0], [y]
+    for step in range(1, n_steps + 1):
+        k1 = rhs(*y)
+        k2 = rhs(*shifted(y, k1, 0.5 * h))
+        k3 = rhs(*shifted(y, k2, 0.5 * h))
+        k4 = rhs(*shifted(y, k3, h))
+        y = [x + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+             for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        if step % sample_every == 0 or step == n_steps:
+            times.append(step * h)
+            ys.append(y)
+    return np.array(times), np.array(ys).T
+
+
+@settings(max_examples=30, deadline=None)
+@given(detuning=st.floats(-5e-5, 5e-5),
+       damping=st.tuples(*[st.floats(1e-6, 2e-5)] * 3),
+       forces=st.tuples(*[st.floats(-1e-6, 1e-6)] * 6),
+       n_pump=st.floats(0.0, 1.5),
+       steps=st.floats(2000.0, 4000.0),
+       sample_every=st.sampled_from([1, 7, 10 ** 9]))
+def test_time_evolve_step_matrix_matches_rk4_loop(cfg, detuning, damping, forces,
+                                                  n_pump, steps, sample_every):
+    mode, ip = _mode(), _ip()
+    drive = _drive(E_drive=antisymmetric_energy(cfg) + detuning,
+                   hGamma_ph=damping[0], hGamma_s=damping[1],
+                   hGamma_a=damping[2], F_pump=complex(*forces[:2]),
+                   F_probe_plus=complex(*forces[2:4]),
+                   F_probe_minus=complex(*forces[4:]), n_pump=n_pump)
+    ss = steady_state(drive, mode, ip, cfg)
+    scale = max(abs(ss.E_a_tilde - drive.E_drive),
+                abs(ss.E_pol_tilde - drive.E_drive), ss.V_mf, *damping)
+    dt = 0.05 / scale
+    traj = time_evolve(drive, mode, ip, cfg, t_end=steps * dt, dt=dt,
+                       sample_every=sample_every)
+    times, ref = _rk4_loop(drive, mode, ip, cfg, steps * dt, dt, sample_every)
+    assert np.array_equal(traj.times, times)
+    for amp, expected in zip((traj.A, traj.B_plus, traj.B_minus), ref):
+        assert np.max(np.abs(amp - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_drive_config_invariants():
