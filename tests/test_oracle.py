@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bogolon import (build_basis, build_sector, diagonalize, dipole_coupling,
-                     exciton_levels, jacobi_eigh, validate_band,
+                     exciton_levels, jacobi_eigh, oracle, validate_band,
                      validate_blocking)
 from bogolon.errors import DomainError, SectorSizeError
 from bogolon.lattice import MAGIC_ANGLE
@@ -22,7 +22,7 @@ def test_basis_dimensions_and_ordering(small_cfg):
 
 
 def test_basis_rejects_large_or_invalid_sectors():
-    with pytest.raises(SectorSizeError):
+    with pytest.raises(SectorSizeError, match=r"10011 .* 801\.8 MB"):
         build_basis(71, 2)          # C(142, 2) = 10011
     with pytest.raises(DomainError):
         build_basis(0, 1)
@@ -70,6 +70,52 @@ def test_double_excitation_shift_on_diagonal(small_cfg):
         assert sector.matrix[row, row] == pytest.approx(expected, rel=1e-15)
 
 
+def _sector_loop(cfg, n_cells, n_exc, coupling_mode, boundary, V_dyn):
+    """Sector matrix built state by state: bit tests and one hop at a time."""
+    states = build_basis(n_cells, n_exc).states
+    index = {s: i for i, s in enumerate(states)}
+    n_atoms = 2 * n_cells
+
+    def position(i):
+        return (i // 2) * cfg.a + (i % 2 - 0.5) * cfg.R
+
+    def coupling(i, j):
+        dcell = abs(i // 2 - j // 2)
+        if boundary == "periodic":
+            dcell = min(dcell, n_cells - dcell)
+        if coupling_mode == "nearest-neighbor-cells" and dcell > 1:
+            return 0.0
+        d = abs(position(i) - position(j))
+        if boundary == "periodic":
+            d = min(d, n_cells * cfg.a - d)
+        return dipole_coupling(d, cfg)
+
+    h = np.zeros((len(states), len(states)))
+    for row, s in enumerate(states):
+        h[row, row] = n_exc * cfg.E_A
+        for cell in range(n_cells):
+            if s & (1 << (2 * cell)) and s & (1 << (2 * cell + 1)):
+                h[row, row] += 2.0 * V_dyn
+        for i in range(n_atoms):
+            if not s & (1 << i):
+                continue
+            for j in range(n_atoms):
+                if not s & (1 << j):
+                    h[row, index[(s ^ (1 << i)) | (1 << j)]] = coupling(i, j)
+    return h
+
+
+def test_array_sector_equals_bitmask_loop(small_cfg):
+    for n_cells in range(1, 9):
+        for n_exc in (0, 1, 2):
+            for mode in oracle.COUPLING_MODES:
+                for boundary in oracle.BOUNDARIES:
+                    sector = build_sector(small_cfg, n_cells, n_exc, mode,
+                                          boundary, V_dyn=1e-3)
+                    assert np.array_equal(sector.matrix, _sector_loop(
+                        small_cfg, n_cells, n_exc, mode, boundary, 1e-3))
+
+
 def test_single_cell_spectrum_gives_split_doublet(small_cfg):
     sector = build_sector(small_cfg, 1, 1)
     w, _ = diagonalize(sector)
@@ -92,6 +138,22 @@ def test_jacobi_against_lapack_route():
         w, v = jacobi_eigh(m)
         assert np.allclose(w, np.linalg.eigvalsh(m), rtol=1e-12, atol=1e-12)
         assert np.allclose(v.T @ v, np.eye(n), atol=1e-12)
+
+
+def test_lapack_route_agrees_with_jacobi_on_blocking_sector(small_cfg, monkeypatch):
+    e_abs = 1e-12 * small_cfg.E_A
+    sector = build_sector(small_cfg, 6, 2, V_dyn=1e-3)
+    w_lapack, _ = diagonalize(sector)
+    w_jacobi, _ = jacobi_eigh(sector.matrix)
+    assert np.max(np.abs(w_lapack - w_jacobi)) <= e_abs
+
+    lapack = validate_blocking(small_cfg, 6, V_dyn=1e-3)
+    monkeypatch.setattr(oracle, "diagonalize", lambda h: jacobi_eigh(h.matrix))
+    jacobi = validate_blocking(small_cfg, 6, V_dyn=1e-3)
+    assert lapack.cluster_size == jacobi.cluster_size == 6
+    assert lapack.separated and jacobi.separated
+    assert abs(lapack.separation - jacobi.separation) <= e_abs
+    assert abs(lapack.min_gap - jacobi.min_gap) <= e_abs
 
 
 def test_diagonalize_residual_and_trace(small_cfg):
