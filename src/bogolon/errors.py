@@ -33,7 +33,14 @@ class AmbiguousSolutionError(ModelError):
 
 
 class BistabilityError(ModelError):
-    """The occupation fixed point did not converge (bistable drive regime)."""
+    """The pump drive has no single self-consistent occupation.
+
+    Raised for a bistable drive, where three occupations solve the pump
+    equation, with ``bracket`` the turning points (N-, N+) that straddle
+    the middle one; for an undamped drive on the unshifted resonance, where
+    the occupation diverges; and for a drive within rounding of a turning
+    point, where the Newton steps do not settle.
+    """
 
     def __init__(self, message: str, bracket=(0.0, 0.0)):
         super().__init__(message)

@@ -10,6 +10,7 @@ occupation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -45,7 +46,16 @@ def reference_waveguide(cfg: SuperLatticeConfig | None = None) -> WaveguideConfi
 
 
 def reference_setup() -> RunSetup:
-    """Lattice + guide + pump-probe drive at the dark-level crossing."""
+    """Lattice + guide + pump-probe drive at the dark-level crossing.
+
+    Resolved once per process and then shared: every field is a frozen
+    dataclass of numbers.
+    """
+    return _reference_setup()
+
+
+@functools.cache
+def _reference_setup() -> RunSetup:
     cfg = reference_lattice()
     wg = reference_waveguide(cfg)
     e_a = antisymmetric_energy(cfg)

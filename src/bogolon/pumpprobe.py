@@ -29,6 +29,14 @@ x = (A, B+, conj(B-), 1) the equations are one affine generator M, and a
 step is x -> P(hM) x with P the RK4 polynomial.  That keeps RK4's
 truncation error; exp(Mt) would not, and would equal the closed forms by
 construction.
+
+Without a prescribed N, the pump equation fixes it self-consistently:
+N = |A|^2 is a root of the driven-Kerr cubic
+g(N) = N ((d - s N)^2 + hG_pol^2) - |F_pump|^2 with d = E - E_pol and
+s = Delta X^4.  It has three roots, a bistable drive, only inside the
+window d^2 > 3 hG_pol^2 of optical bistability, which
+:func:`pump_occupation` tests at g's turning points before it takes Newton
+steps to the single root.
 """
 
 from __future__ import annotations
@@ -45,8 +53,8 @@ from .lattice import (SuperLatticeConfig, _any, _check_finite, _unwrap, _where,
                       antisymmetric_energy)
 from .polariton import HopfieldMode
 
-_FIXED_POINT_TOL = 1e-12
-_FIXED_POINT_MAX_ITER = 10_000
+_OCCUPATION_TOL = 1e-12
+_NEWTON_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,8 @@ class DriveConfig:
 @dataclass(frozen=True)
 class PumpSolution:
     """Pump occupation together with the shifted mode energy (arrays for an
-    array call, with ``iterations`` summed over elements)."""
+    array call); ``iterations`` counts the Newton steps, summed over
+    elements, and is 0 for a prescribed occupation."""
 
     n_pump: float
     E_pol_tilde: float
@@ -140,15 +149,26 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
     """Pump occupation N and shifted energy E_pol~ = E_pol + Delta X^4 N.
 
     With ``drive.n_pump`` set, returns it together with the pump amplitude
-    that would sustain it.  Otherwise iterates the Lorentzian fixed point
+    that would sustain it.  Otherwise N solves the Lorentzian
 
-        N = |F_pump|^2 / ((E - E_pol~(N))^2 + hG_pol^2)
+        N = |F_pump|^2 / ((E - E_pol~(N))^2 + hG_pol^2),
 
-    with damped updates to 1e-12 relative tolerance; non-convergence
-    (bistable drive) raises ``BistabilityError`` with the straddling pair.
+    i.e. the driven-Kerr cubic g(N) = N ((d - s N)^2 + h^2) - |F|^2 = 0 with
+    d = E - E_pol, s = Delta X^4 and h = hG_pol.  g has turning points only
+    for d^2 > 3 h^2, at N+- = (2d +- sqrt(d^2 - 3h^2)) / (3s); the drive is
+    bistable (three occupations) exactly when N- > 0 and
+    g(N-) > 0 > g(N+), which raises ``BistabilityError`` with
+    ``bracket = (N-, N+)``.  Otherwise the single root comes from Newton
+    steps on g to 1e-12 relative step, clipped to [0, bound] for an upper
+    bound with g(bound) >= 0; they start from the bound when the root lies
+    where g is convex (every d <= 0) and from 0 when it lies where g is
+    concave, so they approach it from one side.  An undriven mode stays
+    empty; an undamped drive on the unshifted bare resonance (h = d = s = 0)
+    has no finite occupation and raises ``BistabilityError``.
+
     Broadcasts over an array ``E_drive`` (default ``drive.E_drive``) and
-    over array mode fields: each element iterates until it converges, and
-    any element that fails raises for the whole call.
+    over array mode fields; ``iterations`` counts the Newton steps summed
+    over elements, and any bistable element raises for the whole call.
     """
     e = drive.E_drive if E_drive is None else E_drive
     e_pol = mode.E_lower
@@ -163,32 +183,68 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
                             f_pump_magnitude=_unwrap(f_mag), iterations=0)
 
     f2 = abs(drive.F_pump) ** 2
-    shape = np.broadcast(e, e_pol, hg).shape
-    # The unconverged elements: flat index, E - E_pol, hG_pol^2 and N.
-    idx = np.arange(math.prod(shape))
-    detuning = np.broadcast_to(e - e_pol, shape).ravel()
-    hg2 = np.broadcast_to(hg ** 2, shape).ravel()
-    n, n_out, iterations = np.zeros(idx.size), np.zeros(idx.size), 0
-    for _ in range(_FIXED_POINT_MAX_ITER):
-        denom = (detuning - shift * n) ** 2 + hg2
-        if (denom == 0.0).any():
+    shape = np.broadcast(e, e_pol, hg, shift).shape
+    d, s, h2 = (np.broadcast_to(x, shape).ravel()
+                for x in (e - e_pol, shift, hg ** 2))
+    n, iterations = (_kerr_root(d, s, h2, f2) if f2 > 0.0
+                     else (np.zeros(d.size), 0))
+    n = _unwrap(n.reshape(shape))
+    return PumpSolution(n, _unwrap(e_pol + shift * n), abs(drive.F_pump),
+                        iterations)
+
+
+def _kerr_root(d, s, h2, f2):
+    """Root of g(N) = N ((d - s N)^2 + h2) - f2 for each element of the flat
+    arrays d, s, h2 (f2 > 0), and the Newton steps taken over elements."""
+    with np.errstate(all="ignore"):
+        # g at its turning points N-, N+ (NaN for d^2 < 3 h2, where there
+        # are none) and at its inflection N_i = 2d / (3s).
+        dd, s3 = d * d, 3.0 * s
+        n_i, spread = 2.0 * d / s3, np.sqrt(dd - 3.0 * h2) / s3
+        points = np.stack((n_i - spread, n_i + spread, n_i))
+        r = d - s * points
+        g = points * (r * r + h2) - f2
+        bistable = (points[0] > 0.0) & (g[0] > 0.0) & (g[1] < 0.0)
+        if bistable.any():
+            i = np.flatnonzero(bistable)[0]
+            n_lo, n_hi = float(points[0, i]), float(points[1, i])
             raise BistabilityError(
-                "undamped drive exactly on resonance; occupation diverges",
-                bracket=(float(n[denom == 0.0][0]), math.inf))
-        n, n_prev = 0.5 * n + 0.5 * f2 / denom, n
-        iterations += idx.size
-        keep = ~(np.abs(n - n_prev) <= _FIXED_POINT_TOL * np.maximum(n, 1e-300))
-        if not keep.all():
-            n_out[idx[~keep]] = n[~keep]
-            idx, detuning, hg2, n, n_prev = (
-                x[keep] for x in (idx, detuning, hg2, n, n_prev))
-        if idx.size == 0:
-            n_out = _unwrap(n_out.reshape(shape))
-            return PumpSolution(n_out, _unwrap(e_pol + shift * n_out),
-                                abs(drive.F_pump), iterations)
+                f"bistable drive at E - E_pol = {float(d[i])!r} eV: three "
+                f"occupations solve the Lorentzian, turning points N = {n_lo!r}, "
+                f"{n_hi!r}", bracket=(n_lo, n_hi))
+        # Every root lies below bound, and g(bound) >= 0: N h2 <= f2, and
+        # N (d^2 + h2) <= f2 when s d <= 0; past max(d/s, 0) + c, with
+        # s^2 c^3 = f2, s N - d >= s c, so g >= s^2 c^3 - f2 = 0.
+        bound = np.fmin(f2 / (h2 + np.where(s * d <= 0.0, dd, 0.0)),
+                        np.fmax(1.5 * n_i, 0.0) + np.cbrt(f2 / (s * s)))
+        if not np.isfinite(bound).all():
+            raise BistabilityError(
+                "undamped drive exactly on the unshifted polariton resonance; "
+                "occupation diverges", bracket=(0.0, math.inf))
+        # g is concave below N_i and convex above it: Newton reaches a root
+        # below N_i from 0 and any other from the bound, without overshoot.
+        n = np.where((n_i > 0.0) & (g[2] >= 0.0), 0.0, bound)
+        idx = np.arange(d.size)
+        n_out, iterations = np.empty(d.size), 0
+        for _ in range(_NEWTON_MAX_STEPS):
+            sn = s * n
+            r = d - sn
+            slope = r * r + h2
+            step = (n * slope - f2) / (slope - 2.0 * sn * r)
+            n, n_prev = np.minimum(np.maximum(n - step, 0.0), bound), n
+            iterations += idx.size
+            done = np.abs(n - n_prev) <= _OCCUPATION_TOL * n
+            if done.any():
+                n_out[idx[done]] = n[done]
+                if done.all():
+                    return n_out, iterations
+                keep = ~done
+                idx, d, s, h2, bound, n, n_prev = (
+                    x[keep] for x in (idx, d, s, h2, bound, n, n_prev))
     raise BistabilityError(
-        f"occupation fixed point did not converge in {_FIXED_POINT_MAX_ITER} "
-        "iterations", bracket=tuple(sorted((float(n_prev[0]), float(n[0])))))
+        f"occupation Newton steps did not settle in {_NEWTON_MAX_STEPS}: the "
+        "drive sits within rounding of a turning point",
+        bracket=tuple(sorted((float(n_prev[0]), float(n[0])))))
 
 
 def _rotating_frame(drive: DriveConfig, mode: HopfieldMode,
@@ -255,7 +311,8 @@ def spectrum_columns(drive: DriveConfig, mode: HopfieldMode, ip: InteractionPara
     Intensities are scaled by the total injected probe intensity
     |F+|^2 + |F-|^2; energies are reported as offsets from the bare dark
     level.  Grid points landing exactly on an undamped resonance are
-    reported as infinite rather than raised.
+    reported as infinite rather than raised; a self-consistent pump that is
+    bistable at any grid point raises ``BistabilityError``.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.size == 0:

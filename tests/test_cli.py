@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bogolon import antisymmetric_energy, reference_setup
 from bogolon.cli import main
 
 
@@ -186,6 +187,30 @@ def test_exit_code_numerical_domain(tmp_path):
         rc = main([command, "--preset", "paper", "--config", str(config),
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 3, (command, settings)
+
+
+def test_self_consistent_spectrum_exit_codes(tmp_path, capsys):
+    setup = reference_setup()
+    e_a = antisymmetric_energy(setup.cfg)
+    span = 4.0 * setup.ip.Delta_tilde
+    config, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    # F = 1e-5 eV at E - E_pol = Delta~ lies inside the bistable window
+    # (about 3.8e-9 to 4.7e-5 eV) of the preset pump mode
+    config.write_text(json.dumps({"drive": {
+        "n_pump": None, "F_pump": 1e-5, "E_drive": e_a + span / 4.0}}))
+    rc = main(["spectrum", "--preset", "paper", "--config", str(config),
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical-domain error" in err and "bistable drive" in err
+    # below the dark level (E <= E_pol) the occupation has one root
+    rc = main(["spectrum", "--preset", "paper", "--config", str(config),
+               "--sweep", f"E_drive:{e_a - span!r}:{e_a - 1e-12!r}:201",
+               "--out", str(out)])
+    assert rc == 0
+    _, header, rows = _read_csv(out)
+    assert rows.shape == (201, 3)
+    assert np.all(rows[:, 0] < 0.0) and np.all(np.isfinite(rows))
 
 
 @pytest.mark.parametrize("section,key", [("lattice", "mu"),

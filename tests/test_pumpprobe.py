@@ -49,6 +49,14 @@ def test_polariton_damping_reference():
 def test_pump_occupation_dark_drive():
     sol = pump_occupation(_drive(F_pump=0.0, n_pump=None), _mode(), _ip())
     assert sol.n_pump == 0.0
+    # also undamped, detuned either way, and without the Hartree shift
+    mode = _mode()
+    for ip in (_ip(), _ip(delta=0.0)):
+        for damping in (1e-8, 0.0):
+            for e in (mode.E_lower, mode.E_lower + 1e-4, mode.E_lower - 1e-4):
+                drive = _drive(F_pump=0.0, n_pump=None, E_drive=e,
+                               hGamma_s=damping, hGamma_ph=damping)
+                assert pump_occupation(drive, mode, ip).n_pump == 0.0
 
 
 def test_pump_occupation_prescribed_unity():
@@ -76,25 +84,164 @@ def test_pump_occupation_resonant_lorentzian_peak():
 
 
 def test_pump_occupation_fixed_point_residual():
+    # red-detuned mirror of the weak bistable drive below: E - E_pol =
+    # -5e-5 eV with Delta X^4 > 0 leaves one root; and that drive's
+    # detuning with a pump below the window: one root where g is concave,
+    # beneath a bound |F|^2 / hG^2 = 0.5 that lies between the turning points
     ip = _ip()
     mode = _mode()
-    drive = _drive(F_pump=3e-9, n_pump=None, E_drive=1.49995)
-    sol = pump_occupation(drive, mode, ip)
-    hg = polariton_damping(mode, drive)
-    residual = sol.n_pump - abs(drive.F_pump) ** 2 / (
-        (drive.E_drive - sol.E_pol_tilde) ** 2 + hg ** 2)
-    assert abs(residual) < 1e-10 * sol.n_pump
+    for e, f in ((1.49985, 3e-9), (1.49995, 2e-9)):
+        drive = _drive(F_pump=f, n_pump=None, E_drive=e)
+        sol = pump_occupation(drive, mode, ip)
+        hg = polariton_damping(mode, drive)
+        residual = sol.n_pump - abs(drive.F_pump) ** 2 / (
+            (drive.E_drive - sol.E_pol_tilde) ** 2 + hg ** 2)
+        assert abs(residual) < 1e-10 * sol.n_pump
+
+
+def _cubic_roots(drive, mode, ip):
+    """Real roots of N ((d - s N)^2 + h^2) = |F|^2 by numpy's companion
+    matrix, ascending; for F != 0 none is negative."""
+    d = drive.E_drive - mode.E_lower
+    s, h = ip.Delta * ip.X2 ** 2, polariton_damping(mode, drive)
+    roots = np.roots([s * s, -2.0 * s * d, d * d + h * h, -abs(drive.F_pump) ** 2])
+    scale = np.max(np.abs(roots))
+    return np.sort([r.real for r in roots if abs(r.imag) <= 1e-6 * scale])
 
 
 def test_pump_occupation_bistable_drive_raises():
     # blue-detuned strong pump: the Lorentzian fixed point folds over
+    # (roots 0.99885, 1.00116, 4.0); and a weak pump 5e-5 eV above the
+    # polariton (roots 3.6e-9, 0.99647, 0.99651).  The turning points
+    # bracket the middle, unstable root.
     ip = _ip(delta=1e-4, x2=0.5)
     mode = _mode(0.5)
     shift = ip.Delta * ip.X2 ** 2
-    drive = _drive(E_drive=mode.E_lower + 3.0 * shift, F_pump=5e-5,
-                   n_pump=None, hGamma_s=1e-7, hGamma_ph=1e-7)
-    with pytest.raises(BistabilityError):
-        pump_occupation(drive, mode, ip)
+    strong = (_drive(E_drive=mode.E_lower + 3.0 * shift, F_pump=5e-5,
+                     n_pump=None, hGamma_s=1e-7, hGamma_ph=1e-7), mode, ip)
+    weak = (_drive(F_pump=3e-9, n_pump=None, E_drive=1.49995), _mode(), _ip())
+    for drive, mode, ip in (strong, weak):
+        low, middle, high = _cubic_roots(drive, mode, ip)
+        assert 0.0 < low < middle < high
+        with pytest.raises(BistabilityError) as err:
+            pump_occupation(drive, mode, ip)
+        n_minus, n_plus = err.value.bracket
+        assert low < n_minus < middle < n_plus < high
+
+
+def test_pump_occupation_undamped_on_bare_polariton():
+    # h = d = 0: g(N) = s^2 N^3 - |F|^2, one finite root for s > 0
+    mode, ip = _mode(), _ip()
+    s = ip.Delta * ip.X2 ** 2
+    drive = _drive(F_pump=3e-9, n_pump=None, E_drive=mode.E_lower,
+                   hGamma_s=0.0, hGamma_ph=0.0)
+    sol = pump_occupation(drive, mode, ip)
+    assert sol.n_pump == pytest.approx((3e-9 / s) ** (2.0 / 3.0), rel=1e-12)
+    # without the Hartree shift nothing limits the occupation
+    with pytest.raises(BistabilityError, match="occupation diverges"):
+        pump_occupation(drive, mode, _ip(delta=0.0))
+
+
+def _picard(drive, mode, ip):
+    """The former solver: the Lorentzian fixed point with 1/2-damped updates
+    to 1e-12 relative step, BistabilityError after 10,000 updates."""
+    e = drive.E_drive
+    e_pol = mode.E_lower
+    hg = polariton_damping(mode, drive)
+    shift = ip.Delta * ip.X2 ** 2
+    f2 = abs(drive.F_pump) ** 2
+    shape = np.broadcast(e, e_pol, hg).shape
+    idx = np.arange(math.prod(shape))
+    detuning = np.broadcast_to(e - e_pol, shape).ravel()
+    hg2 = np.broadcast_to(hg ** 2, shape).ravel()
+    n, n_out = np.zeros(idx.size), np.zeros(idx.size)
+    for _ in range(10_000):
+        denom = (detuning - shift * n) ** 2 + hg2
+        if (denom == 0.0).any():
+            raise BistabilityError("undamped drive exactly on resonance")
+        n, n_prev = 0.5 * n + 0.5 * f2 / denom, n
+        keep = ~(np.abs(n - n_prev) <= 1e-12 * np.maximum(n, 1e-300))
+        if not keep.all():
+            n_out[idx[~keep]] = n[~keep]
+            idx, detuning, hg2, n, n_prev = (
+                x[keep] for x in (idx, detuning, hg2, n, n_prev))
+        if idx.size == 0:
+            return n_out.reshape(shape)
+    raise BistabilityError("fixed point did not converge")
+
+
+#: Smallest distance, in log10 |F|^2, of a drawn drive from a fold of the
+#: bistable window, and in d / h from its cusp d = sqrt(3) h.
+_FOLD_MARGIN = 0.01
+_CUSP_MARGIN = 0.1
+
+
+@st.composite
+def _kerr_drives(draw):
+    """(drive, mode, ip) with s = Delta X^4 in [1e-6, 1e-3] eV, h = hG_pol in
+    [1e-10, 1e-6] eV and d = E - E_pol = c h for c in [-20, 200].  |F|^2 lies
+    inside the bistable window or up to three decades either side of it, at
+    least _FOLD_MARGIN decades from either fold; without a window
+    (c <= sqrt(3)), up to three decades either side of the drive that gives
+    s N = h."""
+    s = 10.0 ** draw(st.floats(-6.0, -3.0))
+    h = 10.0 ** draw(st.floats(-10.0, -6.0))
+    c = draw(st.floats(-20.0, 200.0).filter(
+        lambda c: abs(c - math.sqrt(3.0)) >= _CUSP_MARGIN))
+    mode, ip = _mode(0.5), _ip(delta=4.0 * s, x2=0.5)   # s = Delta X2^2
+    drive = _drive(E_drive=mode.E_lower + c * h, hGamma_s=2.0 * h,
+                   hGamma_ph=2.0 * h, n_pump=None)
+    d, h = drive.E_drive - mode.E_lower, polariton_damping(mode, drive)
+    s = ip.Delta * ip.X2 ** 2
+
+    def f2_at(n):
+        return n * ((d - s * n) ** 2 + h * h)
+
+    if d > math.sqrt(3.0) * h:
+        spread = math.sqrt(d * d - 3.0 * h * h)
+        folds = [math.log10(f2_at((2.0 * d + sign * spread) / (3.0 * s)))
+                 for sign in (1.0, -1.0)]
+    else:
+        folds = [math.log10(f2_at(h / s))] * 2
+    lo, hi = folds
+    inside = hi - lo > 2.0 * _FOLD_MARGIN and draw(st.booleans())
+    span = (lo + _FOLD_MARGIN, hi - _FOLD_MARGIN) if inside else (lo - 3.0, hi + 3.0)
+    log_f2 = draw(st.floats(*span).filter(
+        lambda x: min(abs(x - f) for f in folds) >= _FOLD_MARGIN))
+    return replace(drive, F_pump=math.sqrt(10.0 ** log_f2)), mode, ip
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_kerr_drives())
+def test_pump_occupation_newton_property(case):
+    drive, mode, ip = case
+    roots = _cubic_roots(drive, mode, ip)
+    if len(roots) == 3:
+        with pytest.raises(BistabilityError) as err:
+            pump_occupation(drive, mode, ip)
+        n_minus, n_plus = err.value.bracket
+        assert roots[0] < n_minus < roots[1] < n_plus < roots[2]
+        return
+    assert len(roots) == 1
+    sol = pump_occupation(drive, mode, ip)
+    assert sol.iterations > 0
+    d, f2 = drive.E_drive - mode.E_lower, abs(drive.F_pump) ** 2
+    h2 = polariton_damping(mode, drive) ** 2
+    s = ip.Delta * ip.X2 ** 2
+    r = d - s * sol.n_pump
+    lorentzian = f2 / (r * r + h2)
+    assert abs(sol.n_pump - lorentzian) <= 1e-12 * sol.n_pump
+    try:
+        reference = _picard(drive, mode, ip)
+    except BistabilityError:
+        return
+    # Picard stops at a step |n_k - n_(k-1)| <= 1e-12 n_k of the map
+    # P(n) = (n + T(n)) / 2, T the Lorentzian; with |P'| = q < 1 at the root
+    # its remaining error is at most q / (1 - q) times that step.  Both
+    # routes round near 1e-16 n besides.
+    q = abs(1.0 + 2.0 * s * f2 * r / (r * r + h2) ** 2) / 2.0
+    tol = 1e-12 * q / (1.0 - q) + 1e-14
+    assert abs(sol.n_pump - reference) <= tol * sol.n_pump
 
 
 def test_steady_state_pump_off_decouples(cfg):
