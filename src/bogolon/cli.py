@@ -40,7 +40,8 @@ from .waveguide import WaveguideConfig, photon_dispersion
 
 SWEEP_VARIABLES = ("theta", "k", "E_drive")
 _MAX_SWEEP = 10_000_000
-_MAX_EVOLVE_STEPS = 1_000_000
+#: Most evolve samples (rows after t = 0) one command writes.
+_MAX_EVOLVE_SAMPLES = 1_000_000
 #: Grid points evaluated per block of column expressions; bounds the
 #: temporaries of a sweep at any count up to _MAX_SWEEP.
 _CHUNK = 65_536
@@ -204,13 +205,16 @@ class Dataset:
     command: str
     meta: list
     columns: list
-    rows: list
+    rows: np.ndarray
 
     def render(self) -> str:
         lines = [f"# bogolon {self.command} dataset"]
         lines += [f"# {key} = {_fmt(value)}" for key, value in self.meta]
         lines.append(",".join(self.columns))
-        lines += [",".join(_fmt(x) for x in row) for row in self.rows]
+        # repr is what _fmt gives a float; formatting a column at a time
+        # keeps the per-cell work to the repr itself
+        fmt = repr if self.rows.dtype == np.float64 else _fmt
+        lines += map(",".join, zip(*(map(fmt, c) for c in self.rows.T.tolist())))
         return "\n".join(lines) + "\n"
 
 
@@ -239,14 +243,12 @@ def _sweep_or_default(run: RunConfig, variable: str,
     return default
 
 
-def _rows(grid: np.ndarray, columns) -> list:
+def _rows(grid: np.ndarray, columns) -> np.ndarray:
     """The rows of ``columns(grid)``, a tuple of column arrays (scalars
     broadcast), computed on _CHUNK grid points at a time."""
-    rows = []
-    for lo in range(0, grid.size, _CHUNK):
-        cols = np.broadcast_arrays(*columns(grid[lo:lo + _CHUNK]))
-        rows += np.column_stack(cols).tolist()
-    return rows
+    return np.concatenate([
+        np.column_stack(np.broadcast_arrays(*columns(grid[lo:lo + _CHUNK])))
+        for lo in range(0, grid.size, _CHUNK)])
 
 
 def cmd_levels(run: RunConfig) -> Dataset:
@@ -353,20 +355,21 @@ def cmd_evolve(run: RunConfig) -> Dataset:
     t_end = float(run.evolve.get("t_end", default_t_end))
     if dt <= 0 or t_end <= 0:
         raise DomainError("evolve.dt and evolve.t_end must be positive")
-    capped = False
-    if t_end / dt > _MAX_EVOLVE_STEPS:
-        if "t_end" in run.evolve or "dt" in run.evolve:
-            raise StabilityError(
-                f"evolve needs {t_end / dt:.3g} steps; above the "
-                f"{_MAX_EVOLVE_STEPS} cap")
-        t_end = dt * _MAX_EVOLVE_STEPS
-        capped = True
+    if t_end / dt >= 2.0 ** 63:
+        raise StabilityError(
+            f"evolve needs {t_end / dt:.3g} steps; the int64 sample times "
+            f"hold fewer than 2**63")
     steps = max(1, math.ceil(t_end / dt))
     sample_every = int(run.evolve.get("sample_every", max(1, steps // 2000)))
+    # values below 1 are left to time_evolve to reject
+    min_every = -(-steps // _MAX_EVOLVE_SAMPLES)
+    capped = 0 < sample_every < min_every
+    if capped:
+        sample_every = min_every
 
     traj = time_evolve(drive, mode, ip, cfg, t_end, dt, sample_every)
     rows = np.column_stack([traj.times] + [
-        np.abs(x) ** 2 for x in (traj.A, traj.B_plus, traj.B_minus)]).tolist()
+        np.abs(x) ** 2 for x in (traj.A, traj.B_plus, traj.B_minus)])
     meta = _common_meta(run) + [
         ("evolve.dt", dt), ("evolve.t_end", t_end),
         ("evolve.sample_every", sample_every), ("evolve.capped", capped),
@@ -395,7 +398,8 @@ def cmd_oracle(run: RunConfig) -> Dataset:
         rows.append(("blocking", key, value))
     meta = _common_meta(run) + [("oracle.n_cells", n_cells),
                                 ("oracle.V_dyn", v_dyn)]
-    return Dataset("oracle", meta, ["section", "key", "value"], rows)
+    return Dataset("oracle", meta, ["section", "key", "value"],
+                   np.array(rows, dtype=object))
 
 
 _HANDLERS = {

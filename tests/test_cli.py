@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from bogolon import antisymmetric_energy, reference_setup
-from bogolon.cli import main
+from bogolon import antisymmetric_energy, cli, reference_setup
+from bogolon.cli import Dataset, _fmt, build_run_config, main
 
 
 def _read_csv(path):
@@ -21,6 +24,84 @@ def _read_csv(path):
             continue
         rows.append([float(x) for x in line.split(",")])
     return meta, header, np.array(rows)
+
+
+def _render_reference(dataset):
+    """The per-cell render: every cell through _fmt, row by row."""
+    lines = [f"# bogolon {dataset.command} dataset"]
+    lines += [f"# {key} = {_fmt(value)}" for key, value in dataset.meta]
+    lines.append(",".join(dataset.columns))
+    lines += [",".join(_fmt(x) for x in row) for row in dataset.rows.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def _first_mismatch(dataset):
+    """(line number, rendered, reference) of the first line where
+    ``render`` departs from the reference, else None; a diff of two whole
+    CSVs is too slow to report."""
+    got = dataset.render().split("\n")
+    want = _render_reference(dataset).split("\n")
+    pairs = zip(got + [None] * len(want), want + [None] * len(got))
+    return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
+
+
+@pytest.fixture(scope="module")
+def preset_datasets():
+    run = build_run_config({}, preset=True)
+    return {name: handler(run) for name, handler in cli._HANDLERS.items()}
+
+
+def test_render_matches_per_cell_reference_at_preset(preset_datasets):
+    assert len(preset_datasets) == 6
+    for name, dataset in preset_datasets.items():
+        assert _first_mismatch(dataset) is None, name
+
+
+@pytest.mark.parametrize("name", ["levels", "dispersion", "fractions",
+                                  "spectrum", "evolve"])
+def test_figure_rows_are_float64(preset_datasets, name):
+    # any other dtype (a complex or object column) renders every cell
+    # through _fmt instead of repr
+    rows = preset_datasets[name].rows
+    assert rows.dtype == np.float64 and rows.ndim == 2
+
+
+def _around(x):
+    return [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+
+
+# repr switches to exponent notation below 1e-4 and from 1e16
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e-5,
+                *_around(1e-4), *_around(1e16), *_around(-1e-4),
+                *_around(-1e16)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                 max_side=12),
+    elements=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())))
+def test_render_matches_per_cell_reference_on_float64(rows):
+    columns = [f"c{i}" for i in range(rows.shape[1])]
+    dataset = Dataset("levels", [("x", 1.5), ("n", 3)], columns, rows)
+    assert _first_mismatch(dataset) is None
+
+
+def test_render_matches_per_cell_reference_on_object_table():
+    rows = np.array([
+        ("band", "dimension", 5), ("band", "eigenvalues[0]", np.float64(1.5)),
+        ("band", "max_deviation", np.float64(9.8e-11)),
+        ("band", "neg_zero", np.float64(-0.0)),
+        ("band", "nan", np.float64(math.nan)), ("blocking", "separated", True),
+        ("blocking", "no_double_occupation", False),
+        ("blocking", "cluster_size", 6), ("blocking", "big", np.float64(1e16)),
+    ], dtype=object)
+    dataset = Dataset("oracle", [], ["section", "key", "value"], rows)
+    assert _first_mismatch(dataset) is None
+    text = dataset.render()
+    assert "blocking,separated,True\n" in text
+    assert "band,dimension,5\n" in text and "band,nan,nan\n" in text
 
 
 def test_levels_with_preset_and_magic_angle_row(tmp_path):
@@ -114,23 +195,61 @@ def test_evolve_matches_steady_intensities(tmp_path):
     assert rows[-1, 3] == pytest.approx(float(meta["steady.I_minus"]), rel=1e-6)
 
 
-def test_evolve_capped_without_explicit_budget(tmp_path):
+def test_evolve_preset_reaches_steady_state(tmp_path):
+    # the default t_end = 25 / hGamma_a runs uncapped (9e10 steps, ~2000
+    # samples) and ends on the steady values
+    out = tmp_path / "ev.csv"
+    assert main(["evolve", "--preset", "paper", "--out", str(out)]) == 0
+    meta, _, rows = _read_csv(out)
+    assert meta["evolve.capped"] == "False"
+    assert rows[-1, 0] == float(meta["evolve.t_end"])
+    assert rows[-1, 1] == pytest.approx(float(meta["steady.N_pump"]), rel=1e-9)
+    assert rows[-1, 2] == pytest.approx(float(meta["steady.I_plus"]), rel=1e-9)
+
+
+def test_evolve_capped_without_explicit_budget(tmp_path, monkeypatch):
+    # the cap raises sample_every, not t_end: sample_every 5000 asks for
+    # 1.8e7 samples of the 9e10 preset steps; a cap of 1000 keeps the test
+    # small, the rule is the same at the shipped 1e6
+    monkeypatch.setattr(cli, "_MAX_EVOLVE_SAMPLES", 1000)
     out = tmp_path / "ev.csv"
     config = tmp_path / "cfg.json"
-    # preset dark damping needs ~1e10 steps; the default budget caps it
     config.write_text(json.dumps({"evolve": {"sample_every": 5000}}))
     assert main(["evolve", "--preset", "paper", "--config", str(config),
                  "--out", str(out)]) == 0
-    meta, _, _ = _read_csv(out)
+    meta, _, rows = _read_csv(out)
     assert meta["evolve.capped"] == "True"
+    t_end, dt = float(meta["evolve.t_end"]), float(meta["evolve.dt"])
+    steps = math.ceil(t_end / dt)
+    every = -(-steps // 1000)
+    assert steps > 5000 * 1000 and int(meta["evolve.sample_every"]) == every
+    assert len(rows) <= 1001
+    assert rows[-1, 0] == t_end
+    # a request that just meets the cap is kept as given
+    config.write_text(json.dumps({"evolve": {"sample_every": every}}))
+    assert main(["evolve", "--preset", "paper", "--config", str(config),
+                 "--out", str(out)]) == 0
+    meta, _, rows = _read_csv(out)
+    assert meta["evolve.capped"] == "False"
+    assert int(meta["evolve.sample_every"]) == every
 
 
 def test_evolve_explicit_budget_overflow_is_numerical_error(tmp_path):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"evolve": {"t_end": 1e9, "dt": 1.0}}))
-    rc = main(["evolve", "--preset", "paper", "--config", str(config),
-               "--out", str(tmp_path / "x.csv")])
-    assert rc == 3
+    # no step cap: only step counts that overflow the int64 sample times
+    # (2**63 and beyond) exit 3
+    config, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+
+    def run(evolve):
+        config.write_text(json.dumps({"evolve": evolve}))
+        return main(["evolve", "--preset", "paper", "--config", str(config),
+                     "--out", str(out)])
+
+    assert run({"t_end": 1e9, "dt": 1.0}) == 0
+    assert run({"t_end": 2.0 ** 63 - 1024, "dt": 1.0}) == 0
+    _, _, rows = _read_csv(out)
+    assert rows[-1, 0] == 2.0 ** 63 - 1024 and np.all(np.isfinite(rows))
+    for t_end in (2.0 ** 63, 1e20, 1e308):
+        assert run({"t_end": t_end, "dt": 1.0}) == 3
 
 
 def test_oracle_report(tmp_path):
