@@ -3,8 +3,7 @@ waveguide: exciton bands, branch mixing, contact-interaction pump-probe
 spectra, correlated dark-pair analysis, and an exact-diagonalization
 cross-check on small lattices."""
 
-from .bogoliubov import (BogoliubovCoeffs, bogolon_spectrum_energy,
-                         bogolon_steady_state, coefficients,
+from .bogoliubov import (BogoliubovCoeffs, bogolon_steady_state, coefficients,
                          reconstruct_dark_amplitudes)
 from .constants import CONSTANTS, PhysicalConstants
 from .kinematic import (ExclusionReport, InteractionParams, VertexSet,

@@ -89,16 +89,3 @@ def reconstruct_dark_amplitudes(coeffs: BogoliubovCoeffs, C_plus: complex,
     b_minus = coeffs.u * C_minus - coeffs.v * complex(C_plus).conjugate()
     return b_plus, b_minus
 
-
-def bogolon_spectrum_energy(coeffs: BogoliubovCoeffs) -> float:
-    """Excitation energy per pair mode; independent of the probe offset."""
-    return coeffs.E0_bar
-
-
-def ground_state_shift(coeffs: BogoliubovCoeffs) -> float:
-    """Constant energy offset (E0bar - E_a~ + E)/2 per mode.
-
-    A c-number in the rotated frame; reported for completeness, enters no
-    observable.
-    """
-    return 0.5 * (coeffs.E0_bar - coeffs.E_a_tilde + coeffs.E_drive)

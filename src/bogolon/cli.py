@@ -19,6 +19,7 @@ error, 3 numerical-domain error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -28,15 +29,16 @@ from typing import Optional
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import DomainError, ModelError, StabilityError
+from .errors import ModelError
 from .kinematic import interaction_params
 from .lattice import (SuperLatticeConfig, antisymmetric_energy,
                       exciton_levels, symmetric_band)
 from .oracle import validate_band, validate_blocking
 from .polariton import find_resonance_k, hopfield
 from .presets import reference_setup
-from .pumpprobe import DriveConfig, spectrum_columns, steady_state, time_evolve
-from .waveguide import WaveguideConfig, photon_dispersion
+from .pumpprobe import (DriveConfig, _step_count, spectrum_columns,
+                        steady_state, time_evolve)
+from .waveguide import WaveguideConfig, photon_dispersion, resonant_q0
 
 SWEEP_VARIABLES = ("theta", "k", "E_drive")
 _MAX_SWEEP = 10_000_000
@@ -45,6 +47,11 @@ _MAX_EVOLVE_SAMPLES = 1_000_000
 #: Grid points evaluated per block of column expressions; bounds the
 #: temporaries of a sweep at any count up to _MAX_SWEEP.
 _CHUNK = 65_536
+#: Drive values without a preset; E_drive and k_pump resolve to the dark level.
+_DRIVE_DEFAULTS = dict(F_pump=0.0, F_probe_plus=1e-9, F_probe_minus=0.0,
+                       hGamma_ph=0.0, hGamma_s=0.0, hGamma_a=0.0, q=1e-6)
+#: Config fields with another JSON key and unit: (key, to JSON, from JSON).
+_RENAMED = {"theta": ("theta_deg", math.degrees, math.radians)}
 
 
 class ConfigError(ValueError):
@@ -71,30 +78,88 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
+class EvolveSpec:
+    """RK4 trace settings; None derives each from the drive (cmd_evolve)."""
+
+    dt: Optional[float] = None
+    t_end: Optional[float] = None
+    sample_every: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class OracleSpec:
+    """Ring size and dynamic interaction of the exact-diagonalization reports."""
+
+    n_cells: int = 5
+    V_dyn: float = 1e-3
+
+
+@dataclass(frozen=True)
 class RunConfig:
     lattice: SuperLatticeConfig
     waveguide: WaveguideConfig
     drive: DriveConfig
     sweep: Optional[SweepSpec]
-    evolve: dict
-    oracle: dict
+    evolve: EvolveSpec
+    oracle: OracleSpec
     output_path: Optional[str]
 
 
-def _as_complex(value, where: str) -> complex:
-    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
-    if all(isinstance(x, (int, float)) and math.isfinite(x) for x in parts):
-        return complex(*parts)
-    raise ConfigError(f"{where} must be a finite number or [re, im] pair")
+_TYPES = {"float": float, "int": int, "complex": complex}
+
+
+def _parse_value(type_name: str, value):
+    """A JSON value as a config field's declared type (text: annotations are
+    deferred): finite float or complex ([re, im] too), integral int, str,
+    or Optional of one."""
+    if type_name.startswith("Optional["):
+        return None if value is None else _parse_value(type_name[9:-1], value)
+    if type_name == "str":
+        return str(value)
+    if type_name == "complex" and isinstance(value, list) and len(value) == 2:
+        value = complex(*value)
+    parsed = _TYPES[type_name](value)
+    if not cmath.isfinite(parsed):
+        raise ValueError(f"must be finite, got {value!r}")
+    if isinstance(value, (int, float)) and parsed != value:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return parsed
+
+
+def _checked(where: str, parse, *args, **kwargs):
+    """``parse(*args, **kwargs)``, its bad input raised as a ConfigError."""
+    try:
+        return parse(*args, **kwargs)
+    except (KeyError, ValueError, TypeError, OverflowError) as err:
+        raise ConfigError(f"bad {where}: {err}") from err
 
 
 def _settings(config) -> dict:
     """A config dataclass as its JSON section: fields in declaration order,
-    the angle theta given as theta_deg."""
+    renamed as in _RENAMED."""
     def entry(name):
+        key, to_json, _ = _RENAMED.get(name, (name, None, None))
         value = getattr(config, name)
-        return ("theta_deg", math.degrees(value)) if name == "theta" else (name, value)
+        return key, value if to_json is None else to_json(value)
     return dict(entry(f.name) for f in fields(config))
+
+
+def _parse_section(cls, where: str, values: dict):
+    """The config dataclass ``cls`` from its JSON section, the inverse of
+    :func:`_settings`: each key is a field, parsed by its declared type; an
+    absent key takes the field default, and any other key is an error."""
+    kwargs, known = {}, []
+    for f in fields(cls):
+        key, _, from_json = _RENAMED.get(f.name, (f.name, None, None))
+        known.append(key)
+        if key in values:
+            value = _checked(f"{where}.{key}", _parse_value, f.type, values[key])
+            kwargs[f.name] = value if from_json is None else from_json(value)
+    unknown = values.keys() - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {sorted(unknown)}; "
+                          f"expected {known}")
+    return _checked(f"{where} section", cls, **kwargs)
 
 
 def _section(data: dict, name: str) -> dict:
@@ -105,88 +170,44 @@ def _section(data: dict, name: str) -> dict:
 
 
 def build_run_config(data: dict, preset: bool = False) -> RunConfig:
-    """Resolve a configuration dictionary, optionally on top of the preset."""
+    """Resolve a configuration dictionary, optionally on top of the preset,
+    which each given section overlays key by key."""
+    unknown = data.keys() - {f.name for f in fields(RunConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
     base = reference_setup() if preset else None
 
     lat_in = _section(data, "lattice")
-    if base is None and not lat_in:
-        raise ConfigError("lattice section required without a preset")
-    lat = {**(_settings(base.cfg) if base else {}), **lat_in}
-    try:
-        cfg = SuperLatticeConfig(
-            E_A=float(lat["E_A"]), a=float(lat["a"]), R=float(lat["R"]),
-            mu=float(lat["mu"]), theta=math.radians(float(lat["theta_deg"])),
-            N=int(lat["N"]))
-    except KeyError as err:
-        raise ConfigError(f"lattice section missing key {err}") from err
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"bad lattice section: {err}") from err
+    cfg = _parse_section(SuperLatticeConfig, "lattice",
+                         {**(_settings(base.cfg) if base else {}), **lat_in})
 
     wg_in = _section(data, "waveguide")
     wgd = {**(_settings(base.wg) if base else {}), **wg_in}
-    try:
-        length = float(wgd["L"]) if wgd.get("L") is not None else cfg.N * cfg.a
-        if wgd.get("q0") is not None:
-            wg = WaveguideConfig(epsilon=float(wgd["epsilon"]), q0=float(wgd["q0"]),
-                                 u_b=float(wgd["u_b"]), S_bar=float(wgd["S_bar"]),
-                                 L=length)
-        else:
-            wg = WaveguideConfig.from_resonance(
-                epsilon=float(wgd["epsilon"]), E_A=cfg.E_A, u_b=float(wgd["u_b"]),
-                S_bar=float(wgd["S_bar"]), L=length)
-    except KeyError as err:
-        raise ConfigError(f"waveguide section missing key {err}") from err
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"bad waveguide section: {err}") from err
+    if wg_in.get("q0") is None and "epsilon" in wgd:
+        # unless pinned, q0 puts the photon band bottom on E_A
+        wgd["q0"] = _checked("waveguide.epsilon", lambda: resonant_q0(
+            _parse_value("float", wgd["epsilon"]), cfg.E_A))
+    wg = _parse_section(WaveguideConfig, "waveguide", wgd)
 
     drv_in = _section(data, "drive")
-    drv_defaults = (
-        _settings(base.drive) if base else
-        dict(E_drive=None, F_pump=0.0, F_probe_plus=1e-9, F_probe_minus=0.0,
-             hGamma_ph=0.0, hGamma_s=0.0, hGamma_a=0.0, k_pump=None,
-             q=1e-6, n_pump=None))
-    drv = {**drv_defaults, **drv_in}
+    drv = {**(_settings(base.drive) if base else _DRIVE_DEFAULTS), **drv_in}
     # Preset-derived operating points go stale when the lattice or guide is
     # overridden; recompute anything the user did not pin explicitly.
-    geometry_changed = bool(lat_in) or bool(wg_in)
+    stale = bool(lat_in) or bool(wg_in)
     e_a = antisymmetric_energy(cfg)
-    if drv.get("E_drive") is None or (geometry_changed and "E_drive" not in drv_in):
-        e_drive = e_a
-    else:
-        e_drive = float(drv["E_drive"])
-    k_pump = drv.get("k_pump")
-    if k_pump is None or (geometry_changed and "k_pump" not in drv_in):
-        k_pump = find_resonance_k(e_a, "lower", wg, cfg)
-    n_pump = drv.get("n_pump")
-    try:
-        drive = DriveConfig(
-            E_drive=e_drive,
-            F_pump=_as_complex(drv["F_pump"], "drive.F_pump"),
-            F_probe_plus=_as_complex(drv["F_probe_plus"], "drive.F_probe_plus"),
-            F_probe_minus=_as_complex(drv["F_probe_minus"], "drive.F_probe_minus"),
-            hGamma_ph=float(drv["hGamma_ph"]), hGamma_s=float(drv["hGamma_s"]),
-            hGamma_a=float(drv["hGamma_a"]), k_pump=float(k_pump),
-            q=float(drv["q"]), n_pump=None if n_pump is None else float(n_pump))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"bad drive section: {err}") from err
+    if drv.get("E_drive") is None or (stale and "E_drive" not in drv_in):
+        drv["E_drive"] = e_a
+    if drv.get("k_pump") is None or (stale and "k_pump" not in drv_in):
+        drv["k_pump"] = find_resonance_k(e_a, "lower", wg, cfg)
 
-    sweep = None
-    if "sweep" in data and data["sweep"] is not None:
-        s = data["sweep"]
-        if not isinstance(s, dict):
-            raise ConfigError("sweep must be an object")
-        try:
-            sweep = SweepSpec(variable=str(s["variable"]), min=float(s["min"]),
-                              max=float(s["max"]), count=int(s["count"]))
-        except KeyError as err:
-            raise ConfigError(f"sweep missing key {err}") from err
-
-    return RunConfig(lattice=cfg, waveguide=wg, drive=drive, sweep=sweep,
-                     evolve=_section(data, "evolve"),
-                     oracle=_section(data, "oracle"),
-                     output_path=data.get("output_path"))
+    return RunConfig(
+        lattice=cfg, waveguide=wg,
+        drive=_parse_section(DriveConfig, "drive", drv),
+        sweep=(None if data.get("sweep") is None else
+               _parse_section(SweepSpec, "sweep", _section(data, "sweep"))),
+        evolve=_parse_section(EvolveSpec, "evolve", _section(data, "evolve")),
+        oracle=_parse_section(OracleSpec, "oracle", _section(data, "oracle")),
+        output_path=data.get("output_path"))
 
 
 # ---------------------------------------------------------------------------
@@ -340,27 +361,21 @@ def cmd_spectrum(run: RunConfig) -> Dataset:
 
 def cmd_evolve(run: RunConfig) -> Dataset:
     """Rotating-frame time traces of |A|^2 and |B+-|^2."""
-    cfg = run.lattice
-    drive = run.drive
+    cfg, drive, spec = run.lattice, run.drive, run.evolve
     mode, ip = _operating_point(run)
 
     ss = steady_state(drive, mode, ip, cfg)
     scale = max(abs(ss.E_a_tilde - drive.E_drive),
                 abs(ss.E_pol_tilde - drive.E_drive), ss.V_mf,
                 drive.hGamma_a, 1e-30)
-    dt = float(run.evolve.get("dt", 0.05 / scale))
+    dt = 0.05 / scale if spec.dt is None else spec.dt
     gammas = [g for g in (drive.hGamma_a, drive.hGamma_ph, drive.hGamma_s)
               if g > 0]
     default_t_end = 25.0 / min(gammas) if gammas else dt * 10_000
-    t_end = float(run.evolve.get("t_end", default_t_end))
-    if dt <= 0 or t_end <= 0:
-        raise DomainError("evolve.dt and evolve.t_end must be positive")
-    if t_end / dt >= 2.0 ** 63:
-        raise StabilityError(
-            f"evolve needs {t_end / dt:.3g} steps; the int64 sample times "
-            f"hold fewer than 2**63")
-    steps = max(1, math.ceil(t_end / dt))
-    sample_every = int(run.evolve.get("sample_every", max(1, steps // 2000)))
+    t_end = default_t_end if spec.t_end is None else spec.t_end
+    steps = _step_count(t_end, dt)
+    sample_every = (max(1, steps // 2000) if spec.sample_every is None
+                    else spec.sample_every)
     # values below 1 are left to time_evolve to reject
     min_every = -(-steps // _MAX_EVOLVE_SAMPLES)
     capped = 0 < sample_every < min_every
@@ -381,11 +396,9 @@ def cmd_evolve(run: RunConfig) -> Dataset:
 
 def cmd_oracle(run: RunConfig) -> Dataset:
     """Exact-diagonalization reports: band check and blocking check."""
-    cfg = run.lattice
-    n_cells = int(run.oracle.get("n_cells", 5))
-    v_dyn = float(run.oracle.get("V_dyn", 1e-3))
-    band = validate_band(cfg, n_cells)
-    blocking = validate_blocking(cfg, n_cells, v_dyn)
+    cfg, spec = run.lattice, run.oracle
+    band = validate_band(cfg, spec.n_cells)
+    blocking = validate_blocking(cfg, spec.n_cells, spec.V_dyn)
 
     rows = []
     for key, value in asdict(band).items():
@@ -396,20 +409,15 @@ def cmd_oracle(run: RunConfig) -> Dataset:
             rows.append(("band", key, value))
     for key, value in asdict(blocking).items():
         rows.append(("blocking", key, value))
-    meta = _common_meta(run) + [("oracle.n_cells", n_cells),
-                                ("oracle.V_dyn", v_dyn)]
+    meta = _common_meta(run) + [(f"oracle.{key}", value)
+                                for key, value in _settings(spec).items()]
     return Dataset("oracle", meta, ["section", "key", "value"],
                    np.array(rows, dtype=object))
 
 
-_HANDLERS = {
-    "levels": cmd_levels,
-    "dispersion": cmd_dispersion,
-    "fractions": cmd_fractions,
-    "spectrum": cmd_spectrum,
-    "evolve": cmd_evolve,
-    "oracle": cmd_oracle,
-}
+_HANDLERS = {handler.__name__.removeprefix("cmd_"): handler
+             for handler in (cmd_levels, cmd_dispersion, cmd_fractions,
+                             cmd_spectrum, cmd_evolve, cmd_oracle)}
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +434,6 @@ def _plot_script(out_path: str, dataset: Dataset) -> str:
         for i in range(len(dataset.columns) - 1))
     lines.append(f"plot {plots}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_sweep_flag(text: str) -> SweepSpec:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ConfigError("--sweep expects var:min:max:count")
-    try:
-        return SweepSpec(variable=parts[0], min=float(parts[1]),
-                         max=float(parts[2]), count=int(parts[3]))
-    except ValueError as err:
-        raise ConfigError(f"bad --sweep value: {err}") from err
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,18 +461,18 @@ def main(argv=None) -> int:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
                     data = json.load(fh)
-            except OSError as err:
+            except (OSError, json.JSONDecodeError) as err:
                 raise ConfigError(f"cannot read config {args.config}: {err}")
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"invalid JSON in {args.config}: {err}")
             if not isinstance(data, dict):
                 raise ConfigError("top-level config must be a JSON object")
         if not args.config and not args.preset:
             raise ConfigError("provide --config and/or --preset paper")
         if args.sweep:
-            sweep = _parse_sweep_flag(args.sweep)
-            data = {**data, "sweep": dict(variable=sweep.variable, min=sweep.min,
-                                          max=sweep.max, count=sweep.count)}
+            parts = args.sweep.split(":")
+            if len(parts) != 4:
+                raise ConfigError("--sweep expects var:min:max:count")
+            data = {**data, "sweep": dict(zip((f.name for f in fields(SweepSpec)),
+                                              parts))}
         run = build_run_config(data, preset=args.preset == "paper")
         out_path = args.out or run.output_path or f"{args.command}.csv"
         dataset = _HANDLERS[args.command](run)

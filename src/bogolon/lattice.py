@@ -138,8 +138,6 @@ def intercell_couplings(cfg: SuperLatticeConfig) -> tuple[float, float, float]:
     inner pair (a - R).  Their spread quantifies the error of the a >> R
     single-hopping approximation.
     """
-    if cfg.a <= cfg.R:
-        raise DomainError("need a > R for distinct neighbour cells")
     j11 = dipole_coupling(cfg.a, cfg)
     j12 = dipole_coupling(cfg.a + cfg.R, cfg)
     j21 = dipole_coupling(cfg.a - cfg.R, cfg)

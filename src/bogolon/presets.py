@@ -2,8 +2,8 @@
 
 One consistent operating point used by the demos, the command-line presets
 and the acceptance checks: a 1.5 eV transition on a 1000 Angstrom lattice
-(in-cell spacing 100 Angstrom, dipole 2.5 e*Angstrom at 80 degrees), a
-centimetre-long guide with eps = 2 resonant at the transition, and a pump
+(in-cell spacing 100 Angstrom, dipole 2.5 e*Angstrom at 80 degrees, about
+1 cm long), a guide with eps = 2 resonant at the transition, and a pump
 at the wavenumber where the lower branch crosses the dark level with unit
 occupation.
 """
@@ -41,8 +41,7 @@ def reference_lattice() -> SuperLatticeConfig:
 def reference_waveguide(cfg: SuperLatticeConfig | None = None) -> WaveguideConfig:
     cfg = cfg or reference_lattice()
     return WaveguideConfig.from_resonance(
-        epsilon=2.0, E_A=cfg.E_A, u_b=0.25, S_bar=math.pi * cfg.a ** 2,
-        L=cfg.N * cfg.a)
+        epsilon=2.0, E_A=cfg.E_A, u_b=0.25, S_bar=math.pi * cfg.a ** 2)
 
 
 def reference_setup() -> RunSetup:

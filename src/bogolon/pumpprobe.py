@@ -331,6 +331,18 @@ def spectrum(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
     return [SpectrumPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
+def _step_count(t_end: float, dt: float) -> int:
+    """The RK4 steps of :func:`time_evolve`, ceil(t_end / dt); from 2**63
+    on, where its int64 sample times would wrap, ``StabilityError``."""
+    if dt <= 0 or t_end <= 0:
+        raise DomainError("t_end and dt must be positive")
+    if t_end / dt >= 2.0 ** 63:
+        raise StabilityError(
+            f"{t_end / dt:.3g} steps to t_end; the int64 sample times hold "
+            f"fewer than 2**63")
+    return max(1, math.ceil(t_end / dt))
+
+
 def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
                 cfg: SuperLatticeConfig, t_end: float, dt: float,
                 sample_every: int = 1) -> Trajectory:
@@ -341,12 +353,12 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
     P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24; samples every ``sample_every``
     steps (and at the last) come from powers of P(hM).
     Time is measured in hbar/eV.  The step must resolve the fastest scale:
-    dt < 0.1 / max(detunings, V_mf, dampings), else ``StabilityError``.
+    dt < 0.1 / max(detunings, V_mf, dampings), and there must be fewer
+    than 2**63 steps, else ``StabilityError``.
     The final state approaches :func:`steady_state` once
     t_end >> hbar/hGamma.
     """
-    if dt <= 0 or t_end <= 0:
-        raise DomainError("t_end and dt must be positive")
+    n_steps = _step_count(t_end, dt)
     if sample_every < 1:
         raise DomainError("sample_every must be >= 1")
     e = drive.E_drive
@@ -368,7 +380,6 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
         [0, 1j * v, 1j * np.conj(z_a), 1j * np.conj(drive.F_probe_minus)],
         [0, 0, 0, 0]], dtype=complex)
 
-    n_steps = max(1, math.ceil(t_end / dt))
     h = t_end / n_steps
     hm, eye = h * m, np.eye(4)
     step = eye + hm @ (eye + hm @ (eye + hm @ (eye + hm / 4) / 3) / 2)

@@ -34,15 +34,13 @@ class WaveguideConfig:
 
     epsilon: effective dielectric constant (>= 1); q0: confinement
     wavenumber (1/Angstrom); u_b: dimensionless mode amplitude at the
-    lattice, 0 < u_b <= 1; S_bar: effective cross-section (Angstrom^2);
-    L: waveguide length (Angstrom), equal to N*a of the paired lattice.
+    lattice, 0 < u_b <= 1; S_bar: effective cross-section (Angstrom^2).
     """
 
     epsilon: float
     q0: float
     u_b: float
     S_bar: float
-    L: float
 
     def __post_init__(self):
         _check_finite(self)
@@ -54,16 +52,19 @@ class WaveguideConfig:
             raise DomainError("u_b must lie in (0, 1]")
         if self.S_bar <= 0:
             raise DomainError("S_bar must be positive")
-        if self.L <= 0:
-            raise DomainError("L must be positive")
 
     @classmethod
     def from_resonance(cls, epsilon: float, E_A: float, u_b: float,
-                       S_bar: float, L: float) -> "WaveguideConfig":
-        """Fix q0 so that the photon band bottom sits at E_A:
-        q0 = sqrt(eps) * E_A / (hbar c)."""
-        q0 = math.sqrt(epsilon) * E_A / CONSTANTS.hbar_c
-        return cls(epsilon=epsilon, q0=q0, u_b=u_b, S_bar=S_bar, L=L)
+                       S_bar: float) -> "WaveguideConfig":
+        """The guide with q0 = :func:`resonant_q0` (epsilon, E_A)."""
+        return cls(epsilon=epsilon, q0=resonant_q0(epsilon, E_A), u_b=u_b,
+                   S_bar=S_bar)
+
+
+def resonant_q0(epsilon: float, E_A: float) -> float:
+    """The q0 that puts the photon band bottom at E_A:
+    q0 = sqrt(eps) * E_A / (hbar c)."""
+    return math.sqrt(epsilon) * E_A / CONSTANTS.hbar_c
 
 
 def photon_dispersion(q, wg: WaveguideConfig):

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bogolon import (antisymmetric_energy, bogolon_spectrum_energy,
-                     bogolon_steady_state, coefficients,
+from bogolon import (antisymmetric_energy, bogolon_steady_state, coefficients,
                      reconstruct_dark_amplitudes, steady_state)
-from bogolon.bogoliubov import ground_state_shift
 from bogolon.errors import DomainError, InstabilityError, SignRegimeError
 from bogolon.kinematic import InteractionParams
 from bogolon.pumpprobe import DriveConfig
@@ -110,17 +108,9 @@ def test_pair_correlation_requires_pump_and_probe():
 
 def test_spectrum_energy():
     co = coefficients(E_a_tilde=1.5004, V_mf=0.0, E_drive=1.5)
-    assert bogolon_spectrum_energy(co) == pytest.approx(4e-4, rel=1e-12)
+    assert co.E0_bar == pytest.approx(4e-4, rel=1e-12)
     co2 = coefficients(E_a_tilde=1.5004, V_mf=2e-4, E_drive=1.5)
-    assert bogolon_spectrum_energy(co2) == pytest.approx(
-        math.sqrt(16e-8 - 4e-8), rel=1e-12)
-
-
-def test_ground_state_shift_sign():
-    co = coefficients(E_a_tilde=1.5004, V_mf=2e-4, E_drive=1.5)
-    shift = ground_state_shift(co)
-    assert shift == pytest.approx(0.5 * (co.E0_bar - 4e-4), rel=1e-12)
-    assert shift < 0.0
+    assert co2.E0_bar == pytest.approx(math.sqrt(16e-8 - 4e-8), rel=1e-12)
 
 
 def _mode() -> HopfieldMode:

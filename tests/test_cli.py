@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bogolon import antisymmetric_energy, cli, reference_setup
-from bogolon.cli import Dataset, _fmt, build_run_config, main
+from bogolon import (antisymmetric_energy, cli, photon_dispersion,
+                     reference_setup)
+from bogolon.cli import (Dataset, EvolveSpec, _fmt, _settings,
+                         build_run_config, main)
 
 
 def _read_csv(path):
@@ -290,6 +292,19 @@ def test_exit_code_config_errors(tmp_path):
     assert main(["levels", "--preset", "paper", "--sweep", "nope:0:1:5"]) == 2
     assert main(["spectrum", "--preset", "paper", "--sweep", "theta:0:90:5",
                  "--out", str(tmp_path / "y.csv")]) == 2
+    # misspelt or removed keys, non-integral counts and ill-typed values
+    sweep = {"variable": "theta", "min": 0.0, "max": [90.0], "count": 5}
+    for command, settings in [
+            ("levels", {"lattice": {"theta": 10}}),
+            ("levels", {"lattise": {}}),
+            ("levels", {"lattice": {"N": 101.5}}),
+            ("levels", {"waveguide": {"L": 1e8}}),
+            ("oracle", {"oracle": {"n_cells": None}}),
+            ("evolve", {"evolve": {"sample_every": [1]}}),
+            ("levels", {"sweep": sweep})]:
+        invalid.write_text(json.dumps(settings))
+        assert main([command, "--preset", "paper", "--config", str(invalid),
+                     "--out", str(tmp_path / "z.csv")]) == 2, settings
 
 
 def test_exit_code_numerical_domain(tmp_path):
@@ -344,6 +359,36 @@ def test_exit_code_non_finite_inputs(tmp_path, section, key, value):
     assert rc == 2
 
 
+def test_reader_inverts_settings():
+    # the preset's resolved sections, written out and read back without
+    # the preset, give the same configs
+    preset = build_run_config({}, preset=True)
+    data = {s: _settings(getattr(preset, s))
+            for s in ("lattice", "waveguide", "drive")}
+    run = build_run_config(data)
+    assert (run.lattice, run.waveguide, run.drive) == (
+        preset.lattice, preset.waveguide, preset.drive)
+    # null in evolve takes the default
+    assert build_run_config({"evolve": {"dt": None}}, preset=True).evolve \
+        == EvolveSpec()
+
+
+@pytest.mark.parametrize("override", [{"waveguide": {"epsilon": 3.0}},
+                                      {"lattice": {"E_A": 1.6}}])
+def test_q0_follows_resonance_unless_pinned(override):
+    run = build_run_config(override, preset=True)
+    assert photon_dispersion(0.0, run.waveguide) == pytest.approx(
+        run.lattice.E_A, rel=1e-15)
+    # the preset's own q0, pinned, is kept off resonance
+    q0 = reference_setup().wg.q0
+    pinned = {**override, "waveguide": {**override.get("waveguide", {}),
+                                        "q0": q0}}
+    run = build_run_config(pinned, preset=True)
+    assert run.waveguide.q0 == q0
+    assert photon_dispersion(0.0, run.waveguide) != pytest.approx(
+        run.lattice.E_A, rel=1e-6)
+
+
 def test_config_without_preset(tmp_path):
     out = tmp_path / "lv.csv"
     config = tmp_path / "cfg.json"
@@ -351,7 +396,7 @@ def test_config_without_preset(tmp_path):
         "lattice": {"E_A": 1.5, "a": 1000.0, "R": 100.0, "mu": 2.5,
                     "theta_deg": 80.0, "N": 101},
         "waveguide": {"epsilon": 2.0, "u_b": 0.25,
-                      "S_bar": math.pi * 1e6, "L": None, "q0": None},
+                      "S_bar": math.pi * 1e6, "q0": None},
         "sweep": {"variable": "theta", "min": 0.0, "max": 90.0, "count": 11},
     }))
     assert main(["levels", "--config", str(config), "--out", str(out)]) == 0

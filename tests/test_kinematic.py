@@ -22,7 +22,7 @@ def test_effective_mass_reference(wg):
 
 def test_effective_mass_limits(cfg):
     unity = WaveguideConfig.from_resonance(epsilon=1.0, E_A=cfg.E_A, u_b=0.5,
-                                           S_bar=1e6, L=1e8)
+                                           S_bar=1e6)
     assert effective_mass(unity) == pytest.approx(cfg.E_A, rel=1e-12)
     doubled = replace(unity, q0=2.0 * unity.q0)
     assert effective_mass(doubled) == pytest.approx(2.0 * cfg.E_A, rel=1e-12)

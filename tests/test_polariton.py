@@ -48,8 +48,7 @@ def test_resonant_mixing_is_half_half(cfg):
     # guide tuned so the photon sits exactly on the k = 0 exciton level
     e_s0 = symmetric_band(0.0, cfg)
     wg0 = WaveguideConfig.from_resonance(epsilon=2.0, E_A=e_s0, u_b=0.25,
-                                         S_bar=math.pi * cfg.a ** 2,
-                                         L=cfg.N * cfg.a)
+                                         S_bar=math.pi * cfg.a ** 2)
     mode = hopfield(0.0, wg0, cfg)
     assert mode.delta == pytest.approx(0.0, abs=1e-15)
     for amp in (mode.X_upper, mode.Y_upper, mode.X_lower, mode.Y_lower):
@@ -60,8 +59,7 @@ def test_decoupled_limit_pure_fractions(cfg):
     # negligible dipole: branches become pure photon / pure exciton
     weak = replace(cfg, mu=1e-9)
     wg_blue = WaveguideConfig.from_resonance(epsilon=2.0, E_A=1.6, u_b=0.25,
-                                             S_bar=math.pi * cfg.a ** 2,
-                                             L=cfg.N * cfg.a)
+                                             S_bar=math.pi * cfg.a ** 2)
     mode = hopfield(0.0, wg_blue, weak)   # photon above exciton: delta > 0
     assert mode.X_lower ** 2 == pytest.approx(1.0, abs=1e-9)
     assert mode.X_upper ** 2 == pytest.approx(0.0, abs=1e-9)

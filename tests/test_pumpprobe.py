@@ -464,6 +464,16 @@ def test_time_evolve_rejects_unstable_step(cfg):
         time_evolve(drive, mode, ip, cfg, t_end=-1.0, dt=1.0)
 
 
+def test_time_evolve_rejects_int64_step_counts(setup):
+    # 1e20 steps would wrap the int64 sample times (long samples) or
+    # overflow the list of stretches (one step per sample)
+    s = setup
+    for sample_every in (10 ** 17, 1):
+        with pytest.raises(StabilityError):
+            time_evolve(s.drive, s.mode, s.ip, s.cfg, t_end=1e20, dt=1.0,
+                        sample_every=sample_every)
+
+
 def _rk4_loop(drive, mode, ip, cfg, t_end, dt, sample_every):
     """Classical four-stage RK4 on (A, B+, B-), one Python step at a time."""
     ss = steady_state(drive, mode, ip, cfg)

@@ -92,13 +92,12 @@ def test_small_k_expansion_bound(wg, cfg):
 
 
 def test_waveguide_config_invariants():
-    good = dict(epsilon=2.0, q0=1e-3, u_b=0.25, S_bar=1e6, L=1e8)
+    good = dict(epsilon=2.0, q0=1e-3, u_b=0.25, S_bar=1e6)
     WaveguideConfig(**good)
     for bad in (dict(good, epsilon=0.5), dict(good, q0=0.0),
                 dict(good, u_b=0.0), dict(good, u_b=1.5),
-                dict(good, S_bar=-1.0), dict(good, L=0.0),
+                dict(good, S_bar=-1.0),
                 dict(good, epsilon=math.inf), dict(good, q0=math.nan),
-                dict(good, u_b=math.nan), dict(good, S_bar=math.inf),
-                dict(good, L=math.inf)):
+                dict(good, u_b=math.nan), dict(good, S_bar=math.inf)):
         with pytest.raises((DomainError, ValueError)):
             WaveguideConfig(**bad)
