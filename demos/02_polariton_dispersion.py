@@ -22,7 +22,7 @@ print(f"bright coupling f(0)       = {coupling_bright(0.0, wg, cfg):.4e} eV")
 print(f"dark/bright coupling ratio at k = 1.4e-5: "
       f"{coupling_dark(1.4e-5, wg, cfg) / coupling_bright(1.4e-5, wg, cfg):.2e}")
 
-k_star = find_resonance_k(e_a, "lower", wg, cfg)
+k_star = find_resonance_k(e_a, wg, cfg)
 mode_star = hopfield(k_star, wg, cfg)
 print(f"\ndark level crosses the lower branch at k* = {k_star:.4e} 1/A")
 print(f"excitonic fraction there |X|^2 = {mode_star.X_lower ** 2:.4f}")

@@ -17,12 +17,14 @@ from .oracle import (BandReport, BlockingReport, PaulionBasis,
                      SectorHamiltonian, build_basis, build_sector,
                      diagonalize, jacobi_eigh, validate_band,
                      validate_blocking)
-from .polariton import (HopfieldMode, branch_energy, find_resonance_k,
-                        hopfield, verify_diagonalization)
-from .presets import RunSetup, reference_lattice, reference_setup, reference_waveguide
+from .polariton import (HopfieldMode, find_resonance_k, hopfield,
+                        verify_diagonalization)
+from .presets import (RunSetup, operating_point, reference_lattice,
+                      reference_setup, reference_waveguide, sustaining_drive)
 from .pumpprobe import (DriveConfig, PumpSolution, SpectrumPoint, SteadyState,
                         Trajectory, polariton_damping, pump_occupation,
-                        spectrum, spectrum_columns, steady_state, time_evolve)
+                        rate_scale, spectrum, spectrum_columns, steady_state,
+                        time_evolve)
 from .waveguide import (WaveguideConfig, coupling_bright, coupling_dark,
                         photon_dispersion)
 

@@ -30,13 +30,12 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ModelError
-from .kinematic import interaction_params
 from .lattice import (SuperLatticeConfig, antisymmetric_energy,
                       exciton_levels, symmetric_band)
 from .oracle import validate_band, validate_blocking
 from .polariton import find_resonance_k, hopfield
-from .presets import reference_setup
-from .pumpprobe import (DriveConfig, _step_count, spectrum_columns,
+from .presets import operating_point, reference_setup, sustaining_drive
+from .pumpprobe import (DriveConfig, _step_count, rate_scale, spectrum_columns,
                         steady_state, time_evolve)
 from .waveguide import WaveguideConfig, photon_dispersion, resonant_q0
 
@@ -102,7 +101,6 @@ class RunConfig:
     sweep: Optional[SweepSpec]
     evolve: EvolveSpec
     oracle: OracleSpec
-    output_path: Optional[str]
 
 
 _TYPES = {"float": float, "int": int, "complex": complex}
@@ -198,16 +196,19 @@ def build_run_config(data: dict, preset: bool = False) -> RunConfig:
     if drv.get("E_drive") is None or (stale and "E_drive" not in drv_in):
         drv["E_drive"] = e_a
     if drv.get("k_pump") is None or (stale and "k_pump" not in drv_in):
-        drv["k_pump"] = find_resonance_k(e_a, "lower", wg, cfg)
+        drv["k_pump"] = find_resonance_k(e_a, wg, cfg)
+    drive = _parse_section(DriveConfig, "drive", drv)
+    if base and drive.n_pump is not None and "F_pump" not in drv_in:
+        # the preset's F_pump sustains n_pump only at the preset's own
+        # operating point; derive it again, as reference_setup does
+        drive = sustaining_drive(drive, cfg, wg)
 
     return RunConfig(
-        lattice=cfg, waveguide=wg,
-        drive=_parse_section(DriveConfig, "drive", drv),
+        lattice=cfg, waveguide=wg, drive=drive,
         sweep=(None if data.get("sweep") is None else
                _parse_section(SweepSpec, "sweep", _section(data, "sweep"))),
         evolve=_parse_section(EvolveSpec, "evolve", _section(data, "evolve")),
-        oracle=_parse_section(OracleSpec, "oracle", _section(data, "oracle")),
-        output_path=data.get("output_path"))
+        oracle=_parse_section(OracleSpec, "oracle", _section(data, "oracle")))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +263,11 @@ def _sweep_or_default(run: RunConfig, variable: str,
                 f"this command sweeps {variable!r}, got {run.sweep.variable!r}")
         return run.sweep
     return default
+
+
+def _no_sweep(run: RunConfig, command: str) -> None:
+    if run.sweep is not None:
+        raise ConfigError(f"{command} takes no sweep, got {run.sweep.variable!r}")
 
 
 def _rows(grid: np.ndarray, columns) -> np.ndarray:
@@ -333,17 +339,10 @@ def cmd_fractions(run: RunConfig) -> Dataset:
                    _rows(sweep.grid(), columns))
 
 
-def _operating_point(run: RunConfig):
-    cfg, wg, drive = run.lattice, run.waveguide, run.drive
-    mode = hopfield(drive.k_pump, wg, cfg)
-    ip = interaction_params(wg, cfg, mode.X_lower ** 2)
-    return mode, ip
-
-
 def cmd_spectrum(run: RunConfig) -> Dataset:
     """Probe-normalized dark intensities vs drive energy offset E - E_a."""
     cfg = run.lattice
-    mode, ip = _operating_point(run)
+    mode, ip = operating_point(cfg, run.waveguide, run.drive.k_pump)
     e_a = antisymmetric_energy(cfg)
     n_for_span = run.drive.n_pump if run.drive.n_pump is not None else 1.0
     span = 4.0 * ip.Delta_tilde * max(n_for_span, 1e-3)
@@ -362,13 +361,12 @@ def cmd_spectrum(run: RunConfig) -> Dataset:
 def cmd_evolve(run: RunConfig) -> Dataset:
     """Rotating-frame time traces of |A|^2 and |B+-|^2."""
     cfg, drive, spec = run.lattice, run.drive, run.evolve
-    mode, ip = _operating_point(run)
+    _no_sweep(run, "evolve")
+    mode, ip = operating_point(cfg, run.waveguide, drive.k_pump)
 
     ss = steady_state(drive, mode, ip, cfg)
-    scale = max(abs(ss.E_a_tilde - drive.E_drive),
-                abs(ss.E_pol_tilde - drive.E_drive), ss.V_mf,
-                drive.hGamma_a, 1e-30)
-    dt = 0.05 / scale if spec.dt is None else spec.dt
+    dt = (0.05 / max(rate_scale(drive, mode, ip, cfg), 1e-30)
+          if spec.dt is None else spec.dt)
     gammas = [g for g in (drive.hGamma_a, drive.hGamma_ph, drive.hGamma_s)
               if g > 0]
     default_t_end = 25.0 / min(gammas) if gammas else dt * 10_000
@@ -397,6 +395,7 @@ def cmd_evolve(run: RunConfig) -> Dataset:
 def cmd_oracle(run: RunConfig) -> Dataset:
     """Exact-diagonalization reports: band check and blocking check."""
     cfg, spec = run.lattice, run.oracle
+    _no_sweep(run, "oracle")
     band = validate_band(cfg, spec.n_cells)
     blocking = validate_blocking(cfg, spec.n_cells, spec.V_dyn)
 
@@ -474,7 +473,7 @@ def main(argv=None) -> int:
             data = {**data, "sweep": dict(zip((f.name for f in fields(SweepSpec)),
                                               parts))}
         run = build_run_config(data, preset=args.preset == "paper")
-        out_path = args.out or run.output_path or f"{args.command}.csv"
+        out_path = args.out or f"{args.command}.csv"
         dataset = _HANDLERS[args.command](run)
     except ModelError as err:
         # resolving derived quantities (e.g. the pump wavenumber) can fail

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .constants import CONSTANTS
 from .errors import DomainError
-from .lattice import SuperLatticeConfig, antisymmetric_energy, exciton_levels
-from .polariton import branch_energy, find_resonance_k
+from .lattice import SuperLatticeConfig, exciton_levels
+from .polariton import hopfield
 from .waveguide import WaveguideConfig
 
 
@@ -92,19 +92,16 @@ class ExclusionReport:
 
 def double_excitation_excluded(cfg: SuperLatticeConfig, wg: WaveguideConfig,
                                V_dyn: float, tolerance: float,
-                               k_pump: float | None = None) -> ExclusionReport:
+                               k_pump: float) -> ExclusionReport:
     """Check that E_e = 2 E_A + 2 V_dyn is off-resonant with every channel.
 
     Channels tested: 2 E_s, 2 E_a, 2 E_A, and twice the lower-branch energy
-    at the pump wavenumber (located at the dark-level crossing when k_pump
-    is not given).  Truthy iff all gaps exceed ``tolerance``.
+    at the pump wavenumber.  Truthy iff all gaps exceed ``tolerance``.
     """
     if tolerance <= 0:
         raise DomainError("tolerance must be positive")
     lv = exciton_levels(cfg)
-    if k_pump is None:
-        k_pump = find_resonance_k(antisymmetric_energy(cfg), "lower", wg, cfg)
-    e_pump = branch_energy(k_pump, "lower", wg, cfg)
+    e_pump = hopfield(k_pump, wg, cfg).E_lower
     e_e = 2.0 * cfg.E_A + 2.0 * V_dyn
     channels = {
         "2E_s": 2.0 * lv.E_s,

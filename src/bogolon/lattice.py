@@ -69,11 +69,6 @@ class SuperLatticeConfig:
     def M(self) -> int:
         return (self.N - 1) // 2
 
-    @property
-    def L(self) -> float:
-        """Lattice length N*a (Angstrom)."""
-        return self.N * self.a
-
 
 @dataclass(frozen=True)
 class ExcitonLevels:

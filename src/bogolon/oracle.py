@@ -9,10 +9,11 @@ This checks the analytic band formulas, the dark-level degeneracy, the
 a >> R single-hopping approximation and the energy separation of on-cell
 double excitations.
 
-Couplings use the actual atom positions z_n -+ R/2; ``nearest-neighbor-cells``
-mode keeps pairs up to adjacent cells (the three distances a, a + R, a - R),
-``full-dipole-sum`` keeps every pair.  Periodic boundaries use minimum-image
-distances.
+The N cells form a periodic ring, as the wavenumbers k = 2 pi p / (N a)
+assume: couplings use the minimum-image distances between the actual atom
+positions z_n -+ R/2.  ``nearest-neighbor-cells`` mode keeps pairs up to
+adjacent cells (the three distances a, a + R, a - R), ``full-dipole-sum``
+keeps every pair.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .lattice import (SuperLatticeConfig, allowed_wavenumbers,
 
 _MAX_DIM = 10_000            # a dense float64 sector of 800 MB
 COUPLING_MODES = ("nearest-neighbor-cells", "full-dipole-sum")
-BOUNDARIES = ("periodic", "open")
+#: Cap on jacobi_eigh's sweeps; a symmetric matrix converges in far fewer.
+_JACOBI_MAX_SWEEPS = 100
 
 #: Dark-level degeneracy window used by the band report, in units of |J|.
 DARK_WINDOW_OVER_J = 1e-3
@@ -58,9 +60,6 @@ class PaulionBasis:
 class SectorHamiltonian:
     basis: PaulionBasis
     matrix: np.ndarray
-    coupling_mode: str
-    boundary: str
-    V_dyn: float
 
 
 def build_basis(n_cells: int, n_exc: int) -> PaulionBasis:
@@ -85,19 +84,17 @@ def _pair_row(x, y):
     return hi * (hi - 1) // 2 + lo
 
 
-def _atom_couplings(cfg: SuperLatticeConfig, n_cells: int, coupling_mode: str,
-                    boundary: str) -> np.ndarray:
-    """Symmetric 2N x 2N dipole couplings between atoms, zero on the diagonal
-    and for pairs out of range."""
+def _atom_couplings(cfg: SuperLatticeConfig, n_cells: int,
+                    coupling_mode: str) -> np.ndarray:
+    """Symmetric 2N x 2N dipole couplings between atoms around the ring, zero
+    on the diagonal and for pairs out of range."""
     n_atoms = 2 * n_cells
     j, i = np.tril_indices(n_atoms, -1)
     cell = np.arange(n_atoms) // 2
     pos = cell * cfg.a + (np.arange(n_atoms) % 2 - 0.5) * cfg.R
-    dcell = cell[j] - cell[i]
-    d = pos[j] - pos[i]
-    if boundary == "periodic":
-        dcell = np.minimum(dcell, n_cells - dcell)
-        d = np.minimum(d, n_cells * cfg.a - d)
+    dcell, d = cell[j] - cell[i], pos[j] - pos[i]     # j > i: both >= 0
+    dcell = np.minimum(dcell, n_cells - dcell)        # minimum images
+    d = np.minimum(d, n_cells * cfg.a - d)
     c = dipole_coupling(d, cfg)
     if coupling_mode == "nearest-neighbor-cells":
         c = np.where(dcell > 1, 0.0, c)
@@ -108,7 +105,6 @@ def _atom_couplings(cfg: SuperLatticeConfig, n_cells: int, coupling_mode: str,
 
 def build_sector(cfg: SuperLatticeConfig, n_cells: int, n_exc: int,
                  coupling_mode: str = "nearest-neighbor-cells",
-                 boundary: str = "periodic",
                  V_dyn: float = 0.0) -> SectorHamiltonian:
     """Dense Hamiltonian of the n_exc-excitation sector.
 
@@ -118,11 +114,9 @@ def build_sector(cfg: SuperLatticeConfig, n_cells: int, n_exc: int,
     """
     if coupling_mode not in COUPLING_MODES:
         raise DomainError(f"unknown coupling mode {coupling_mode!r}")
-    if boundary not in BOUNDARIES:
-        raise DomainError(f"unknown boundary {boundary!r}")
     basis = build_basis(n_cells, n_exc)
     n_atoms = 2 * n_cells
-    coupling = _atom_couplings(cfg, n_cells, coupling_mode, boundary)
+    coupling = _atom_couplings(cfg, n_cells, coupling_mode)
 
     if n_exc == 0:
         h = np.zeros((1, 1))
@@ -136,13 +130,10 @@ def build_sector(cfg: SuperLatticeConfig, n_cells: int, n_exc: int,
         for stay, move in ((hi, lo), (lo, hi)):     # move to every free atom k
             row, k = np.nonzero((atoms != stay[:, None]) & (atoms != move[:, None]))
             h[row, _pair_row(stay[row], k)] = coupling[move[row], k]
-    return SectorHamiltonian(basis=basis, matrix=h,
-                             coupling_mode=coupling_mode, boundary=boundary,
-                             V_dyn=V_dyn)
+    return SectorHamiltonian(basis=basis, matrix=h)
 
 
-def jacobi_eigh(matrix: np.ndarray,
-                max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a real symmetric matrix by cyclic Jacobi.
 
     Returns eigenvalues ascending and the matching orthonormal eigenvector
@@ -157,7 +148,7 @@ def jacobi_eigh(matrix: np.ndarray,
     v = np.eye(n)
     if n > 1:
         norm = np.linalg.norm(a)
-        for _ in range(max_sweeps):
+        for _ in range(_JACOBI_MAX_SWEEPS):
             off = math.sqrt(2.0) * np.linalg.norm(np.triu(a, 1))
             if off <= 1e-15 * max(norm, 1e-300):
                 break
@@ -229,8 +220,7 @@ def validate_band(cfg: SuperLatticeConfig, n_cells: int) -> BandReport:
     if n_cells % 2 == 0 or not 3 <= n_cells <= 7:
         raise DomainError("n_cells must be odd and within 3..7")
     small = replace(cfg, R=cfg.a / 100.0, N=n_cells)
-    sector = build_sector(small, n_cells, 1, "nearest-neighbor-cells",
-                          "periodic", 0.0)
+    sector = build_sector(small, n_cells, 1)
     w, _ = diagonalize(sector)
 
     lv = exciton_levels(small)
@@ -277,8 +267,7 @@ def validate_blocking(cfg: SuperLatticeConfig, n_cells: int,
     offset from the remaining (2 E_A) manifold with 2 V_dyn and flags a
     resonance when the cluster is incomplete or touches the manifold.
     """
-    sector = build_sector(cfg, n_cells, 2, "nearest-neighbor-cells",
-                          "periodic", V_dyn)
+    sector = build_sector(cfg, n_cells, 2, V_dyn=V_dyn)
     basis = sector.basis
     no_double = all(bin(s).count("1") == 2 for s in basis.states)
 

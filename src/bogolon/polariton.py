@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousSolutionError, DegenerateModeError, DomainError, NoSolutionError
+from .errors import AmbiguousSolutionError, DegenerateModeError, NoSolutionError
 from .lattice import SuperLatticeConfig, _any, _unwrap, _where, symmetric_band
 from .waveguide import WaveguideConfig, coupling_bright, photon_dispersion
 
@@ -93,19 +93,9 @@ def verify_diagonalization(mode: HopfieldMode, wg: WaveguideConfig,
     return float(max(abs(rotated[0, 1]), abs(rotated[1, 0])))
 
 
-def branch_energy(k, branch: str, wg: WaveguideConfig, cfg: SuperLatticeConfig):
-    """Energy of one branch ('upper' or 'lower') at wavenumber k."""
-    mode = hopfield(k, wg, cfg)
-    if branch == "upper":
-        return mode.E_upper
-    if branch == "lower":
-        return mode.E_lower
-    raise DomainError(f"branch must be 'upper' or 'lower', got {branch!r}")
-
-
-def find_resonance_k(target: float, branch: str, wg: WaveguideConfig,
+def find_resonance_k(target: float, wg: WaveguideConfig,
                      cfg: SuperLatticeConfig) -> float:
-    """Wavenumber k >= 0 where the branch energy equals ``target``.
+    """Wavenumber k >= 0 where the lower-branch energy equals ``target``.
 
     Scans [0, pi/a] on a coarse grid for sign changes of E(k) - target,
     then bisects the bracket down to |E(k) - target| < 1e-12 eV.  Raises
@@ -115,7 +105,7 @@ def find_resonance_k(target: float, branch: str, wg: WaveguideConfig,
     """
     k_max = math.pi / cfg.a
     ks = np.linspace(0.0, k_max, _SCAN_POINTS + 1)
-    vals = branch_energy(ks, branch, wg, cfg) - target
+    vals = hopfield(ks, wg, cfg).E_lower - target
 
     hits = [float(ks[i]) for i in np.flatnonzero(vals == 0.0)]
     brackets = [(float(ks[i]), float(ks[i + 1]))
@@ -124,15 +114,15 @@ def find_resonance_k(target: float, branch: str, wg: WaveguideConfig,
     if not hits and not brackets:
         lo, hi = float(vals.min() + target), float(vals.max() + target)
         raise NoSolutionError(
-            f"target {target} eV outside {branch}-branch range [{lo}, {hi}] eV")
+            f"target {target} eV outside lower-branch range [{lo}, {hi}] eV")
 
     roots = list(hits)
     for a_k, b_k in brackets:
-        fa = branch_energy(a_k, branch, wg, cfg) - target
+        fa = hopfield(a_k, wg, cfg).E_lower - target
         lo, hi = a_k, b_k
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            fm = branch_energy(mid, branch, wg, cfg) - target
+            fm = hopfield(mid, wg, cfg).E_lower - target
             if abs(fm) < _ENERGY_TOL:
                 lo = hi = mid
                 break
@@ -145,6 +135,6 @@ def find_resonance_k(target: float, branch: str, wg: WaveguideConfig,
     roots = sorted(set(roots))
     if len(roots) > 1:
         raise AmbiguousSolutionError(
-            f"{len(roots)} wavenumbers reach {target} eV on the {branch} branch",
+            f"{len(roots)} wavenumbers reach {target} eV on the lower branch",
             candidates=roots)
     return roots[0]

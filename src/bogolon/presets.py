@@ -44,6 +44,21 @@ def reference_waveguide(cfg: SuperLatticeConfig | None = None) -> WaveguideConfi
         epsilon=2.0, E_A=cfg.E_A, u_b=0.25, S_bar=math.pi * cfg.a ** 2)
 
 
+def operating_point(cfg: SuperLatticeConfig, wg: WaveguideConfig,
+                    k_pump: float) -> tuple[HopfieldMode, InteractionParams]:
+    """The pumped lower-branch mode at k_pump and its contact constants."""
+    mode = hopfield(k_pump, wg, cfg)
+    return mode, interaction_params(wg, cfg, mode.X_lower ** 2)
+
+
+def sustaining_drive(drive: DriveConfig, cfg: SuperLatticeConfig,
+                     wg: WaveguideConfig) -> DriveConfig:
+    """``drive``, whose ``n_pump`` is set, with the pump amplitude that
+    sustains that occupation at its operating point."""
+    pump = pump_occupation(drive, *operating_point(cfg, wg, drive.k_pump))
+    return replace(drive, F_pump=pump.f_pump_magnitude)
+
+
 def reference_setup() -> RunSetup:
     """Lattice + guide + pump-probe drive at the dark-level crossing.
 
@@ -58,15 +73,10 @@ def _reference_setup() -> RunSetup:
     cfg = reference_lattice()
     wg = reference_waveguide(cfg)
     e_a = antisymmetric_energy(cfg)
-    k_star = find_resonance_k(e_a, "lower", wg, cfg)
-    mode = hopfield(k_star, wg, cfg)
-    ip = interaction_params(wg, cfg, mode.X_lower ** 2)
-
-    drive = DriveConfig(
+    k_star = find_resonance_k(e_a, wg, cfg)
+    drive = sustaining_drive(DriveConfig(
         E_drive=e_a, F_pump=0.0, F_probe_plus=1e-9, F_probe_minus=0.0,
         hGamma_ph=1e-10, hGamma_s=1e-8, hGamma_a=1e-12,
-        k_pump=k_star, q=1e-6, n_pump=1.0)
-    # Record the pump amplitude that sustains the prescribed occupation.
-    pump = pump_occupation(drive, mode, ip)
-    drive = replace(drive, F_pump=pump.f_pump_magnitude)
+        k_pump=k_star, q=1e-6, n_pump=1.0), cfg, wg)
+    mode, ip = operating_point(cfg, wg, k_star)
     return RunSetup(cfg=cfg, wg=wg, drive=drive, mode=mode, ip=ip)

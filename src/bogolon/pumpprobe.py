@@ -343,6 +343,20 @@ def _step_count(t_end: float, dt: float) -> int:
     return max(1, math.ceil(t_end / dt))
 
 
+def _fastest_rate(drive: DriveConfig, pump, e_a_t, v, hg_pol) -> float:
+    return max(abs(e_a_t - drive.E_drive), abs(pump.E_pol_tilde - drive.E_drive),
+               v, drive.hGamma_a, hg_pol)
+
+
+def rate_scale(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
+               cfg: SuperLatticeConfig) -> float:
+    """Fastest rate of the rotating-frame equations (eV): the largest of the
+    detunings, V_mf and the dampings.  :func:`time_evolve` needs
+    dt < 0.1 / rate_scale."""
+    return _fastest_rate(drive, *_rotating_frame(drive, mode, ip, cfg,
+                                                 drive.E_drive))
+
+
 def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
                 cfg: SuperLatticeConfig, t_end: float, dt: float,
                 sample_every: int = 1) -> Trajectory:
@@ -352,9 +366,9 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
     x = (A, B+, conj(B-), 1), with M the affine generator and
     P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24; samples every ``sample_every``
     steps (and at the last) come from powers of P(hM).
-    Time is measured in hbar/eV.  The step must resolve the fastest scale:
-    dt < 0.1 / max(detunings, V_mf, dampings), and there must be fewer
-    than 2**63 steps, else ``StabilityError``.
+    Time is measured in hbar/eV.  The step must resolve the fastest scale,
+    dt < 0.1 / :func:`rate_scale`, and there must be fewer than 2**63
+    steps, else ``StabilityError``.
     The final state approaches :func:`steady_state` once
     t_end >> hbar/hGamma.
     """
@@ -362,10 +376,9 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
     if sample_every < 1:
         raise DomainError("sample_every must be >= 1")
     e = drive.E_drive
-    pump, e_a_t, v, hg_pol = _rotating_frame(drive, mode, ip, cfg, e)
-
-    scale = max(abs(e_a_t - e), abs(pump.E_pol_tilde - e), v,
-                drive.hGamma_a, hg_pol)
+    frame = _rotating_frame(drive, mode, ip, cfg, e)
+    pump, e_a_t, v, hg_pol = frame
+    scale = _fastest_rate(drive, *frame)
     if scale > 0 and dt >= 0.1 / scale:
         raise StabilityError(
             f"dt = {dt} exceeds stability bound 0.1/{scale} = {0.1 / scale}")

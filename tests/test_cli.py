@@ -209,6 +209,34 @@ def test_evolve_preset_reaches_steady_state(tmp_path):
     assert rows[-1, 2] == pytest.approx(float(meta["steady.I_plus"]), rel=1e-9)
 
 
+def test_evolve_default_step_resolves_damping(tmp_path):
+    # the polariton damping hG_pol = 5e-4 eV is the fastest rate here: the
+    # default step must resolve it, as time_evolve requires
+    out, config = tmp_path / "ev.csv", tmp_path / "cfg.json"
+    config.write_text(json.dumps({"drive": {"hGamma_s": 1e-3, "hGamma_ph": 1e-3}}))
+    assert main(["evolve", "--preset", "paper", "--config", str(config),
+                 "--out", str(out)]) == 0
+    meta, _, rows = _read_csv(out)
+    assert float(meta["evolve.dt"]) == pytest.approx(0.05 / 5e-4, rel=1e-12)
+    assert rows[-1, 1] == pytest.approx(float(meta["steady.N_pump"]), rel=1e-9)
+    assert rows[-1, 2] == pytest.approx(float(meta["steady.I_plus"]), rel=1e-9)
+
+
+def test_preset_pump_amplitude_sustains_n_pump_after_overlay(tmp_path):
+    # a lattice overlay moves the pump mode; the preset's F_pump is derived
+    # again so that the trace ends on the prescribed occupation
+    out, config = tmp_path / "ev.csv", tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lattice": {"theta_deg": 70}}))
+    assert main(["evolve", "--preset", "paper", "--config", str(config),
+                 "--out", str(out)]) == 0
+    meta, _, rows = _read_csv(out)
+    assert float(meta["drive.F_pump"]) != reference_setup().drive.F_pump
+    assert abs(rows[-1, 1] - float(meta["steady.N_pump"])) <= 1e-9
+    # a pinned amplitude is kept
+    pinned = {"lattice": {"theta_deg": 70}, "drive": {"F_pump": 5e-5}}
+    assert build_run_config(pinned, preset=True).drive.F_pump == 5e-5
+
+
 def test_evolve_capped_without_explicit_budget(tmp_path, monkeypatch):
     # the cap raises sample_every, not t_end: sample_every 5000 asks for
     # 1.8e7 samples of the 9e10 preset steps; a cap of 1000 keeps the test
@@ -292,6 +320,9 @@ def test_exit_code_config_errors(tmp_path):
     assert main(["levels", "--preset", "paper", "--sweep", "nope:0:1:5"]) == 2
     assert main(["spectrum", "--preset", "paper", "--sweep", "theta:0:90:5",
                  "--out", str(tmp_path / "y.csv")]) == 2
+    for command in ("evolve", "oracle"):     # commands without a sweep
+        assert main([command, "--preset", "paper", "--sweep", "k:0:1:10",
+                     "--out", str(tmp_path / "y.csv")]) == 2, command
     # misspelt or removed keys, non-integral counts and ill-typed values
     sweep = {"variable": "theta", "min": 0.0, "max": [90.0], "count": 5}
     for command, settings in [
@@ -299,6 +330,7 @@ def test_exit_code_config_errors(tmp_path):
             ("levels", {"lattise": {}}),
             ("levels", {"lattice": {"N": 101.5}}),
             ("levels", {"waveguide": {"L": 1e8}}),
+            ("levels", {"output_path": "x.csv"}),
             ("oracle", {"oracle": {"n_cells": None}}),
             ("evolve", {"evolve": {"sample_every": [1]}}),
             ("levels", {"sweep": sweep})]:

@@ -83,27 +83,31 @@ def test_vertex_set_limits(wg, cfg):
     assert off.dark_dark > 0.0
 
 
-def test_double_excitation_needs_dynamical_shift(wg, cfg):
-    report = double_excitation_excluded(cfg, wg, V_dyn=0.0, tolerance=1e-8)
+def test_double_excitation_needs_dynamical_shift(wg, cfg, setup):
+    report = double_excitation_excluded(cfg, wg, V_dyn=0.0, tolerance=1e-8,
+                                        k_pump=setup.drive.k_pump)
     assert not report
     assert report.channels["2E_A"][1] == 0.0
 
 
-def test_double_excitation_excluded_at_reference(wg, cfg):
-    report = double_excitation_excluded(cfg, wg, V_dyn=1e-3, tolerance=1e-5)
+def test_double_excitation_excluded_at_reference(wg, cfg, setup):
+    report = double_excitation_excluded(cfg, wg, V_dyn=1e-3, tolerance=1e-5,
+                                        k_pump=setup.drive.k_pump)
     assert report
     lv = exciton_levels(cfg)
     for _, gap in report.channels.values():
         assert gap >= 2e-3 - 2.0 * lv.J0 - 1e-9
 
 
-def test_double_excitation_constructed_resonance(wg, cfg):
+def test_double_excitation_constructed_resonance(wg, cfg, setup):
     lv = exciton_levels(cfg)
-    report = double_excitation_excluded(cfg, wg, V_dyn=lv.J0, tolerance=1e-5)
+    report = double_excitation_excluded(cfg, wg, V_dyn=lv.J0, tolerance=1e-5,
+                                        k_pump=setup.drive.k_pump)
     assert not report
     assert report.channels["2E_s"][1] < 1e-15
 
 
-def test_double_excitation_rejects_bad_tolerance(wg, cfg):
+def test_double_excitation_rejects_bad_tolerance(wg, cfg, setup):
     with pytest.raises(DomainError):
-        double_excitation_excluded(cfg, wg, V_dyn=1e-3, tolerance=0.0)
+        double_excitation_excluded(cfg, wg, V_dyn=1e-3, tolerance=0.0,
+                                   k_pump=setup.drive.k_pump)

@@ -46,7 +46,7 @@ def test_vacuum_sector(small_cfg):
 def test_three_cell_elements_by_hand(small_cfg):
     # atom i sits at (i//2)*a + (i%2 - 1/2)*R; basis states are single bits
     # so row/column index equals the atom index
-    sector = build_sector(small_cfg, 3, 1, "nearest-neighbor-cells", "periodic")
+    sector = build_sector(small_cfg, 3, 1, "nearest-neighbor-cells")
     h = sector.matrix
     a, r = small_cfg.a, small_cfg.R
     assert h[0, 1] == pytest.approx(dipole_coupling(r, small_cfg), rel=1e-15)
@@ -70,7 +70,7 @@ def test_double_excitation_shift_on_diagonal(small_cfg):
         assert sector.matrix[row, row] == pytest.approx(expected, rel=1e-15)
 
 
-def _sector_loop(cfg, n_cells, n_exc, coupling_mode, boundary, V_dyn):
+def _sector_loop(cfg, n_cells, n_exc, coupling_mode, V_dyn):
     """Sector matrix built state by state: bit tests and one hop at a time."""
     states = build_basis(n_cells, n_exc).states
     index = {s: i for i, s in enumerate(states)}
@@ -81,13 +81,11 @@ def _sector_loop(cfg, n_cells, n_exc, coupling_mode, boundary, V_dyn):
 
     def coupling(i, j):
         dcell = abs(i // 2 - j // 2)
-        if boundary == "periodic":
-            dcell = min(dcell, n_cells - dcell)
+        dcell = min(dcell, n_cells - dcell)
         if coupling_mode == "nearest-neighbor-cells" and dcell > 1:
             return 0.0
         d = abs(position(i) - position(j))
-        if boundary == "periodic":
-            d = min(d, n_cells * cfg.a - d)
+        d = min(d, n_cells * cfg.a - d)
         return dipole_coupling(d, cfg)
 
     h = np.zeros((len(states), len(states)))
@@ -109,11 +107,10 @@ def test_array_sector_equals_bitmask_loop(small_cfg):
     for n_cells in range(1, 9):
         for n_exc in (0, 1, 2):
             for mode in oracle.COUPLING_MODES:
-                for boundary in oracle.BOUNDARIES:
-                    sector = build_sector(small_cfg, n_cells, n_exc, mode,
-                                          boundary, V_dyn=1e-3)
-                    assert np.array_equal(sector.matrix, _sector_loop(
-                        small_cfg, n_cells, n_exc, mode, boundary, 1e-3))
+                sector = build_sector(small_cfg, n_cells, n_exc, mode,
+                                      V_dyn=1e-3)
+                assert np.array_equal(sector.matrix, _sector_loop(
+                    small_cfg, n_cells, n_exc, mode, 1e-3))
 
 
 def test_single_cell_spectrum_gives_split_doublet(small_cfg):
@@ -224,13 +221,6 @@ def test_full_sum_error_shrinks_with_pitch(small_cfg):
     assert deviations[0] > deviations[1] > deviations[2]
 
 
-def test_open_boundary_edge_effect_is_small(small_cfg):
-    w_open, _ = diagonalize(build_sector(small_cfg, 5, 1, boundary="open"))
-    w_per, _ = diagonalize(build_sector(small_cfg, 5, 1, boundary="periodic"))
-    lv = exciton_levels(small_cfg)
-    assert np.max(np.abs(w_open - w_per)) < 5.0 * abs(lv.J)
-
-
 def test_blocking_reference_case(small_cfg):
     report = validate_blocking(small_cfg, 2, V_dyn=1e-3)
     assert report.dimension == report.expected_dimension == 6
@@ -258,5 +248,3 @@ def test_blocking_scales_with_cells(small_cfg):
 def test_build_sector_rejects_bad_modes(small_cfg):
     with pytest.raises(DomainError):
         build_sector(small_cfg, 3, 1, coupling_mode="everything")
-    with pytest.raises(DomainError):
-        build_sector(small_cfg, 3, 1, boundary="twisted")

@@ -11,7 +11,6 @@ from bogolon import (WaveguideConfig, antisymmetric_energy, coupling_bright,
                      reference_lattice, reference_waveguide, symmetric_band,
                      verify_diagonalization)
 from bogolon.errors import AmbiguousSolutionError, NoSolutionError
-from bogolon.polariton import branch_energy
 
 K_STAR_REFERENCE = 1.4e-5       # quoted operating wavenumber
 K_STAR_PRESET = 1.3817490737859908e-05   # frozen find_resonance_k result
@@ -84,35 +83,35 @@ def test_verify_diagonalization_residual(wg, cfg, setup):
 
 def test_find_resonance_contract(wg, cfg):
     e_a = antisymmetric_energy(cfg)
-    k_star = find_resonance_k(e_a, "lower", wg, cfg)
-    assert abs(branch_energy(k_star, "lower", wg, cfg) - e_a) < 1e-12
+    k_star = find_resonance_k(e_a, wg, cfg)
+    assert abs(hopfield(k_star, wg, cfg).E_lower - e_a) < 1e-12
     assert k_star == pytest.approx(K_STAR_REFERENCE, rel=0.10)
 
 
 def test_find_resonance_at_band_bottom(wg, cfg):
-    target = branch_energy(0.0, "lower", wg, cfg)
-    assert find_resonance_k(target, "lower", wg, cfg) == 0.0
+    target = hopfield(0.0, wg, cfg).E_lower
+    assert find_resonance_k(target, wg, cfg) == 0.0
 
 
 def test_find_resonance_outside_range(wg, cfg):
     with pytest.raises(NoSolutionError):
-        find_resonance_k(1.6, "lower", wg, cfg)
+        find_resonance_k(1.6, wg, cfg)
     with pytest.raises(NoSolutionError):
-        find_resonance_k(0.5, "lower", wg, cfg)
+        find_resonance_k(0.5, wg, cfg)
 
 
 def test_find_resonance_ambiguous_near_band_maximum(wg, cfg):
     # the lower branch rises to a shallow maximum and then follows the
     # cosine band down: a target just below the maximum is reached twice
     ks = np.linspace(0.0, math.pi / cfg.a, 2001)
-    vals = [branch_energy(float(k), "lower", wg, cfg) for k in ks]
+    vals = [hopfield(float(k), wg, cfg).E_lower for k in ks]
     lv = exciton_levels(cfg)
     target = max(vals) - 2.0 * lv.J
     with pytest.raises(AmbiguousSolutionError) as err:
-        find_resonance_k(target, "lower", wg, cfg)
+        find_resonance_k(target, wg, cfg)
     assert len(err.value.candidates) == 2
     for k in err.value.candidates:
-        assert abs(branch_energy(k, "lower", wg, cfg) - target) < 1e-12
+        assert abs(hopfield(k, wg, cfg).E_lower - target) < 1e-12
 
 
 def test_lower_branch_turns_excitonic_at_large_k(wg, cfg):
@@ -138,7 +137,7 @@ def test_lower_fraction_monotone_through_anticrossing(wg, cfg):
 
 
 def test_find_resonance_k_preset_value_frozen(wg, cfg):
-    k_star = find_resonance_k(antisymmetric_energy(cfg), "lower", wg, cfg)
+    k_star = find_resonance_k(antisymmetric_energy(cfg), wg, cfg)
     assert k_star == pytest.approx(K_STAR_PRESET, rel=1e-15)
 
 
