@@ -33,7 +33,6 @@ class BogoliubovCoeffs:
 
     u: float
     v: float
-    E0_tilde: float
     E0_bar: float
     E_a_tilde: float
     V_mf: float
@@ -68,8 +67,8 @@ def coefficients(E_a_tilde: float, V_mf: float,
     if abs(lhs - rhs) > _IDENTITY_TOL * max(abs(lhs), abs(rhs), e0_bar):
         raise ArithmeticError("pair-cancellation relation violated "
                               f"({lhs} != {rhs})")
-    return BogoliubovCoeffs(u=u, v=v, E0_tilde=0.5 * e0_bar, E0_bar=e0_bar,
-                            E_a_tilde=E_a_tilde, V_mf=V_mf, E_drive=E_drive)
+    return BogoliubovCoeffs(u=u, v=v, E0_bar=e0_bar, E_a_tilde=E_a_tilde,
+                            V_mf=V_mf, E_drive=E_drive)
 
 
 def bogolon_steady_state(coeffs: BogoliubovCoeffs,

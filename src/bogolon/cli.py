@@ -46,9 +46,6 @@ _MAX_EVOLVE_SAMPLES = 1_000_000
 #: Grid points evaluated per block of column expressions; bounds the
 #: temporaries of a sweep at any count up to _MAX_SWEEP.
 _CHUNK = 65_536
-#: Drive values without a preset; E_drive and k_pump resolve to the dark level.
-_DRIVE_DEFAULTS = dict(F_pump=0.0, F_probe_plus=1e-9, F_probe_minus=0.0,
-                       hGamma_ph=0.0, hGamma_s=0.0, hGamma_a=0.0, q=1e-6)
 #: Config fields with another JSON key and unit: (key, to JSON, from JSON).
 _RENAMED = {"theta": ("theta_deg", math.degrees, math.radians)}
 
@@ -169,38 +166,40 @@ def _section(data: dict, name: str) -> dict:
 
 def build_run_config(data: dict, preset: bool = False) -> RunConfig:
     """Resolve a configuration dictionary, optionally on top of the preset,
-    which each given section overlays key by key."""
+    which each given section overlays key by key.
+
+    With or without the preset, each derived setting the config does not
+    give follows the resolved lattice and guide: q0 puts the photon band
+    bottom on E_A, E_drive is the dark level and k_pump the wavenumber where
+    the lower branch crosses it, and F_pump sustains a set n_pump.
+    """
     unknown = data.keys() - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     base = reference_setup() if preset else None
 
-    lat_in = _section(data, "lattice")
     cfg = _parse_section(SuperLatticeConfig, "lattice",
-                         {**(_settings(base.cfg) if base else {}), **lat_in})
+                         {**(_settings(base.cfg) if base else {}),
+                          **_section(data, "lattice")})
 
     wg_in = _section(data, "waveguide")
     wgd = {**(_settings(base.wg) if base else {}), **wg_in}
     if wg_in.get("q0") is None and "epsilon" in wgd:
-        # unless pinned, q0 puts the photon band bottom on E_A
         wgd["q0"] = _checked("waveguide.epsilon", lambda: resonant_q0(
             _parse_value("float", wgd["epsilon"]), cfg.E_A))
     wg = _parse_section(WaveguideConfig, "waveguide", wgd)
 
     drv_in = _section(data, "drive")
-    drv = {**(_settings(base.drive) if base else _DRIVE_DEFAULTS), **drv_in}
-    # Preset-derived operating points go stale when the lattice or guide is
-    # overridden; recompute anything the user did not pin explicitly.
-    stale = bool(lat_in) or bool(wg_in)
+    drv = {**(_settings(base.drive) if base else {}), **drv_in}
     e_a = antisymmetric_energy(cfg)
-    if drv.get("E_drive") is None or (stale and "E_drive" not in drv_in):
+    if drv_in.get("E_drive") is None:
         drv["E_drive"] = e_a
-    if drv.get("k_pump") is None or (stale and "k_pump" not in drv_in):
-        drv["k_pump"] = find_resonance_k(e_a, wg, cfg)
+    if drv_in.get("k_pump") is None:
+        # the preset solved this crossing already for its own lattice and guide
+        own = base and (cfg, wg) == (base.cfg, base.wg)
+        drv["k_pump"] = base.drive.k_pump if own else find_resonance_k(e_a, wg, cfg)
     drive = _parse_section(DriveConfig, "drive", drv)
-    if base and drive.n_pump is not None and "F_pump" not in drv_in:
-        # the preset's F_pump sustains n_pump only at the preset's own
-        # operating point; derive it again, as reference_setup does
+    if drive.n_pump is not None and "F_pump" not in drv_in:
         drive = sustaining_drive(drive, cfg, wg)
 
     return RunConfig(
@@ -297,7 +296,7 @@ def cmd_levels(run: RunConfig) -> Dataset:
                    _rows(sweep.grid(), columns))
 
 
-def _default_k_sweep(cfg: SuperLatticeConfig, wg: WaveguideConfig) -> SweepSpec:
+def _default_k_sweep(wg: WaveguideConfig) -> SweepSpec:
     # Cover the anticrossing region generously.
     return SweepSpec("k", 0.0, 8.0 * wg.q0 / 100.0, 1001)
 
@@ -305,7 +304,7 @@ def _default_k_sweep(cfg: SuperLatticeConfig, wg: WaveguideConfig) -> SweepSpec:
 def cmd_dispersion(run: RunConfig) -> Dataset:
     """Branch, photon and bare level energies (offsets from E_A) vs k."""
     cfg, wg = run.lattice, run.waveguide
-    sweep = _sweep_or_default(run, "k", _default_k_sweep(cfg, wg))
+    sweep = _sweep_or_default(run, "k", _default_k_sweep(wg))
     e_a = exciton_levels(cfg).E_a
 
     def columns(k):
@@ -326,7 +325,7 @@ def cmd_dispersion(run: RunConfig) -> Dataset:
 def cmd_fractions(run: RunConfig) -> Dataset:
     """Excitation and photon fractions of both branches vs k."""
     cfg, wg = run.lattice, run.waveguide
-    sweep = _sweep_or_default(run, "k", _default_k_sweep(cfg, wg))
+    sweep = _sweep_or_default(run, "k", _default_k_sweep(wg))
 
     def columns(k):
         mode = hopfield(k, wg, cfg)
@@ -480,7 +479,7 @@ def main(argv=None) -> int:
         # numerically even for a well-formed configuration
         print(f"numerical-domain error: {err}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OverflowError) as err:
+    except (ValueError, OverflowError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

@@ -41,14 +41,12 @@ DARK_WINDOW_OVER_J = 1e-3
 
 @dataclass(frozen=True)
 class PaulionBasis:
-    """Occupation bitmasks over 2*n_cells atoms with n_exc bits set.
+    """Occupation bitmasks of :func:`build_basis`: n_exc of 2*n_cells bits set.
 
     Atom (cell n, alpha) is bit 2n + alpha; states are sorted ascending so
     the ordering is deterministic.
     """
 
-    n_cells: int
-    n_exc: int
     states: tuple
 
     @property
@@ -74,7 +72,7 @@ def build_basis(n_cells: int, n_exc: int) -> PaulionBasis:
                               f"{dim * dim * 8 / 1e6:.1f} MB as a dense matrix")
     states = sorted(sum(1 << i for i in atoms)
                     for atoms in combinations(range(n_atoms), n_exc))
-    return PaulionBasis(n_cells=n_cells, n_exc=n_exc, states=tuple(states))
+    return PaulionBasis(tuple(states))
 
 
 def _pair_row(x, y):

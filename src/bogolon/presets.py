@@ -18,7 +18,7 @@ from .kinematic import InteractionParams, interaction_params
 from .lattice import SuperLatticeConfig, antisymmetric_energy
 from .polariton import HopfieldMode, find_resonance_k, hopfield
 from .pumpprobe import DriveConfig, pump_occupation
-from .waveguide import WaveguideConfig
+from .waveguide import WaveguideConfig, resonant_q0
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ def reference_lattice() -> SuperLatticeConfig:
 
 def reference_waveguide(cfg: SuperLatticeConfig | None = None) -> WaveguideConfig:
     cfg = cfg or reference_lattice()
-    return WaveguideConfig.from_resonance(
-        epsilon=2.0, E_A=cfg.E_A, u_b=0.25, S_bar=math.pi * cfg.a ** 2)
+    return WaveguideConfig(epsilon=2.0, q0=resonant_q0(2.0, cfg.E_A), u_b=0.25,
+                           S_bar=math.pi * cfg.a ** 2)
 
 
 def operating_point(cfg: SuperLatticeConfig, wg: WaveguideConfig,

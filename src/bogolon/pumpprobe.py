@@ -57,7 +57,7 @@ _OCCUPATION_TOL = 1e-12
 _NEWTON_MAX_STEPS = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DriveConfig:
     """Pump/probe drive in the rotating frame.
 
@@ -66,18 +66,18 @@ class DriveConfig:
     as energies hbar*Gamma (eV); k_pump, q: pump wavenumber and probe
     offset (1/Angstrom).  When ``n_pump`` is set the pump occupation is
     prescribed directly; otherwise it is solved self-consistently from
-    F_pump.
+    F_pump.  The defaults are an undamped weak probe at k + q and no pump.
     """
 
     E_drive: float
-    F_pump: complex
-    F_probe_plus: complex
-    F_probe_minus: complex
-    hGamma_ph: float
-    hGamma_s: float
-    hGamma_a: float
+    F_pump: complex = 0j
+    F_probe_plus: complex = 1e-9 + 0j
+    F_probe_minus: complex = 0j
+    hGamma_ph: float = 0.0
+    hGamma_s: float = 0.0
+    hGamma_a: float = 0.0
     k_pump: float
-    q: float
+    q: float = 1e-6
     n_pump: Optional[float] = None
 
     def __post_init__(self):

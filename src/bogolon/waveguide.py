@@ -53,13 +53,6 @@ class WaveguideConfig:
         if self.S_bar <= 0:
             raise DomainError("S_bar must be positive")
 
-    @classmethod
-    def from_resonance(cls, epsilon: float, E_A: float, u_b: float,
-                       S_bar: float) -> "WaveguideConfig":
-        """The guide with q0 = :func:`resonant_q0` (epsilon, E_A)."""
-        return cls(epsilon=epsilon, q0=resonant_q0(epsilon, E_A), u_b=u_b,
-                   S_bar=S_bar)
-
 
 def resonant_q0(epsilon: float, E_A: float) -> float:
     """The q0 that puts the photon band bottom at E_A:

@@ -26,7 +26,6 @@ def test_reference_point_coeffs():
     assert co.E0_bar == pytest.approx(math.sqrt(3.0) * dt, rel=1e-12)
     assert co.u ** 2 == pytest.approx(0.5 * (2.0 / math.sqrt(3.0) + 1.0),
                                       rel=1e-12)
-    assert co.E0_tilde == pytest.approx(co.E0_bar / 2.0, rel=1e-15)
 
 
 def test_gap_closure_divergence():

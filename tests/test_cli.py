@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bogolon import (antisymmetric_energy, cli, photon_dispersion,
-                     reference_setup)
+                     reference_setup, sustaining_drive)
 from bogolon.cli import (Dataset, EvolveSpec, _fmt, _settings,
                          build_run_config, main)
 
@@ -235,6 +236,25 @@ def test_preset_pump_amplitude_sustains_n_pump_after_overlay(tmp_path):
     # a pinned amplitude is kept
     pinned = {"lattice": {"theta_deg": 70}, "drive": {"F_pump": 5e-5}}
     assert build_run_config(pinned, preset=True).drive.F_pump == 5e-5
+
+
+def test_pump_amplitude_sustains_n_pump_without_preset(tmp_path):
+    # the preset's lattice, guide and damping given without --preset: F_pump
+    # follows the same rule as at the preset, and the trace ends on N
+    setup = reference_setup()
+    damping = {key: getattr(setup.drive, key)
+               for key in ("hGamma_ph", "hGamma_s", "hGamma_a")}
+    out, config = tmp_path / "ev.csv", tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "lattice": _settings(setup.cfg), "waveguide": _settings(setup.wg),
+        "drive": {"n_pump": 1.0, **damping}}))
+    assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
+    meta, _, rows = _read_csv(out)
+    sustaining = sustaining_drive(replace(setup.drive, F_pump=0.0),
+                                  setup.cfg, setup.wg).F_pump
+    assert sustaining == 5.049320551224296e-05
+    assert float(meta["drive.F_pump"]) == sustaining
+    assert abs(rows[-1, 1] - float(meta["steady.N_pump"])) <= 1e-9
 
 
 def test_evolve_capped_without_explicit_budget(tmp_path, monkeypatch):

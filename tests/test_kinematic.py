@@ -8,6 +8,7 @@ from bogolon import (WaveguideConfig, double_excitation_excluded,
                      vertex_set)
 from bogolon.constants import CONSTANTS
 from bogolon.errors import DomainError
+from bogolon.waveguide import resonant_q0
 
 # Frozen chain at the reference point: mc^2 = eps * E_A; U = 4 pi
 # (hbar c)^2 / (mc^2 a^2); Delta = U / 100001.
@@ -21,8 +22,8 @@ def test_effective_mass_reference(wg):
 
 
 def test_effective_mass_limits(cfg):
-    unity = WaveguideConfig.from_resonance(epsilon=1.0, E_A=cfg.E_A, u_b=0.5,
-                                           S_bar=1e6)
+    unity = WaveguideConfig(epsilon=1.0, q0=resonant_q0(1.0, cfg.E_A), u_b=0.5,
+                            S_bar=1e6)
     assert effective_mass(unity) == pytest.approx(cfg.E_A, rel=1e-12)
     doubled = replace(unity, q0=2.0 * unity.q0)
     assert effective_mass(doubled) == pytest.approx(2.0 * cfg.E_A, rel=1e-12)

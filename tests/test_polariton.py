@@ -11,6 +11,7 @@ from bogolon import (WaveguideConfig, antisymmetric_energy, coupling_bright,
                      reference_lattice, reference_waveguide, symmetric_band,
                      verify_diagonalization)
 from bogolon.errors import AmbiguousSolutionError, NoSolutionError
+from bogolon.waveguide import resonant_q0
 
 K_STAR_REFERENCE = 1.4e-5       # quoted operating wavenumber
 K_STAR_PRESET = 1.3817490737859908e-05   # frozen find_resonance_k result
@@ -46,8 +47,8 @@ def test_no_crossing_gap(wg, cfg):
 def test_resonant_mixing_is_half_half(cfg):
     # guide tuned so the photon sits exactly on the k = 0 exciton level
     e_s0 = symmetric_band(0.0, cfg)
-    wg0 = WaveguideConfig.from_resonance(epsilon=2.0, E_A=e_s0, u_b=0.25,
-                                         S_bar=math.pi * cfg.a ** 2)
+    wg0 = WaveguideConfig(epsilon=2.0, q0=resonant_q0(2.0, e_s0), u_b=0.25,
+                          S_bar=math.pi * cfg.a ** 2)
     mode = hopfield(0.0, wg0, cfg)
     assert mode.delta == pytest.approx(0.0, abs=1e-15)
     for amp in (mode.X_upper, mode.Y_upper, mode.X_lower, mode.Y_lower):
@@ -57,8 +58,8 @@ def test_resonant_mixing_is_half_half(cfg):
 def test_decoupled_limit_pure_fractions(cfg):
     # negligible dipole: branches become pure photon / pure exciton
     weak = replace(cfg, mu=1e-9)
-    wg_blue = WaveguideConfig.from_resonance(epsilon=2.0, E_A=1.6, u_b=0.25,
-                                             S_bar=math.pi * cfg.a ** 2)
+    wg_blue = WaveguideConfig(epsilon=2.0, q0=resonant_q0(2.0, 1.6), u_b=0.25,
+                              S_bar=math.pi * cfg.a ** 2)
     mode = hopfield(0.0, wg_blue, weak)   # photon above exciton: delta > 0
     assert mode.X_lower ** 2 == pytest.approx(1.0, abs=1e-9)
     assert mode.X_upper ** 2 == pytest.approx(0.0, abs=1e-9)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bogolon import (DriveConfig, antisymmetric_energy, interaction_params,
                      polariton_damping, pump_occupation, spectrum,
-                     steady_state, time_evolve)
+                     spectrum_columns, steady_state, time_evolve)
 from bogolon.errors import (BistabilityError, DomainError, PoleError,
                             StabilityError)
 from bogolon.kinematic import InteractionParams
@@ -639,6 +639,27 @@ def test_spectrum_self_consistent_equals_prescribed_at_solved_occupation(cfg):
         assert p.E_offset == q.E_offset
         assert p.I_minus_scaled == pytest.approx(q.I_minus_scaled, rel=1e-12)
         assert p.I_plus_scaled == pytest.approx(q.I_plus_scaled, rel=1e-12)
+
+
+@pytest.mark.parametrize("pump", [dict(n_pump=1.0),
+                                  dict(F_pump=1e-3, n_pump=None)])
+@pytest.mark.parametrize("hGamma_a", [1e-7, 0.0])
+def test_spectrum_columns_equal_scalar_steady_state(cfg, pump, hGamma_a):
+    # a grid of drive energies takes the array path of _stationary, one
+    # Python-float energy the scalar path through _where and _unwrap
+    mode, ip = _red_detuned_mode(), _ip()
+    e_a = antisymmetric_energy(cfg)
+    drive = _drive(hGamma_a=hGamma_a, **pump)
+    grid = np.linspace(e_a - ip.Delta_tilde, e_a + 4.0 * ip.Delta_tilde, 101)
+    offset, i_minus, i_plus = spectrum_columns(drive, mode, ip, cfg, grid)
+    assert np.all(np.isfinite(i_minus)) and np.all(np.isfinite(i_plus))
+    norm = abs(drive.F_probe_plus) ** 2
+    for i, e in enumerate(grid.tolist()):
+        ss = steady_state(replace(drive, E_drive=e), mode, ip, cfg)
+        assert type(ss.I_plus) is float and type(ss.N_pump) is float
+        assert offset[i] == e - e_a
+        assert i_minus[i] == pytest.approx(ss.I_minus / norm, rel=1e-14)
+        assert i_plus[i] == pytest.approx(ss.I_plus / norm, rel=1e-14)
 
 
 def test_spectrum_exact_pole_is_infinite_between_finite_neighbours(cfg):
