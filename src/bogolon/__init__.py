@@ -13,9 +13,7 @@ from .lattice import (MAGIC_ANGLE, ExcitonLevels, SuperLatticeConfig,
                       allowed_wavenumbers, antisymmetric_energy,
                       dipole_coupling, exciton_levels, fold_wavenumber,
                       intercell_couplings, symmetric_band)
-from .oracle import (BandReport, BlockingReport, PaulionBasis,
-                     SectorHamiltonian, build_basis, build_sector,
-                     diagonalize, jacobi_eigh, validate_band,
+from .oracle import (BandReport, BlockingReport, build_sector, validate_band,
                      validate_blocking)
 from .polariton import (HopfieldMode, find_resonance_k, hopfield,
                         verify_diagonalization)

@@ -1,13 +1,13 @@
 """Brute-force diagonalization of small two-atom-per-cell lattices.
 
 Number-conserving sectors of the hard-core excitation Hamiltonian are built
-over bitmask bases (one bit per two-level atom, so double occupation of an
-atom is excluded structurally) as array expressions of the 2N x 2N atom
-coupling matrix, and diagonalized with LAPACK (``np.linalg.eigh``; the
-cyclic Jacobi :func:`jacobi_eigh` is the tests' independent reference).
-This checks the analytic band formulas, the dark-level degeneracy, the
-a >> R single-hopping approximation and the energy separation of on-cell
-double excitations.
+as dense matrices from the 2N x 2N atom coupling matrix: one row per atom
+for one excitation, one per pair of distinct atoms for two, so double
+occupation of an atom is excluded structurally.  The reports diagonalize
+them with LAPACK (``np.linalg.eigh``; the tests compare it with a cyclic
+Jacobi solver of their own).  This checks the analytic band formulas, the
+dark-level degeneracy, the a >> R single-hopping approximation and the
+energy separation of on-cell double excitations.
 
 The N cells form a periodic ring, as the wavenumbers k = 2 pi p / (N a)
 assume: couplings use the minimum-image distances between the actual atom
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -32,52 +31,14 @@ from .lattice import (SuperLatticeConfig, allowed_wavenumbers,
 
 _MAX_DIM = 10_000            # a dense float64 sector of 800 MB
 COUPLING_MODES = ("nearest-neighbor-cells", "full-dipole-sum")
-#: Cap on jacobi_eigh's sweeps; a symmetric matrix converges in far fewer.
-_JACOBI_MAX_SWEEPS = 100
 
 #: Dark-level degeneracy window used by the band report, in units of |J|.
 DARK_WINDOW_OVER_J = 1e-3
 
 
-@dataclass(frozen=True)
-class PaulionBasis:
-    """Occupation bitmasks of :func:`build_basis`: n_exc of 2*n_cells bits set.
-
-    Atom (cell n, alpha) is bit 2n + alpha; states are sorted ascending so
-    the ordering is deterministic.
-    """
-
-    states: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-
-@dataclass(frozen=True)
-class SectorHamiltonian:
-    basis: PaulionBasis
-    matrix: np.ndarray
-
-
-def build_basis(n_cells: int, n_exc: int) -> PaulionBasis:
-    if n_cells < 1:
-        raise DomainError("need n_cells >= 1")
-    if n_exc not in (0, 1, 2):
-        raise DomainError("n_exc must be 0, 1 or 2")
-    n_atoms = 2 * n_cells
-    dim = comb(n_atoms, n_exc)
-    if dim > _MAX_DIM:
-        raise SectorSizeError(f"sector dimension {dim} exceeds {_MAX_DIM}: "
-                              f"{dim * dim * 8 / 1e6:.1f} MB as a dense matrix")
-    states = sorted(sum(1 << i for i in atoms)
-                    for atoms in combinations(range(n_atoms), n_exc))
-    return PaulionBasis(tuple(states))
-
-
 def _pair_row(x, y):
-    """Row of the two-excitation state {x, y}.  Ascending two-bit masks are
-    colex order: hi (hi - 1) / 2 + lo, the order of ``np.tril_indices``."""
+    """Row of the two-excitation state {x, y}: hi (hi - 1) / 2 + lo, the
+    order of ``np.tril_indices(2N, -1)``."""
     hi, lo = np.maximum(x, y), np.minimum(x, y)
     return hi * (hi - 1) // 2 + lo
 
@@ -103,80 +64,40 @@ def _atom_couplings(cfg: SuperLatticeConfig, n_cells: int,
 
 def build_sector(cfg: SuperLatticeConfig, n_cells: int, n_exc: int,
                  coupling_mode: str = "nearest-neighbor-cells",
-                 V_dyn: float = 0.0) -> SectorHamiltonian:
+                 V_dyn: float = 0.0) -> np.ndarray:
     """Dense Hamiltonian of the n_exc-excitation sector.
 
-    Diagonal entries are n_exc * E_A, plus 2*V_dyn for states with both
-    atoms of one cell excited; off-diagonal entries move one excitation
-    between two atoms with the dipole coupling of their distance.
+    Rows are the atoms (atom (cell n, alpha) is 2n + alpha) for one
+    excitation and the pairs hi > lo of ``np.tril_indices(2 * n_cells, -1)``
+    for two.  Diagonal entries are n_exc * E_A, plus 2*V_dyn for pairs on
+    both atoms of one cell; off-diagonal entries move one excitation between
+    two atoms with the dipole coupling of their distance.
     """
     if coupling_mode not in COUPLING_MODES:
         raise DomainError(f"unknown coupling mode {coupling_mode!r}")
-    basis = build_basis(n_cells, n_exc)
+    if n_cells < 1:
+        raise DomainError("need n_cells >= 1")
+    if n_exc not in (0, 1, 2):
+        raise DomainError("n_exc must be 0, 1 or 2")
     n_atoms = 2 * n_cells
-    coupling = _atom_couplings(cfg, n_cells, coupling_mode)
-
+    dim = comb(n_atoms, n_exc)
+    if dim > _MAX_DIM:
+        raise SectorSizeError(f"sector dimension {dim} exceeds {_MAX_DIM}: "
+                              f"{dim * dim * 8 / 1e6:.1f} MB as a dense matrix")
     if n_exc == 0:
-        h = np.zeros((1, 1))
-    elif n_exc == 1:
-        h = cfg.E_A * np.eye(n_atoms) + coupling
-    else:
-        hi, lo = np.tril_indices(n_atoms, -1)
-        h = np.diag(np.where(hi // 2 == lo // 2, 2 * cfg.E_A + 2.0 * V_dyn,
-                             2 * cfg.E_A))
-        atoms = np.arange(n_atoms)
-        for stay, move in ((hi, lo), (lo, hi)):     # move to every free atom k
-            row, k = np.nonzero((atoms != stay[:, None]) & (atoms != move[:, None]))
-            h[row, _pair_row(stay[row], k)] = coupling[move[row], k]
-    return SectorHamiltonian(basis=basis, matrix=h)
+        return np.zeros((1, 1))
+    coupling = _atom_couplings(cfg, n_cells, coupling_mode)
+    if n_exc == 1:
+        return cfg.E_A * np.eye(n_atoms) + coupling
 
-
-def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a real symmetric matrix by cyclic Jacobi.
-
-    Returns eigenvalues ascending and the matching orthonormal eigenvector
-    columns.  Pure Python, dim^2/2 rotations per sweep (about 0.5 s at
-    dim 66): the independent reference the tests compare LAPACK with.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("matrix must be square")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n > 1:
-        norm = np.linalg.norm(a)
-        for _ in range(_JACOBI_MAX_SWEEPS):
-            off = math.sqrt(2.0) * np.linalg.norm(np.triu(a, 1))
-            if off <= 1e-15 * max(norm, 1e-300):
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= 1e-18 * max(abs(a[p, p]), abs(a[q, q]), 1e-300):
-                        continue
-                    tau = 0.5 * (a[q, q] - a[p, p]) / apq
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                    c = 1.0 / math.hypot(t, 1.0)
-                    s = t * c
-                    row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                    a[p, :] = c * row_p - s * row_q
-                    a[q, :] = s * row_p + c * row_q
-                    col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                    a[:, p] = c * col_p - s * col_q
-                    a[:, q] = s * col_p + c * col_q
-                    a[p, q] = a[q, p] = 0.0
-                    v_p, v_q = v[:, p].copy(), v[:, q].copy()
-                    v[:, p] = c * v_p - s * v_q
-                    v[:, q] = s * v_p + c * v_q
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def diagonalize(h: SectorHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a sector, from LAPACK."""
-    return np.linalg.eigh(h.matrix)
+    hi, lo = np.tril_indices(n_atoms, -1)
+    h = np.diag(np.where(hi // 2 == lo // 2, 2 * cfg.E_A + 2.0 * V_dyn,
+                         2 * cfg.E_A))
+    atoms = np.arange(n_atoms)
+    for stay, move in ((hi, lo), (lo, hi)):     # move to every free atom k
+        row, k = np.nonzero((atoms != stay[:, None]) & (atoms != move[:, None]))
+        h[row, _pair_row(stay[row], k)] = coupling[move[row], k]
+    return h
 
 
 @dataclass(frozen=True)
@@ -218,8 +139,7 @@ def validate_band(cfg: SuperLatticeConfig, n_cells: int) -> BandReport:
     if n_cells % 2 == 0 or not 3 <= n_cells <= 7:
         raise DomainError("n_cells must be odd and within 3..7")
     small = replace(cfg, R=cfg.a / 100.0, N=n_cells)
-    sector = build_sector(small, n_cells, 1)
-    w, _ = diagonalize(sector)
+    w, _ = np.linalg.eigh(build_sector(small, n_cells, 1))
 
     lv = exciton_levels(small)
     e_a = antisymmetric_energy(small)
@@ -265,12 +185,9 @@ def validate_blocking(cfg: SuperLatticeConfig, n_cells: int,
     offset from the remaining (2 E_A) manifold with 2 V_dyn and flags a
     resonance when the cluster is incomplete or touches the manifold.
     """
-    sector = build_sector(cfg, n_cells, 2, V_dyn=V_dyn)
-    basis = sector.basis
-    no_double = all(bin(s).count("1") == 2 for s in basis.states)
-
+    h = build_sector(cfg, n_cells, 2, V_dyn=V_dyn)
     hi, lo = np.tril_indices(2 * n_cells, -1)       # rows, as in build_sector
-    w, vecs = diagonalize(sector)
+    w, vecs = np.linalg.eigh(h)
     weights = np.sum(vecs[hi // 2 == lo // 2, :] ** 2, axis=0)
     in_cluster = weights > 0.5
     cluster = w[in_cluster]
@@ -284,9 +201,9 @@ def validate_blocking(cfg: SuperLatticeConfig, n_cells: int,
                if cluster.size and manifold.size else 0.0)
     separated = (cluster.size == n_cells and min_gap > 4.0 * abs(j0))
     return BlockingReport(
-        n_cells=n_cells, dimension=basis.dim,
+        n_cells=n_cells, dimension=h.shape[0],
         expected_dimension=comb(2 * n_cells, 2),
-        no_double_occupation=no_double, V_dyn=V_dyn,
+        no_double_occupation=bool(np.all(hi != lo)), V_dyn=V_dyn,
         cluster_size=int(cluster.size), cluster_centroid=cluster_centroid,
         manifold_centroid=manifold_centroid, separation=separation,
         expected_separation=2.0 * V_dyn, min_gap=min_gap,

@@ -18,7 +18,6 @@ from bogolon import (allowed_wavenumbers, antisymmetric_energy,
                      validate_band, validate_blocking)
 from bogolon.cli import SweepSpec, build_run_config, cmd_dispersion, cmd_levels
 from bogolon.kinematic import InteractionParams
-from bogolon.oracle import build_basis
 from bogolon.pumpprobe import DriveConfig
 
 
@@ -232,10 +231,9 @@ def test_criterion_7_oracle_equivalence(SETUP):
         checks.append((
             f"dark count N={n_cells}", dark_count == n_cells,
             f"{dark_count} vs {n_cells}"))
-    basis = build_basis(7, 2)
-    checks.append(("2-exc dimension", basis.dim == math.comb(14, 2),
-                   f"{basis.dim} vs C(14,2)"))
     blocking = validate_blocking(SETUP.cfg, 7, V_dyn=1e-3)
+    checks.append(("2-exc dimension", blocking.dimension == math.comb(14, 2),
+                   f"{blocking.dimension} vs C(14,2)"))
     checks.append(("blocking separation",
                    _within(blocking.separation, 2e-3, 0.10),
                    f"{blocking.separation:.3e} vs 2e-3 (10%)"))
