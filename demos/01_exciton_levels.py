@@ -12,9 +12,9 @@ from dataclasses import replace
 import numpy as np
 
 from bogolon import (MAGIC_ANGLE, allowed_wavenumbers, exciton_levels,
-                     intercell_couplings, reference_lattice, symmetric_band)
+                     intercell_couplings, reference_setup, symmetric_band)
 
-cfg = reference_lattice()
+cfg = reference_setup().cfg
 lv = exciton_levels(cfg)
 
 print("reference lattice:")

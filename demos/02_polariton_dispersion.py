@@ -9,12 +9,12 @@ for the pump-probe scheme.
 import numpy as np
 
 from bogolon import (antisymmetric_energy, coupling_bright, coupling_dark,
-                     hopfield, photon_dispersion, reference_lattice,
-                     reference_waveguide, symmetric_band, verify_diagonalization)
+                     hopfield, photon_dispersion, reference_setup,
+                     symmetric_band, verify_diagonalization)
 from bogolon.polariton import find_resonance_k
 
-cfg = reference_lattice()
-wg = reference_waveguide(cfg)
+setup = reference_setup()
+cfg, wg = setup.cfg, setup.wg
 e_a = antisymmetric_energy(cfg)
 
 print(f"photon band bottom E_ph(0) = {photon_dispersion(0.0, wg):.6f} eV")

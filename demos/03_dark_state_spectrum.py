@@ -9,7 +9,8 @@ occupation), split by the pump-induced anomalous coupling.
 
 import numpy as np
 
-from bogolon import antisymmetric_energy, reference_setup, spectrum, steady_state
+from bogolon import (antisymmetric_energy, reference_setup, spectrum_columns,
+                     steady_state)
 
 setup = reference_setup()
 cfg, drive, mode, ip = setup.cfg, setup.drive, setup.mode, setup.ip
@@ -26,10 +27,8 @@ print(f"resonances at E - E_a = {ss.E_res_minus - e_a:.4e} "
       f"and {ss.E_res_plus - e_a:.4e} eV")
 
 grid = np.linspace(e_a, e_a + 4.0 * ip.Delta_tilde, 20001)
-points = spectrum(drive, mode, ip, cfg, grid)
-i_minus = np.array([p.I_minus_scaled for p in points])
-offsets = np.array([p.E_offset for p in points])
-peaks = [i for i in range(1, len(points) - 1)
+offsets, i_minus, _ = spectrum_columns(drive, mode, ip, cfg, grid)
+peaks = [i for i in range(1, len(grid) - 1)
          if i_minus[i] > i_minus[i - 1] and i_minus[i] > i_minus[i + 1]]
 
 print("\nscanned spectrum of the un-probed side (I_minus / I_probe):")
@@ -41,6 +40,6 @@ print(f"splitting = {offsets[peaks[-1]] - offsets[peaks[0]]:.4e} eV "
 print("both peaks sit at E > E_a: the pair excitation is blue-shifted")
 
 print("\ncoarse profile:")
-for i in range(0, len(points), 2000):
+for i in range(0, len(grid), 2000):
     bar = "#" * min(60, int(4.0 * np.log10(1.0 + i_minus[i])))
     print(f"  E - E_a = {offsets[i]:.3e}  {bar}")

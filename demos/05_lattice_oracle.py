@@ -12,10 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from bogolon import (build_sector, exciton_levels, reference_lattice,
+from bogolon import (build_sector, exciton_levels, reference_setup,
                      validate_band, validate_blocking)
 
-cfg = reference_lattice()
+cfg = reference_setup().cfg
 lv = exciton_levels(cfg)
 
 print("single-excitation check (R shrunk to a/100):")

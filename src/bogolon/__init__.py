@@ -17,12 +17,11 @@ from .oracle import (BandReport, BlockingReport, build_sector, validate_band,
                      validate_blocking)
 from .polariton import (HopfieldMode, find_resonance_k, hopfield,
                         verify_diagonalization)
-from .presets import (RunSetup, operating_point, reference_lattice,
-                      reference_setup, reference_waveguide, sustaining_drive)
+from .presets import (PAPER, RunSetup, operating_point, reference_setup,
+                      sustaining_drive)
 from .pumpprobe import (DriveConfig, PumpSolution, SpectrumPoint, SteadyState,
                         Trajectory, polariton_damping, pump_occupation,
-                        rate_scale, spectrum, spectrum_columns, steady_state,
-                        time_evolve)
+                        spectrum, spectrum_columns, steady_state, time_evolve)
 from .waveguide import (WaveguideConfig, coupling_bright, coupling_dark,
                         photon_dispersion)
 

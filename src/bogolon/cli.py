@@ -9,11 +9,11 @@ Subcommands
     oracle       exact-diagonalization band and blocking reports
 
 Configuration is JSON (angles in degrees, lengths in Angstrom, energies in
-eV); ``--preset paper`` loads the bundled reference parameter set, which an
-explicit ``--config`` overlays key by key.  Output is CSV with ``#``
-metadata lines carrying the fully resolved parameters; ``--plot-script``
-writes a companion gnuplot script.  Exit codes: 0 success, 2 configuration
-error, 3 numerical-domain error.
+eV); ``--preset paper`` loads the bundled reference parameter set
+(``presets.PAPER``, resolved), which an explicit ``--config`` overlays key
+by key.  Output is CSV with ``#`` metadata lines carrying the fully
+resolved parameters; ``--plot-script`` writes a companion gnuplot script.
+Exit codes: 0 success, 2 configuration error, 3 numerical-domain error.
 """
 
 from __future__ import annotations
@@ -35,14 +35,11 @@ from .lattice import (SuperLatticeConfig, antisymmetric_energy,
 from .oracle import validate_band, validate_blocking
 from .polariton import find_resonance_k, hopfield
 from .presets import operating_point, reference_setup, sustaining_drive
-from .pumpprobe import (DriveConfig, _step_count, rate_scale, spectrum_columns,
-                        steady_state, time_evolve)
+from .pumpprobe import DriveConfig, spectrum_columns, steady_state, time_evolve
 from .waveguide import WaveguideConfig, photon_dispersion, resonant_q0
 
 SWEEP_VARIABLES = ("theta", "k", "E_drive")
 _MAX_SWEEP = 10_000_000
-#: Most evolve samples (rows after t = 0) one command writes.
-_MAX_EVOLVE_SAMPLES = 1_000_000
 #: Grid points evaluated per block of column expressions; bounds the
 #: temporaries of a sweep at any count up to _MAX_SWEEP.
 _CHUNK = 65_536
@@ -75,7 +72,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class EvolveSpec:
-    """RK4 trace settings; None derives each from the drive (cmd_evolve)."""
+    """RK4 trace settings; None derives each from the drive (time_evolve)."""
 
     dt: Optional[float] = None
     t_end: Optional[float] = None
@@ -106,9 +103,12 @@ _TYPES = {"float": float, "int": int, "complex": complex}
 def _parse_value(type_name: str, value):
     """A JSON value as a config field's declared type (text: annotations are
     deferred): finite float or complex ([re, im] too), integral int, str,
-    or Optional of one."""
+    or Optional of one; never a boolean."""
     if type_name.startswith("Optional["):
         return None if value is None else _parse_value(type_name[9:-1], value)
+    if any(isinstance(x, bool) for x in (value if isinstance(value, list)
+                                         else [value])):
+        raise ValueError(f"must not be a boolean, got {value!r}")
     if type_name == "str":
         return str(value)
     if type_name == "complex" and isinstance(value, list) and len(value) == 2:
@@ -364,27 +364,15 @@ def cmd_evolve(run: RunConfig) -> Dataset:
     mode, ip = operating_point(cfg, run.waveguide, drive.k_pump)
 
     ss = steady_state(drive, mode, ip, cfg)
-    dt = (0.05 / max(rate_scale(drive, mode, ip, cfg), 1e-30)
-          if spec.dt is None else spec.dt)
-    gammas = [g for g in (drive.hGamma_a, drive.hGamma_ph, drive.hGamma_s)
-              if g > 0]
-    default_t_end = 25.0 / min(gammas) if gammas else dt * 10_000
-    t_end = default_t_end if spec.t_end is None else spec.t_end
-    steps = _step_count(t_end, dt)
-    sample_every = (max(1, steps // 2000) if spec.sample_every is None
-                    else spec.sample_every)
-    # values below 1 are left to time_evolve to reject
-    min_every = -(-steps // _MAX_EVOLVE_SAMPLES)
-    capped = 0 < sample_every < min_every
-    if capped:
-        sample_every = min_every
-
-    traj = time_evolve(drive, mode, ip, cfg, t_end, dt, sample_every)
+    traj = time_evolve(drive, mode, ip, cfg, spec.t_end, spec.dt,
+                       spec.sample_every)
     rows = np.column_stack([traj.times] + [
         np.abs(x) ** 2 for x in (traj.A, traj.B_plus, traj.B_minus)])
+    # a requested sampling differs from the one used only where capped
+    capped = spec.sample_every not in (None, traj.sample_every)
     meta = _common_meta(run) + [
-        ("evolve.dt", dt), ("evolve.t_end", t_end),
-        ("evolve.sample_every", sample_every), ("evolve.capped", capped),
+        ("evolve.dt", traj.dt), ("evolve.t_end", traj.t_end),
+        ("evolve.sample_every", traj.sample_every), ("evolve.capped", capped),
         ("steady.I_plus", ss.I_plus), ("steady.I_minus", ss.I_minus),
         ("steady.N_pump", ss.N_pump),
     ]

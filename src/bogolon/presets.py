@@ -1,11 +1,15 @@
 """Bundled reference parameter set.
 
-One consistent operating point used by the demos, the command-line presets
-and the acceptance checks: a 1.5 eV transition on a 1000 Angstrom lattice
-(in-cell spacing 100 Angstrom, dipole 2.5 e*Angstrom at 80 degrees, about
-1 cm long), a guide with eps = 2 resonant at the transition, and a pump
-at the wavenumber where the lower branch crosses the dark level with unit
-occupation.
+:data:`PAPER` holds the settings the paper gives, as the config sections a
+user would write: a 1.5 eV transition on a 1000 Angstrom lattice (in-cell
+spacing 100 Angstrom, dipole 2.5 e*Angstrom at 80 degrees, about 1 cm
+long), a guide with eps = 2, three dampings and unit pump occupation.
+:func:`reference_setup` resolves it with ``cli.build_run_config``, by the
+rules that derive any config's unset settings: the guide resonant at the
+transition, the drive on the dark level, and the pump at the wavenumber
+where the lower branch crosses it, with the amplitude that sustains the
+occupation.  The demos, the command-line preset and the acceptance checks
+all use that one operating point.
 """
 
 from __future__ import annotations
@@ -15,10 +19,19 @@ import math
 from dataclasses import dataclass, replace
 
 from .kinematic import InteractionParams, interaction_params
-from .lattice import SuperLatticeConfig, antisymmetric_energy
-from .polariton import HopfieldMode, find_resonance_k, hopfield
+from .lattice import SuperLatticeConfig
+from .polariton import HopfieldMode, hopfield
 from .pumpprobe import DriveConfig, pump_occupation
-from .waveguide import WaveguideConfig, resonant_q0
+from .waveguide import WaveguideConfig
+
+PAPER = {
+    # N is the odd cell count closest to a 1 cm lattice.
+    "lattice": {"E_A": 1.5, "a": 1000.0, "R": 100.0, "mu": 2.5,
+                "theta_deg": 80, "N": 100_001},
+    "waveguide": {"epsilon": 2.0, "u_b": 0.25, "S_bar": math.pi * 1000.0 ** 2},
+    "drive": {"hGamma_ph": 1e-10, "hGamma_s": 1e-8, "hGamma_a": 1e-12,
+              "n_pump": 1.0},
+}
 
 
 @dataclass(frozen=True)
@@ -30,18 +43,6 @@ class RunSetup:
     drive: DriveConfig
     mode: HopfieldMode
     ip: InteractionParams
-
-
-def reference_lattice() -> SuperLatticeConfig:
-    # N is the odd cell count closest to a 1 cm lattice.
-    return SuperLatticeConfig(E_A=1.5, a=1000.0, R=100.0, mu=2.5,
-                              theta=math.radians(80.0), N=100_001)
-
-
-def reference_waveguide(cfg: SuperLatticeConfig | None = None) -> WaveguideConfig:
-    cfg = cfg or reference_lattice()
-    return WaveguideConfig(epsilon=2.0, q0=resonant_q0(2.0, cfg.E_A), u_b=0.25,
-                           S_bar=math.pi * cfg.a ** 2)
 
 
 def operating_point(cfg: SuperLatticeConfig, wg: WaveguideConfig,
@@ -60,7 +61,7 @@ def sustaining_drive(drive: DriveConfig, cfg: SuperLatticeConfig,
 
 
 def reference_setup() -> RunSetup:
-    """Lattice + guide + pump-probe drive at the dark-level crossing.
+    """:data:`PAPER` resolved, with the pumped mode at the dark-level crossing.
 
     Resolved once per process and then shared: every field is a frozen
     dataclass of numbers.
@@ -70,13 +71,8 @@ def reference_setup() -> RunSetup:
 
 @functools.cache
 def _reference_setup() -> RunSetup:
-    cfg = reference_lattice()
-    wg = reference_waveguide(cfg)
-    e_a = antisymmetric_energy(cfg)
-    k_star = find_resonance_k(e_a, wg, cfg)
-    drive = sustaining_drive(DriveConfig(
-        E_drive=e_a, F_pump=0.0, F_probe_plus=1e-9, F_probe_minus=0.0,
-        hGamma_ph=1e-10, hGamma_s=1e-8, hGamma_a=1e-12,
-        k_pump=k_star, q=1e-6, n_pump=1.0), cfg, wg)
-    mode, ip = operating_point(cfg, wg, k_star)
-    return RunSetup(cfg=cfg, wg=wg, drive=drive, mode=mode, ip=ip)
+    from .cli import build_run_config   # cli imports this module
+    run = build_run_config(PAPER)
+    mode, ip = operating_point(run.lattice, run.waveguide, run.drive.k_pump)
+    return RunSetup(cfg=run.lattice, wg=run.waveguide, drive=run.drive,
+                    mode=mode, ip=ip)

@@ -28,7 +28,8 @@ The stationary formulas broadcast over drive energies and mode fields.
 x = (A, B+, conj(B-), 1) the equations are one affine generator M, and a
 step is x -> P(hM) x with P the RK4 polynomial.  That keeps RK4's
 truncation error; exp(Mt) would not, and would equal the closed forms by
-construction.
+construction.  Its step, end time and sampling default to rules on the
+rotating frame it solves, and the trajectory reports the values used.
 
 Without a prescribed N, the pump equation fixes it self-consistently:
 N = |A|^2 is a root of the driven-Kerr cubic
@@ -55,6 +56,8 @@ from .polariton import HopfieldMode
 
 _OCCUPATION_TOL = 1e-12
 _NEWTON_MAX_STEPS = 100
+#: Most samples after t = 0 that one :func:`time_evolve` call returns.
+_MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -130,12 +133,16 @@ class SpectrumPoint:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled rotating-frame trajectory of (A, B+, B-)."""
+    """Sampled rotating-frame trajectory of (A, B+, B-), with the step, end
+    time and sampling it was resolved with."""
 
     times: np.ndarray
     A: np.ndarray
     B_plus: np.ndarray
     B_minus: np.ndarray
+    dt: float
+    t_end: float
+    sample_every: int
 
 
 def polariton_damping(mode: HopfieldMode, drive: DriveConfig) -> float:
@@ -331,57 +338,53 @@ def spectrum(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
     return [SpectrumPoint(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
-def _step_count(t_end: float, dt: float) -> int:
-    """The RK4 steps of :func:`time_evolve`, ceil(t_end / dt); from 2**63
-    on, where its int64 sample times would wrap, ``StabilityError``."""
-    if dt <= 0 or t_end <= 0:
-        raise DomainError("t_end and dt must be positive")
-    if t_end / dt >= 2.0 ** 63:
-        raise StabilityError(
-            f"{t_end / dt:.3g} steps to t_end; the int64 sample times hold "
-            f"fewer than 2**63")
-    return max(1, math.ceil(t_end / dt))
-
-
-def _fastest_rate(drive: DriveConfig, pump, e_a_t, v, hg_pol) -> float:
-    return max(abs(e_a_t - drive.E_drive), abs(pump.E_pol_tilde - drive.E_drive),
-               v, drive.hGamma_a, hg_pol)
-
-
-def rate_scale(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
-               cfg: SuperLatticeConfig) -> float:
-    """Fastest rate of the rotating-frame equations (eV): the largest of the
-    detunings, V_mf and the dampings.  :func:`time_evolve` needs
-    dt < 0.1 / rate_scale."""
-    return _fastest_rate(drive, *_rotating_frame(drive, mode, ip, cfg,
-                                                 drive.E_drive))
-
-
 def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
-                cfg: SuperLatticeConfig, t_end: float, dt: float,
-                sample_every: int = 1) -> Trajectory:
+                cfg: SuperLatticeConfig, t_end: Optional[float] = None,
+                dt: Optional[float] = None,
+                sample_every: Optional[int] = None) -> Trajectory:
     """Integrate the rotating-frame amplitudes from rest with classical RK4.
 
     One step of h = t_end / ceil(t_end / dt) is x -> P(hM) x on
     x = (A, B+, conj(B-), 1), with M the affine generator and
     P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24; samples every ``sample_every``
     steps (and at the last) come from powers of P(hM).
-    Time is measured in hbar/eV.  The step must resolve the fastest scale,
-    dt < 0.1 / :func:`rate_scale`, and there must be fewer than 2**63
-    steps, else ``StabilityError``.
-    The final state approaches :func:`steady_state` once
-    t_end >> hbar/hGamma.
+    Time is measured in hbar/eV.  The step must resolve the fastest rate
+    of the frame (the largest of the detunings, V_mf and the dampings),
+    dt < 0.1 / rate, and there must be fewer than 2**63 steps, else
+    ``StabilityError``.
+
+    Unset settings follow the frame: dt = 0.05 / rate; t_end = 25 over the
+    slowest nonzero damping, where the final state sits on
+    :func:`steady_state`, or 10^4 dt undamped; ``sample_every`` gives
+    about 2000 samples.  A ``sample_every`` that would give more than
+    ``_MAX_SAMPLES`` samples after t = 0 is raised to the smallest that
+    does not.  The trajectory carries the resolved settings.
     """
-    n_steps = _step_count(t_end, dt)
+    e = drive.E_drive
+    pump, e_a_t, v, hg_pol = _rotating_frame(drive, mode, ip, cfg, e)
+    rate = max(abs(e_a_t - e), abs(pump.E_pol_tilde - e), v,
+               drive.hGamma_a, hg_pol)
+    if dt is None:
+        dt = 0.05 / max(rate, 1e-30)
+    if t_end is None:
+        gammas = [g for g in (drive.hGamma_a, drive.hGamma_ph, drive.hGamma_s)
+                  if g > 0]
+        t_end = 25.0 / min(gammas) if gammas else dt * 10_000
+    if dt <= 0 or t_end <= 0:
+        raise DomainError("t_end and dt must be positive")
+    if t_end / dt >= 2.0 ** 63:
+        raise StabilityError(
+            f"{t_end / dt:.3g} steps to t_end; the int64 sample times hold "
+            f"fewer than 2**63")
+    n_steps = max(1, math.ceil(t_end / dt))
+    if sample_every is None:
+        sample_every = max(1, n_steps // 2000)
     if sample_every < 1:
         raise DomainError("sample_every must be >= 1")
-    e = drive.E_drive
-    frame = _rotating_frame(drive, mode, ip, cfg, e)
-    pump, e_a_t, v, hg_pol = frame
-    scale = _fastest_rate(drive, *frame)
-    if scale > 0 and dt >= 0.1 / scale:
+    sample_every = max(sample_every, -(-n_steps // _MAX_SAMPLES))
+    if rate > 0 and dt >= 0.1 / rate:
         raise StabilityError(
-            f"dt = {dt} exceeds stability bound 0.1/{scale} = {0.1 / scale}")
+            f"dt = {dt} exceeds stability bound 0.1/{rate} = {0.1 / rate}")
 
     # x = (A, B+, conj(B-), 1).  V_mf is real, so (B+, conj(B-)) is a
     # closed pair: d conj(B-)/dt = i (conj(z_a) conj(B-) + V B+ + conj(F-)).
@@ -405,4 +408,5 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
     for i, n in enumerate(stretches):
         x[i + 1] = powers[n] @ x[i]
     return Trajectory(times=np.cumsum([0] + stretches) * h, A=x[:, 0],
-                      B_plus=x[:, 1], B_minus=x[:, 2].conj())
+                      B_plus=x[:, 1], B_minus=x[:, 2].conj(), dt=dt,
+                      t_end=t_end, sample_every=sample_every)

@@ -2,18 +2,17 @@ import math
 
 import pytest
 
-from bogolon import (SuperLatticeConfig, WaveguideConfig, reference_lattice,
-                     reference_setup, reference_waveguide)
+from bogolon import SuperLatticeConfig, WaveguideConfig, reference_setup
 
 
 @pytest.fixture(scope="session")
 def cfg() -> SuperLatticeConfig:
-    return reference_lattice()
+    return reference_setup().cfg
 
 
 @pytest.fixture(scope="session")
-def wg(cfg) -> WaveguideConfig:
-    return reference_waveguide(cfg)
+def wg() -> WaveguideConfig:
+    return reference_setup().wg
 
 
 @pytest.fixture(scope="session")

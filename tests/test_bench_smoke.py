@@ -2,31 +2,62 @@
 
 ``bench/`` calls the package the way a user would; a changed signature or
 a removed name there shows up here as a failed operation, before a
-benchmark run does.
+benchmark run does.  The traced pass also runs the span recorder, which
+wraps every public function by name.
 """
 
 import importlib
 import sys
 from pathlib import Path
+from time import perf_counter
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_every_workload_passes_its_own_check(tmp_path):
+def _bench_module(name):
     sys.path.insert(0, str(BENCH))
     try:
-        workloads = importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
-    failures = {}
+
+
+def _run_each(tmp_path, tracer=None):
+    """One pass per workload: its failed checks by operation, and the
+    per-layer metrics of the pass when ``tracer`` is installed."""
+    workloads, spans = _bench_module("workloads"), _bench_module("spans")
+    failures, metrics = {}, {}
     for name, workload_cls in workloads.WORKLOADS.items():
         workdir = tmp_path / name
         workdir.mkdir()
         workload = workload_cls(1, workdir)
-        harness = workloads.Harness()
+        harness = workloads.Harness(tracer)
+        start = perf_counter()
         workload.run_pass(harness)
+        if tracer is not None:
+            metrics[name] = spans.layer_metrics(
+                tracer.new_pass(), perf_counter() - start, 1.0)
         reasons = workload.check(harness.records)
         assert len(reasons) == len(harness.records) > 0, name
         failures.update({f"{name}/{op.label}#{i}": reason for i, (op, reason)
                          in enumerate(zip(harness.records, reasons)) if reason})
+    return failures, metrics
+
+
+def test_every_workload_passes_its_own_check(tmp_path):
+    failures, _ = _run_each(tmp_path)
     assert failures == {}
+
+
+def test_every_workload_passes_traced(tmp_path):
+    tracer = _bench_module("spans").Tracer()
+    tracer.install()
+    try:
+        failures, metrics = _run_each(tmp_path, tracer)
+    finally:
+        tracer.uninstall()
+    assert failures == {}
+    figures = metrics["figures"]
+    assert figures["presets.reference_setup.calls"] > 0
+    # --preset reuses the preset's own resonance wavenumber
+    assert figures["polariton.find_resonance_k.calls"] == 0

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bogolon import (antisymmetric_energy, cli, photon_dispersion,
-                     reference_setup, sustaining_drive)
+from bogolon import (antisymmetric_energy, cli, photon_dispersion, pumpprobe,
+                     reference_setup, sustaining_drive, time_evolve)
 from bogolon.cli import (Dataset, EvolveSpec, _fmt, _settings,
                          build_run_config, main)
 
@@ -261,7 +261,7 @@ def test_evolve_capped_without_explicit_budget(tmp_path, monkeypatch):
     # the cap raises sample_every, not t_end: sample_every 5000 asks for
     # 1.8e7 samples of the 9e10 preset steps; a cap of 1000 keeps the test
     # small, the rule is the same at the shipped 1e6
-    monkeypatch.setattr(cli, "_MAX_EVOLVE_SAMPLES", 1000)
+    monkeypatch.setattr(pumpprobe, "_MAX_SAMPLES", 1000)
     out = tmp_path / "ev.csv"
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"evolve": {"sample_every": 5000}}))
@@ -282,6 +282,17 @@ def test_evolve_capped_without_explicit_budget(tmp_path, monkeypatch):
     meta, _, rows = _read_csv(out)
     assert meta["evolve.capped"] == "False"
     assert int(meta["evolve.sample_every"]) == every
+
+
+def test_time_evolve_defaults_are_the_evolve_command_settings(tmp_path):
+    # the evolve command leaves dt, t_end and sample_every to time_evolve
+    out = tmp_path / "ev.csv"
+    assert main(["evolve", "--preset", "paper", "--out", str(out)]) == 0
+    meta, _, _ = _read_csv(out)
+    s = reference_setup()
+    traj = time_evolve(s.drive, s.mode, s.ip, s.cfg)
+    assert (repr(traj.dt), repr(traj.t_end), str(traj.sample_every)) == (
+        meta["evolve.dt"], meta["evolve.t_end"], meta["evolve.sample_every"])
 
 
 def test_evolve_explicit_budget_overflow_is_numerical_error(tmp_path):
@@ -353,6 +364,10 @@ def test_exit_code_config_errors(tmp_path):
             ("levels", {"output_path": "x.csv"}),
             ("oracle", {"oracle": {"n_cells": None}}),
             ("evolve", {"evolve": {"sample_every": [1]}}),
+            # JSON booleans are not numbers, also inside a [re, im] pair
+            ("levels", {"lattice": {"E_A": True}}),
+            ("levels", {"drive": {"F_pump": [True, False]}}),
+            ("oracle", {"oracle": {"n_cells": True}}),
             ("levels", {"sweep": sweep})]:
         invalid.write_text(json.dumps(settings))
         assert main([command, "--preset", "paper", "--config", str(invalid),

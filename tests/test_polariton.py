@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from bogolon import (WaveguideConfig, antisymmetric_energy, coupling_bright,
                      exciton_levels, find_resonance_k, hopfield,
-                     reference_lattice, reference_waveguide, symmetric_band,
-                     verify_diagonalization)
+                     reference_setup, symmetric_band, verify_diagonalization)
 from bogolon.errors import AmbiguousSolutionError, NoSolutionError
 from bogolon.waveguide import resonant_q0
 
@@ -163,8 +162,8 @@ def test_hopfield_array_matches_scalar_calls(wg, cfg):
 @given(k_over_zone=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
        theta=st.floats(0.0, math.pi / 2))
 def test_hopfield_array_normalized_and_orthogonal(k_over_zone, theta):
-    cfg = reference_lattice()
-    wg = reference_waveguide(cfg)
+    setup = reference_setup()
+    cfg, wg = setup.cfg, setup.wg
     ks = np.array(k_over_zone) * math.pi / cfg.a
     mode = hopfield(ks, wg, cfg, theta=theta)
     assert np.all(np.abs(mode.X_upper ** 2 + mode.Y_upper ** 2 - 1.0) < 1e-12)

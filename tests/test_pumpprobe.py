@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bogolon import (DriveConfig, antisymmetric_energy, interaction_params,
-                     polariton_damping, pump_occupation, spectrum,
+                     polariton_damping, pump_occupation, pumpprobe, spectrum,
                      spectrum_columns, steady_state, time_evolve)
 from bogolon.errors import (BistabilityError, DomainError, PoleError,
                             StabilityError)
@@ -472,6 +472,18 @@ def test_time_evolve_rejects_int64_step_counts(setup):
         with pytest.raises(StabilityError):
             time_evolve(s.drive, s.mode, s.ip, s.cfg, t_end=1e20, dt=1.0,
                         sample_every=sample_every)
+
+
+def test_time_evolve_caps_samples_on_a_direct_call(setup, monkeypatch):
+    # 1e5 steps at sample_every 1 ask for 1e5 samples; the cap of 1000
+    # raises sample_every to 100, and the last sample still ends on t_end
+    monkeypatch.setattr(pumpprobe, "_MAX_SAMPLES", 1000)
+    s = setup
+    traj = time_evolve(s.drive, s.mode, s.ip, s.cfg, t_end=1e5, dt=1.0,
+                       sample_every=1)
+    assert traj.sample_every == 100
+    assert len(traj.times) <= 1001
+    assert traj.times[-1] == traj.t_end == 1e5
 
 
 def _rk4_loop(drive, mode, ip, cfg, t_end, dt, sample_every):
