@@ -27,17 +27,17 @@ print(f"  dark level    E_a - E_A = {lv.E_a - cfg.E_A:+.4e} eV")
 
 print("\nsplitting vs dipole angle (magic angle "
       f"{math.degrees(MAGIC_ANGLE):.4f} deg):")
-for deg in (0, 30, 54.7356, 70, 80, 90):
-    c = replace(cfg, theta=math.radians(deg))
-    l = exciton_levels(c)
-    print(f"  theta = {deg:7.4f} deg   E_s - E_a = {l.E_s - l.E_a:+.4e} eV")
+degrees = (0, 30, 54.7356, 70, 80, 90)
+by_angle = exciton_levels(cfg, theta=np.radians(degrees))
+for deg, split in zip(degrees, by_angle.E_s - by_angle.E_a):
+    print(f"  theta = {deg:7.4f} deg   E_s - E_a = {split:+.4e} eV")
 
 print("\nbright band E_s(k) = E_A + J0 + 4J cos(ka) over the zone "
       "(5-cell lattice):")
 small = replace(cfg, N=5)
-for k in allowed_wavenumbers(small):
-    print(f"  k = {k:+.5e} 1/A   E_s(k) - E_A = "
-          f"{symmetric_band(float(k), small) - cfg.E_A:+.6e} eV")
+ks = allowed_wavenumbers(small)
+for k, e_s in zip(ks, symmetric_band(ks, small) - cfg.E_A):
+    print(f"  k = {k:+.5e} 1/A   E_s(k) - E_A = {e_s:+.6e} eV")
 
 j11, j12, j21 = intercell_couplings(cfg)
 print("\nthe single-hop band uses one inter-cell coupling; the actual three")

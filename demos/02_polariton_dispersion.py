@@ -29,9 +29,10 @@ print(f"excitonic fraction there |X|^2 = {mode_star.X_lower ** 2:.4f}")
 print(f"diagonalization residual = {verify_diagonalization(mode_star, wg, cfg):.2e} eV")
 
 print("\n   k (1/A)      E_+ - E_A    E_- - E_A    E_ph - E_A   E_s - E_A    |X_-|^2")
-for k in np.linspace(0.0, 4.0e-5, 9):
-    m = hopfield(float(k), wg, cfg)
-    print(f"  {k:10.3e}  {m.E_upper - cfg.E_A:+.4e}  {m.E_lower - cfg.E_A:+.4e}  "
-          f"{photon_dispersion(float(k), wg) - cfg.E_A:+.4e}  "
-          f"{symmetric_band(float(k), cfg) - cfg.E_A:+.4e}  {m.X_lower ** 2:7.4f}")
+ks = np.linspace(0.0, 4.0e-5, 9)
+m = hopfield(ks, wg, cfg)
+for row in zip(ks, m.E_upper - cfg.E_A, m.E_lower - cfg.E_A,
+               photon_dispersion(ks, wg) - cfg.E_A,
+               symmetric_band(ks, cfg) - cfg.E_A, m.X_lower ** 2):
+    print("  {:10.3e}  {:+.4e}  {:+.4e}  {:+.4e}  {:+.4e}  {:7.4f}".format(*row))
 print(f"\nflat dark level: E_a - E_A = {e_a - cfg.E_A:+.4e} eV at every k")

@@ -33,6 +33,8 @@ from .waveguide import WaveguideConfig, coupling_bright, photon_dispersion
 _SCAN_POINTS = 1000
 #: Energy tolerance of the resonance bisection (eV).
 _ENERGY_TOL = 1e-12
+#: Bisection levels evaluated per array call by the resonance finder.
+_BLOCK_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,9 @@ class HopfieldMode:
     D: float
 
 
-def hopfield(k, wg: WaveguideConfig, cfg: SuperLatticeConfig, *,
-             theta=None) -> HopfieldMode:
-    """Diagonalize the bright-exciton/photon pair at wavenumber k.  ``k`` and
-    ``theta`` (rad, default ``cfg.theta``) may be arrays; fields broadcast."""
+def _branch_energies(k, wg: WaveguideConfig, cfg: SuperLatticeConfig,
+                     theta=None):
+    """(mean, delta, D, f) of H(k): the branches are E_pm = mean +- D."""
     e_ph = photon_dispersion(k, wg)
     e_s = symmetric_band(k, cfg, theta=theta)
     f = coupling_bright(k, wg, cfg)
@@ -62,7 +63,14 @@ def hopfield(k, wg: WaveguideConfig, cfg: SuperLatticeConfig, *,
     if _any(d == 0.0):
         raise DegenerateModeError(
             "coupling and detuning both vanish; mixing amplitudes undefined")
-    mean = (e_ph + e_s) / 2.0
+    return (e_ph + e_s) / 2.0, delta, d, f
+
+
+def hopfield(k, wg: WaveguideConfig, cfg: SuperLatticeConfig, *,
+             theta=None) -> HopfieldMode:
+    """Diagonalize the bright-exciton/photon pair at wavenumber k.  ``k`` and
+    ``theta`` (rad, default ``cfg.theta``) may be arrays; fields broadcast."""
+    mean, delta, d, f = _branch_energies(k, wg, cfg, theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Cancellation-free small differences: D -+ delta = f^2 / (D +- delta).
         d_minus = _where(delta > 0.0, f ** 2 / (d + delta), d - delta)
@@ -98,38 +106,50 @@ def find_resonance_k(target: float, wg: WaveguideConfig,
     """Wavenumber k >= 0 where the lower-branch energy equals ``target``.
 
     Scans [0, pi/a] on a coarse grid for sign changes of E(k) - target,
-    then bisects the bracket down to |E(k) - target| < 1e-12 eV.  Raises
-    ``NoSolutionError`` if the target is outside the branch range and
-    ``AmbiguousSolutionError`` (listing all roots) if the scan brackets
-    more than one crossing.
+    then bisects each bracket to |E(k) - target| < 1e-12 eV or 200 halvings.
+    One array call of E_lower gives the next ``_BLOCK_DEPTH`` levels of
+    midpoints, each 0.5 * (lo + hi) of its parent bracket, so k is bitwise
+    that of a one-point-per-call loop.  Raises ``NoSolutionError`` if the
+    target is outside the branch range and ``AmbiguousSolutionError``
+    (listing all roots) if the scan brackets more than one crossing.
     """
-    k_max = math.pi / cfg.a
-    ks = np.linspace(0.0, k_max, _SCAN_POINTS + 1)
-    vals = hopfield(ks, wg, cfg).E_lower - target
+    def offset(k):
+        mean, _, d, _ = _branch_energies(k, wg, cfg)
+        return mean - d - target
+
+    ks = np.linspace(0.0, math.pi / cfg.a, _SCAN_POINTS + 1)
+    vals = offset(ks)
 
     hits = [float(ks[i]) for i in np.flatnonzero(vals == 0.0)]
-    brackets = [(float(ks[i]), float(ks[i + 1]))
-                for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
+    brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
 
-    if not hits and not brackets:
+    if not hits and brackets.size == 0:
         lo, hi = float(vals.min() + target), float(vals.max() + target)
         raise NoSolutionError(
             f"target {target} eV outside lower-branch range [{lo}, {hi}] eV")
 
     roots = list(hits)
-    for a_k, b_k in brackets:
-        fa = hopfield(a_k, wg, cfg).E_lower - target
-        lo, hi = a_k, b_k
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = hopfield(mid, wg, cfg).E_lower - target
-            if abs(fm) < _ENERGY_TOL:
-                lo = hi = mid
-                break
-            if fa * fm <= 0.0:
-                hi = mid
-            else:
-                lo, fa = mid, fm
+    for i in brackets:
+        lo, hi, f_lo, halvings = float(ks[i]), float(ks[i + 1]), vals[i], 0
+        while halvings < 200 and lo != hi:   # lo = hi: tolerance met
+            # lo, hi and the midpoints of the next levels between them.
+            grid = np.array([lo, hi])
+            for _ in range(_BLOCK_DEPTH):
+                fine = np.empty(2 * grid.size - 1)
+                fine[::2], fine[1::2] = grid, 0.5 * (grid[:-1] + grid[1:])
+                grid = fine
+            f_grid = offset(grid[1:-1])
+            a, b = 0, 2 ** _BLOCK_DEPTH
+            while b - a > 1 and halvings < 200:
+                m, halvings = (a + b) // 2, halvings + 1
+                fm = f_grid[m - 1]
+                if abs(fm) < _ENERGY_TOL:
+                    a = b = m
+                elif f_lo * fm <= 0.0:
+                    b = m
+                else:
+                    a, f_lo = m, fm
+            lo, hi = float(grid[a]), float(grid[b])
         roots.append(0.5 * (lo + hi))
 
     roots = sorted(set(roots))

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bogolon import (WaveguideConfig, antisymmetric_energy, coupling_bright,
-                     exciton_levels, find_resonance_k, hopfield,
-                     reference_setup, symmetric_band, verify_diagonalization)
-from bogolon.errors import AmbiguousSolutionError, NoSolutionError
+from bogolon import (SuperLatticeConfig, WaveguideConfig, antisymmetric_energy,
+                     coupling_bright, exciton_levels, find_resonance_k,
+                     hopfield, reference_setup, symmetric_band,
+                     verify_diagonalization)
+from bogolon.errors import (AmbiguousSolutionError, ModelError,
+                            NoSolutionError)
+from bogolon.polariton import _branch_energies
 from bogolon.waveguide import resonant_q0
 
 K_STAR_REFERENCE = 1.4e-5       # quoted operating wavenumber
@@ -158,15 +161,114 @@ def test_hopfield_array_matches_scalar_calls(wg, cfg):
         assert by_angle.X_lower[i] == pytest.approx(one.X_lower, rel=1e-14)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(k_over_zone=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
-       theta=st.floats(0.0, math.pi / 2))
-def test_hopfield_array_normalized_and_orthogonal(k_over_zone, theta):
+       theta=st.floats(0.0, math.pi / 2), E_A=st.floats(0.5, 3.0),
+       a=st.floats(100.0, 5000.0), r_over_a=st.floats(0.01, 0.99),
+       mu=st.floats(0.1, 10.0), epsilon=st.floats(1.0, 12.0),
+       u_b=st.floats(0.01, 1.0), detune=st.floats(0.5, 2.0))
+def test_hopfield_array_normalized_and_orthogonal(k_over_zone, theta, E_A, a,
+                                                  r_over_a, mu, epsilon, u_b,
+                                                  detune):
+    cfg = SuperLatticeConfig(E_A=E_A, a=a, R=r_over_a * a, mu=mu, theta=0.0,
+                             N=101)
+    wg = WaveguideConfig(epsilon=epsilon, q0=detune * resonant_q0(epsilon, E_A),
+                         u_b=u_b, S_bar=math.pi * a ** 2)
+    ks = np.array(k_over_zone) * math.pi / a
+    for k in (ks, float(ks[0])):
+        mode = hopfield(k, wg, cfg, theta=theta)
+        assert np.all(np.abs(mode.X_upper ** 2 + mode.Y_upper ** 2 - 1.0) < 1e-12)
+        assert np.all(np.abs(mode.X_lower ** 2 + mode.Y_lower ** 2 - 1.0) < 1e-12)
+        assert np.all(np.abs(mode.X_upper * mode.X_lower
+                             + mode.Y_upper * mode.Y_lower) < 1e-12)
+        mean, _, d, _ = _branch_energies(k, wg, cfg, theta)
+        assert np.array_equal(mode.E_lower, mean - d)
+
+
+def _bisect_loop(target, wg, cfg):
+    """The one-midpoint-per-call bisection that find_resonance_k replaced,
+    kept verbatim as its reference (module constants written out)."""
+    k_max = math.pi / cfg.a
+    ks = np.linspace(0.0, k_max, 1000 + 1)
+    vals = hopfield(ks, wg, cfg).E_lower - target
+
+    hits = [float(ks[i]) for i in np.flatnonzero(vals == 0.0)]
+    brackets = [(float(ks[i]), float(ks[i + 1]))
+                for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
+
+    if not hits and not brackets:
+        lo, hi = float(vals.min() + target), float(vals.max() + target)
+        raise NoSolutionError(
+            f"target {target} eV outside lower-branch range [{lo}, {hi}] eV")
+
+    roots = list(hits)
+    for a_k, b_k in brackets:
+        fa = hopfield(a_k, wg, cfg).E_lower - target
+        lo, hi = a_k, b_k
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fm = hopfield(mid, wg, cfg).E_lower - target
+            if abs(fm) < 1e-12:
+                lo = hi = mid
+                break
+            if fa * fm <= 0.0:
+                hi = mid
+            else:
+                lo, fa = mid, fm
+        roots.append(0.5 * (lo + hi))
+
+    roots = sorted(set(roots))
+    if len(roots) > 1:
+        raise AmbiguousSolutionError(
+            f"{len(roots)} wavenumbers reach {target} eV on the lower branch",
+            candidates=roots)
+    return roots[0]
+
+
+def _outcome(solver, target, wg, cfg):
+    try:
+        return solver(target, wg, cfg)
+    except ModelError as err:
+        return type(err), getattr(err, "candidates", None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2),
+       r_over_a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       kind=st.sampled_from(["dark", "inside", "below_max"]),
+       u=st.floats(0.0, 1.0))
+def test_find_resonance_k_equals_bisect_loop(theta, r_over_a, kind, u):
     setup = reference_setup()
-    cfg, wg = setup.cfg, setup.wg
-    ks = np.array(k_over_zone) * math.pi / cfg.a
-    mode = hopfield(ks, wg, cfg, theta=theta)
-    assert np.all(np.abs(mode.X_upper ** 2 + mode.Y_upper ** 2 - 1.0) < 1e-12)
-    assert np.all(np.abs(mode.X_lower ** 2 + mode.Y_lower ** 2 - 1.0) < 1e-12)
-    assert np.all(np.abs(mode.X_upper * mode.X_lower
-                         + mode.Y_upper * mode.Y_lower) < 1e-12)
+    cfg = replace(setup.cfg, theta=theta, R=r_over_a * setup.cfg.a)
+    wg = setup.wg
+    # Below R/a ~ 1e-50, J0 or its square overflows, and the reference loop
+    # also overflows in the mixing amplitudes it computes but never uses:
+    # silence the overflow and compare what both return or raise.
+    with np.errstate(all="ignore"):
+        e = hopfield(np.linspace(0.0, math.pi / cfg.a, 2001), wg, cfg).E_lower
+        span = e.max() - e.min()
+        target = float(antisymmetric_energy(cfg) if kind == "dark"
+                       else e.min() + u * span if kind == "inside"
+                       else e.max() - 1e-3 * u * span)
+        new = _outcome(find_resonance_k, target, wg, cfg)
+        ref = _outcome(_bisect_loop, target, wg, cfg)
+    assert new == ref
+    assert type(new) is type(ref)
+
+
+@pytest.mark.parametrize("halvings", [6, 7])
+def test_find_resonance_k_stops_on_both_sides_of_a_block_edge(wg, cfg,
+                                                              halvings):
+    # Target the energy at a seeded midpoint `halvings` levels down the
+    # bisection tree of the dark-level bracket: the loop stops exactly there.
+    ks = np.linspace(0.0, math.pi / cfg.a, 1001)
+    vals = hopfield(ks, wg, cfg).E_lower - antisymmetric_energy(cfg)
+    i = int(np.flatnonzero(vals[:-1] * vals[1:] < 0.0)[0])
+    lo, hi = float(ks[i]), float(ks[i + 1])
+    for right in np.random.default_rng(halvings).integers(0, 2, halvings - 1):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if right else (lo, mid)
+    mid = 0.5 * (lo + hi)
+    target = hopfield(mid, wg, cfg).E_lower
+    assert _bisect_loop(target, wg, cfg) == mid
+    assert find_resonance_k(target, wg, cfg) == mid
