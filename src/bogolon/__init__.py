@@ -11,14 +11,13 @@ from .kinematic import (ExclusionReport, InteractionParams, VertexSet,
                         interaction_params, vertex_set)
 from .lattice import (MAGIC_ANGLE, ExcitonLevels, SuperLatticeConfig,
                       allowed_wavenumbers, antisymmetric_energy,
-                      dipole_coupling, exciton_levels, fold_wavenumber,
-                      intercell_couplings, symmetric_band)
+                      dipole_coupling, exciton_levels, intercell_couplings,
+                      symmetric_band)
 from .oracle import (BandReport, BlockingReport, build_sector, validate_band,
                      validate_blocking)
 from .polariton import (HopfieldMode, find_resonance_k, hopfield,
                         verify_diagonalization)
-from .presets import (PAPER, RunSetup, operating_point, reference_setup,
-                      sustaining_drive)
+from .presets import PAPER, RunSetup, operating_point, reference_setup
 from .pumpprobe import (DriveConfig, PumpSolution, SpectrumPoint, SteadyState,
                         Trajectory, polariton_damping, pump_occupation,
                         spectrum, spectrum_columns, steady_state, time_evolve)

@@ -9,10 +9,11 @@ Subcommands
     oracle       exact-diagonalization band and blocking reports
 
 Configuration is JSON (angles in degrees, lengths in Angstrom, energies in
-eV); ``--preset paper`` loads the bundled reference parameter set
-(``presets.PAPER``, resolved), which an explicit ``--config`` overlays key
-by key.  Output is CSV with ``#`` metadata lines carrying the fully
-resolved parameters; ``--plot-script`` writes a companion gnuplot script.
+eV); ``--preset paper`` starts from the bundled reference parameter set
+``presets.PAPER``, which an explicit ``--config`` overlays key by key before
+the derived settings are resolved.  Output is CSV with ``#`` metadata lines
+carrying the fully resolved parameters; ``--plot-script`` writes a
+companion gnuplot script.
 Exit codes: 0 success, 2 configuration error, 3 numerical-domain error.
 """
 
@@ -23,7 +24,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -34,8 +35,9 @@ from .lattice import (SuperLatticeConfig, antisymmetric_energy,
                       exciton_levels, symmetric_band)
 from .oracle import validate_band, validate_blocking
 from .polariton import find_resonance_k, hopfield
-from .presets import operating_point, reference_setup, sustaining_drive
-from .pumpprobe import DriveConfig, spectrum_columns, steady_state, time_evolve
+from .presets import PAPER, operating_point, reference_setup
+from .pumpprobe import (DriveConfig, pump_occupation, spectrum_columns,
+                        steady_state, time_evolve)
 from .waveguide import WaveguideConfig, photon_dispersion, resonant_q0
 
 SWEEP_VARIABLES = ("theta", "k", "E_drive")
@@ -165,42 +167,39 @@ def _section(data: dict, name: str) -> dict:
 
 
 def build_run_config(data: dict, preset: bool = False) -> RunConfig:
-    """Resolve a configuration dictionary, optionally on top of the preset,
-    which each given section overlays key by key.
+    """Resolve a configuration dictionary, optionally on top of
+    :data:`presets.PAPER`, which each given section overlays key by key.
 
-    With or without the preset, each derived setting the config does not
-    give follows the resolved lattice and guide: q0 puts the photon band
-    bottom on E_A, E_drive is the dark level and k_pump the wavenumber where
-    the lower branch crosses it, and F_pump sustains a set n_pump.
+    With or without the preset, each derived setting the merged sections
+    leave absent or null follows the resolved lattice and guide: q0 puts
+    the photon band bottom on E_A, E_drive is the dark level and k_pump the
+    wavenumber where the lower branch crosses it; an absent F_pump sustains
+    a set n_pump.
     """
     unknown = data.keys() - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    base = reference_setup() if preset else None
+    lat, wgd, drv = ({**(PAPER[name] if preset else {}), **_section(data, name)}
+                     for name in ("lattice", "waveguide", "drive"))
 
-    cfg = _parse_section(SuperLatticeConfig, "lattice",
-                         {**(_settings(base.cfg) if base else {}),
-                          **_section(data, "lattice")})
-
-    wg_in = _section(data, "waveguide")
-    wgd = {**(_settings(base.wg) if base else {}), **wg_in}
-    if wg_in.get("q0") is None and "epsilon" in wgd:
+    cfg = _parse_section(SuperLatticeConfig, "lattice", lat)
+    if wgd.get("q0") is None and "epsilon" in wgd:
         wgd["q0"] = _checked("waveguide.epsilon", lambda: resonant_q0(
             _parse_value("float", wgd["epsilon"]), cfg.E_A))
     wg = _parse_section(WaveguideConfig, "waveguide", wgd)
 
-    drv_in = _section(data, "drive")
-    drv = {**(_settings(base.drive) if base else {}), **drv_in}
     e_a = antisymmetric_energy(cfg)
-    if drv_in.get("E_drive") is None:
+    if drv.get("E_drive") is None:
         drv["E_drive"] = e_a
-    if drv_in.get("k_pump") is None:
+    if drv.get("k_pump") is None:
         # the preset solved this crossing already for its own lattice and guide
+        base = reference_setup() if preset else None
         own = base and (cfg, wg) == (base.cfg, base.wg)
         drv["k_pump"] = base.drive.k_pump if own else find_resonance_k(e_a, wg, cfg)
     drive = _parse_section(DriveConfig, "drive", drv)
-    if drive.n_pump is not None and "F_pump" not in drv_in:
-        drive = sustaining_drive(drive, cfg, wg)
+    if drive.n_pump is not None and "F_pump" not in drv:
+        pump = pump_occupation(drive, *operating_point(cfg, wg, drive.k_pump))
+        drive = replace(drive, F_pump=pump.f_pump_magnitude)
 
     return RunConfig(
         lattice=cfg, waveguide=wg, drive=drive,

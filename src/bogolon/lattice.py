@@ -140,11 +140,8 @@ def intercell_couplings(cfg: SuperLatticeConfig) -> tuple[float, float, float]:
 
 
 def symmetric_band(k, cfg: SuperLatticeConfig, *, theta=None):
-    """Bright-exciton band E_A + J0 + 4 J cos(k a) at wavenumber k.
-
-    k must lie in the first Brillouin zone |k| <= pi/a; callers fold first
-    (see :func:`fold_wavenumber`).
-    """
+    """Bright-exciton band E_A + J0 + 4 J cos(k a) at wavenumber k, which
+    must lie in the first Brillouin zone |k| <= pi/a."""
     if _any(abs(k) > math.pi / cfg.a * (1.0 + 1e-12)):
         raise DomainError(f"k = {np.max(np.abs(k))} outside the first Brillouin zone")
     lv = exciton_levels(cfg, theta=theta)
@@ -160,9 +157,3 @@ def allowed_wavenumbers(cfg: SuperLatticeConfig) -> np.ndarray:
     """The N wavenumbers 2 pi p / (N a), p = 0, +-1, ..., +-M, ascending."""
     p = np.arange(-cfg.M, cfg.M + 1)
     return 2.0 * math.pi * p / (cfg.N * cfg.a)
-
-
-def fold_wavenumber(k: float, cfg: SuperLatticeConfig) -> float:
-    """Fold k into the first Brillouin zone (-pi/a, pi/a]."""
-    g = 2.0 * math.pi / cfg.a
-    return k - g * math.ceil((k * cfg.a / math.pi - 1.0) / 2.0)

@@ -4,24 +4,25 @@
 user would write: a 1.5 eV transition on a 1000 Angstrom lattice (in-cell
 spacing 100 Angstrom, dipole 2.5 e*Angstrom at 80 degrees, about 1 cm
 long), a guide with eps = 2, three dampings and unit pump occupation.
-:func:`reference_setup` resolves it with ``cli.build_run_config``, by the
-rules that derive any config's unset settings: the guide resonant at the
-transition, the drive on the dark level, and the pump at the wavenumber
-where the lower branch crosses it, with the amplitude that sustains the
-occupation.  The demos, the command-line preset and the acceptance checks
-all use that one operating point.
+``--preset paper`` overlays a config on these sections key by key, and
+``cli.build_run_config`` then derives the settings they leave unset, by the
+rules of any config: the guide resonant at the transition, the drive on the
+dark level, and the pump at the wavenumber where the lower branch crosses
+it, with the amplitude that sustains the occupation.
+:func:`reference_setup` is :data:`PAPER` so resolved; the demos and the
+acceptance checks use that one operating point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .kinematic import InteractionParams, interaction_params
 from .lattice import SuperLatticeConfig
 from .polariton import HopfieldMode, hopfield
-from .pumpprobe import DriveConfig, pump_occupation
+from .pumpprobe import DriveConfig
 from .waveguide import WaveguideConfig
 
 PAPER = {
@@ -50,14 +51,6 @@ def operating_point(cfg: SuperLatticeConfig, wg: WaveguideConfig,
     """The pumped lower-branch mode at k_pump and its contact constants."""
     mode = hopfield(k_pump, wg, cfg)
     return mode, interaction_params(wg, cfg, mode.X_lower ** 2)
-
-
-def sustaining_drive(drive: DriveConfig, cfg: SuperLatticeConfig,
-                     wg: WaveguideConfig) -> DriveConfig:
-    """``drive``, whose ``n_pump`` is set, with the pump amplitude that
-    sustains that occupation at its operating point."""
-    pump = pump_occupation(drive, *operating_point(cfg, wg, drive.k_pump))
-    return replace(drive, F_pump=pump.f_pump_magnitude)
 
 
 def reference_setup() -> RunSetup:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bogolon import (antisymmetric_energy, bogolon_steady_state, coefficients,
                      reconstruct_dark_amplitudes, steady_state)
@@ -49,18 +51,18 @@ def test_sign_regime_rejected():
         coefficients(E_a_tilde=1.5, V_mf=-1e-5, E_drive=1.4)
 
 
-def test_hyperbolic_identity_random_triples():
-    rng = np.random.default_rng(33)
-    for _ in range(1000):
-        v = float(rng.uniform(1e-8, 1e-3))
-        gap = v * float(rng.uniform(1.0 + 1e-6, 50.0))
-        e = float(rng.uniform(0.5, 3.0))
-        co = coefficients(E_a_tilde=e + gap, V_mf=v, E_drive=e)
-        assert abs(co.u ** 2 - co.v ** 2 - 1.0) < 1e-12
-        # the rotation choice that cancels the pair-creation terms
-        lhs = 0.5 * co.V_mf * (co.u ** 2 + co.v ** 2)
-        rhs = gap * co.u * co.v
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+@settings(max_examples=1000, deadline=None)
+@given(v=st.floats(1e-8, 1e-3), ratio=st.floats(1.0 + 1e-6, 50.0),
+       e=st.floats(0.5, 3.0))
+def test_hyperbolic_identity_random_triples(v, ratio, e):
+    e_a_tilde = e + v * ratio
+    gap = e_a_tilde - e     # exact (Sterbenz): the detuning coefficients sees
+    co = coefficients(E_a_tilde=e_a_tilde, V_mf=v, E_drive=e)
+    assert abs(co.u ** 2 - co.v ** 2 - 1.0) < 1e-12
+    # the rotation choice that cancels the pair-creation terms
+    lhs = 0.5 * co.V_mf * (co.u ** 2 + co.v ** 2)
+    rhs = gap * co.u * co.v
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_pair_modes_without_probe():

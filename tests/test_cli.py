@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bogolon import (antisymmetric_energy, cli, photon_dispersion, pumpprobe,
-                     reference_setup, sustaining_drive, time_evolve)
+from bogolon import (PAPER, antisymmetric_energy, cli, photon_dispersion,
+                     pump_occupation, pumpprobe, reference_setup, time_evolve)
 from bogolon.cli import (Dataset, EvolveSpec, _fmt, _settings,
                          build_run_config, main)
+from bogolon.errors import ModelError
 
 
 def _read_csv(path):
@@ -250,8 +251,8 @@ def test_pump_amplitude_sustains_n_pump_without_preset(tmp_path):
         "drive": {"n_pump": 1.0, **damping}}))
     assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
     meta, _, rows = _read_csv(out)
-    sustaining = sustaining_drive(replace(setup.drive, F_pump=0.0),
-                                  setup.cfg, setup.wg).F_pump
+    sustaining = pump_occupation(replace(setup.drive, F_pump=0.0),
+                                 setup.mode, setup.ip).f_pump_magnitude
     assert sustaining == 5.049320551224296e-05
     assert float(meta["drive.F_pump"]) == sustaining
     assert abs(rows[-1, 1] - float(meta["steady.N_pump"])) <= 1e-9
@@ -438,6 +439,39 @@ def test_reader_inverts_settings():
     # null in evolve takes the default
     assert build_run_config({"evolve": {"dt": None}}, preset=True).evolve \
         == EvolveSpec()
+
+
+def _resolved(data, preset=False):
+    """The (lattice, waveguide, drive) ``data`` resolves to, or the type and
+    message of the numerical-domain error it raises."""
+    try:
+        run = build_run_config(data, preset=preset)
+    except ModelError as err:
+        return type(err), str(err)
+    return run.lattice, run.waveguide, run.drive
+
+
+@st.composite
+def _overlays(draw):
+    """A config overlay on PAPER: each of theta_deg, R, epsilon and n_pump
+    (null too) given or absent, and F_pump and k_pump given or absent."""
+    def section(**keys):
+        return draw(st.fixed_dictionaries({}, optional=keys))
+    return {"lattice": section(theta_deg=st.floats(60.0, 85.0),
+                               R=st.floats(80.0, 150.0)),
+            "waveguide": section(epsilon=st.floats(1.5, 3.0)),
+            "drive": section(n_pump=st.none() | st.floats(0.0, 2.0),
+                             F_pump=st.floats(0.0, 1e-4),
+                             k_pump=st.floats(1e-5, 3e-5))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(overlay=_overlays())
+def test_preset_is_paper_overlaid_key_by_key(overlay):
+    # --preset resolves PAPER merged with the overlay, section by section,
+    # exactly as that merged config resolves without --preset
+    merged = {name: {**PAPER[name], **overlay[name]} for name in PAPER}
+    assert _resolved(overlay, preset=True) == _resolved(merged)
 
 
 @pytest.mark.parametrize("override", [{"waveguide": {"epsilon": 3.0}},

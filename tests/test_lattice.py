@@ -6,7 +6,7 @@ import pytest
 
 from bogolon import (MAGIC_ANGLE, SuperLatticeConfig, allowed_wavenumbers,
                      antisymmetric_energy, dipole_coupling, exciton_levels,
-                     fold_wavenumber, intercell_couplings, symmetric_band)
+                     intercell_couplings, symmetric_band)
 from bogolon.errors import DomainError
 
 # Frozen reference couplings: direct evaluation of
@@ -152,16 +152,6 @@ def test_allowed_wavenumbers_structure():
 
 def test_allowed_wavenumbers_count(cfg):
     assert len(allowed_wavenumbers(cfg)) == cfg.N
-
-
-def test_fold_wavenumber_convention(cfg):
-    edge = math.pi / cfg.a
-    assert fold_wavenumber(edge, cfg) == pytest.approx(edge, rel=1e-15)
-    assert fold_wavenumber(-edge, cfg) == pytest.approx(edge, rel=1e-15)
-    for k in (0.0, 1e-4, -3e-4):
-        assert fold_wavenumber(k + 2 * edge, cfg) == pytest.approx(
-            fold_wavenumber(k, cfg), abs=1e-15)
-        assert abs(fold_wavenumber(k, cfg) - k) < 1e-18
 
 
 def test_config_invariants():

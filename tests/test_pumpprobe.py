@@ -375,20 +375,44 @@ def test_time_evolve_monotone_when_overdamped(cfg):
     assert occupations[-1] > 0.0
 
 
-def test_spectrum_probe_quadratic_scaling(cfg):
-    mode, ip = _mode(), _ip()
-    base = _drive(F_probe_plus=1e-9, n_pump=1.0)
-    doubled = _drive(F_probe_plus=2e-9, n_pump=1.0)
-    ss1 = steady_state(base, mode, ip, cfg)
-    ss2 = steady_state(doubled, mode, ip, cfg)
-    assert ss2.I_plus == pytest.approx(4.0 * ss1.I_plus, rel=1e-12)
-    assert ss2.I_minus == pytest.approx(4.0 * ss1.I_minus, rel=1e-12)
+def _complex(limit):
+    return st.builds(complex, _zero_or_normal(limit), _zero_or_normal(limit))
 
 
-def test_spectrum_probe_side_reciprocity(cfg):
+@st.composite
+def _probed_drives(draw):
+    """(drive, mode, ip): complex probes on both sides, a dark damping, and
+    a self-consistent pump at or below the pump polariton, where the
+    occupation has one root."""
     mode, ip = _mode(), _ip()
-    fwd = steady_state(_drive(F_probe_plus=2e-9, F_probe_minus=0.0), mode, ip, cfg)
-    rev = steady_state(_drive(F_probe_plus=0.0, F_probe_minus=2e-9), mode, ip, cfg)
+    drive = _drive(E_drive=mode.E_lower - draw(st.floats(0.0, 1e-4)),
+                   F_pump=draw(_complex(1e-4)), n_pump=None,
+                   F_probe_plus=draw(_complex(1e-8)),
+                   F_probe_minus=draw(_complex(1e-8)),
+                   hGamma_a=draw(st.floats(0.0, 1e-5)))
+    return drive, mode, ip
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_probed_drives(), scale=st.floats(1e-3, 1e3))
+def test_spectrum_probe_quadratic_scaling(cfg, case, scale):
+    drive, mode, ip = case
+    ss1 = steady_state(drive, mode, ip, cfg)
+    ss2 = steady_state(replace(drive, F_probe_plus=scale * drive.F_probe_plus,
+                               F_probe_minus=scale * drive.F_probe_minus),
+                       mode, ip, cfg)
+    assert ss2.N_pump == ss1.N_pump
+    assert ss2.I_plus == pytest.approx(scale ** 2 * ss1.I_plus, rel=1e-12)
+    assert ss2.I_minus == pytest.approx(scale ** 2 * ss1.I_minus, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_probed_drives())
+def test_spectrum_probe_side_reciprocity(cfg, case):
+    drive, mode, ip = case
+    fwd = steady_state(drive, mode, ip, cfg)
+    rev = steady_state(replace(drive, F_probe_plus=drive.F_probe_minus,
+                               F_probe_minus=drive.F_probe_plus), mode, ip, cfg)
     assert rev.I_plus == fwd.I_minus
     assert rev.I_minus == fwd.I_plus
 
