@@ -6,9 +6,9 @@ cross-check on small lattices."""
 from .bogoliubov import (BogoliubovCoeffs, bogolon_steady_state, coefficients,
                          reconstruct_dark_amplitudes)
 from .constants import CONSTANTS, PhysicalConstants
-from .kinematic import (ExclusionReport, InteractionParams, VertexSet,
+from .kinematic import (ExclusionReport, InteractionParams,
                         double_excitation_excluded, effective_mass,
-                        interaction_params, vertex_set)
+                        interaction_params)
 from .lattice import (MAGIC_ANGLE, ExcitonLevels, SuperLatticeConfig,
                       allowed_wavenumbers, antisymmetric_energy,
                       dipole_coupling, exciton_levels, intercell_couplings,

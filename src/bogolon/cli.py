@@ -1,12 +1,8 @@
 """Command-line interface: figure datasets and oracle reports as CSV.
 
-Subcommands
-    levels       branch and level energies vs dipole angle at k = 0
-    dispersion   branch, photon and level energies vs k
-    fractions    excitation/photon fractions of both branches vs k
-    spectrum     probe-normalized dark intensities vs drive energy
-    evolve       rotating-frame time traces |A|^2, |B+-|^2
-    oracle       exact-diagonalization band and blocking reports
+Usage: ``bogolon <command> [options]``, the options before or after the
+command; ``bogolon --help`` lists the six commands, one per ``cmd_*``
+handler and its docstring.
 
 Configuration is JSON (angles in degrees, lengths in Angstrom, energies in
 eV); ``--preset paper`` starts from the bundled reference parameter set
@@ -253,19 +249,18 @@ def _common_meta(run: RunConfig) -> list:
     ]
 
 
-def _sweep_or_default(run: RunConfig, variable: str,
-                      default: SweepSpec) -> SweepSpec:
-    if run.sweep is not None:
-        if run.sweep.variable != variable:
-            raise ConfigError(
-                f"this command sweeps {variable!r}, got {run.sweep.variable!r}")
-        return run.sweep
-    return default
-
-
-def _no_sweep(run: RunConfig, command: str) -> None:
-    if run.sweep is not None:
-        raise ConfigError(f"{command} takes no sweep, got {run.sweep.variable!r}")
+def _sweep(run: RunConfig, variable: Optional[str] = None,
+           default: Optional[SweepSpec] = None) -> Optional[SweepSpec]:
+    """The configured sweep of ``variable``, else ``default``; a command
+    without a sweep variable takes no sweep."""
+    if run.sweep is None:
+        return default
+    got = run.sweep.variable
+    if got != variable:
+        raise ConfigError(f"this command takes no sweep, got {got!r}"
+                          if variable is None else
+                          f"this command sweeps {variable!r}, got {got!r}")
+    return run.sweep
 
 
 def _rows(grid: np.ndarray, columns) -> np.ndarray:
@@ -279,8 +274,7 @@ def _rows(grid: np.ndarray, columns) -> np.ndarray:
 def cmd_levels(run: RunConfig) -> Dataset:
     """Branch and bare level energies (offsets from E_A) vs angle at k = 0."""
     cfg, wg = run.lattice, run.waveguide
-    sweep = _sweep_or_default(run, "theta",
-                              SweepSpec("theta", 0.0, 90.0, 1001))
+    sweep = _sweep(run, "theta", SweepSpec("theta", 0.0, 90.0, 1001))
 
     def columns(theta_deg):
         theta = np.radians(theta_deg)
@@ -303,7 +297,7 @@ def _default_k_sweep(wg: WaveguideConfig) -> SweepSpec:
 def cmd_dispersion(run: RunConfig) -> Dataset:
     """Branch, photon and bare level energies (offsets from E_A) vs k."""
     cfg, wg = run.lattice, run.waveguide
-    sweep = _sweep_or_default(run, "k", _default_k_sweep(wg))
+    sweep = _sweep(run, "k", _default_k_sweep(wg))
     e_a = exciton_levels(cfg).E_a
 
     def columns(k):
@@ -324,7 +318,7 @@ def cmd_dispersion(run: RunConfig) -> Dataset:
 def cmd_fractions(run: RunConfig) -> Dataset:
     """Excitation and photon fractions of both branches vs k."""
     cfg, wg = run.lattice, run.waveguide
-    sweep = _sweep_or_default(run, "k", _default_k_sweep(wg))
+    sweep = _sweep(run, "k", _default_k_sweep(wg))
 
     def columns(k):
         mode = hopfield(k, wg, cfg)
@@ -344,8 +338,7 @@ def cmd_spectrum(run: RunConfig) -> Dataset:
     e_a = antisymmetric_energy(cfg)
     n_for_span = run.drive.n_pump if run.drive.n_pump is not None else 1.0
     span = 4.0 * ip.Delta_tilde * max(n_for_span, 1e-3)
-    sweep = _sweep_or_default(run, "E_drive",
-                              SweepSpec("E_drive", e_a, e_a + span, 10001))
+    sweep = _sweep(run, "E_drive", SweepSpec("E_drive", e_a, e_a + span, 10001))
     rows = _rows(sweep.grid(),
                  lambda e: spectrum_columns(run.drive, mode, ip, cfg, e))
     meta = _common_meta(run) + [
@@ -359,7 +352,7 @@ def cmd_spectrum(run: RunConfig) -> Dataset:
 def cmd_evolve(run: RunConfig) -> Dataset:
     """Rotating-frame time traces of |A|^2 and |B+-|^2."""
     cfg, drive, spec = run.lattice, run.drive, run.evolve
-    _no_sweep(run, "evolve")
+    _sweep(run)
     mode, ip = operating_point(cfg, run.waveguide, drive.k_pump)
 
     ss = steady_state(drive, mode, ip, cfg)
@@ -381,7 +374,7 @@ def cmd_evolve(run: RunConfig) -> Dataset:
 def cmd_oracle(run: RunConfig) -> Dataset:
     """Exact-diagonalization reports: band check and blocking check."""
     cfg, spec = run.lattice, run.oracle
-    _no_sweep(run, "oracle")
+    _sweep(run)
     band = validate_band(cfg, spec.n_cells)
     blocking = validate_blocking(cfg, spec.n_cells, spec.V_dyn)
 
@@ -422,19 +415,22 @@ def _plot_script(out_path: str, dataset: Dataset) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"\n  {name:<12}{handler.__doc__}"
+                       for name, handler in _HANDLERS.items())
     parser = argparse.ArgumentParser(
-        prog="bogolon",
-        description="Figure datasets for the lattice-waveguide exciton model.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in _HANDLERS.items():
-        p = sub.add_parser(name, help=handler.__doc__)
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--preset", choices=["paper"],
-                       help="start from the bundled reference parameter set")
-        p.add_argument("--out", help="output CSV path (default: <command>.csv)")
-        p.add_argument("--sweep", help="var:min:max:count override")
-        p.add_argument("--plot-script", action="store_true",
-                       help="also write a companion gnuplot script")
+        prog="bogolon", usage="%(prog)s <command> [options]",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Figure datasets for the lattice-waveguide exciton model.",
+        epilog="commands:" + commands)
+    parser.add_argument("command", choices=_HANDLERS, metavar="command",
+                        help="the dataset to write, one of the commands below")
+    parser.add_argument("--config", help="JSON configuration file")
+    parser.add_argument("--preset", choices=["paper"],
+                        help="start from the bundled reference parameter set")
+    parser.add_argument("--out", help="output CSV path (default: <command>.csv)")
+    parser.add_argument("--sweep", help="var:min:max:count override")
+    parser.add_argument("--plot-script", action="store_true",
+                        help="also write a companion gnuplot script")
     return parser
 
 

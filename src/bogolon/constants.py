@@ -4,9 +4,8 @@ All energies are eV, lengths Angstrom, wavenumbers 1/Angstrom, dipole
 moments e*Angstrom, angles radians.  Rates enter as energies hbar*Gamma.
 """
 
+import math
 from dataclasses import dataclass
-
-from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -24,15 +23,9 @@ class PhysicalConstants:
     hbar_c: float = 1973.269804
     coulomb_mu2_prefactor: float = 14.399645
 
-    def __post_init__(self):
-        if self.hbar_c <= 0 or self.coulomb_mu2_prefactor <= 0:
-            raise DomainError("physical constants must be strictly positive")
-
     @property
     def inv_eps0(self) -> float:
         """1/eps0 expressed as 4*pi*e^2/(4 pi eps0), in eV*Angstrom per e^2."""
-        import math
-
         return 4.0 * math.pi * self.coulomb_mu2_prefactor
 
 

@@ -9,8 +9,16 @@ strength are
 
 and the pump-branch vertices are weighted by the excitonic fraction X^2 of
 the pumped mode, Delta_tilde = Delta * X^2.  The four retained scattering
-vertices (pump-pump, pump-pair conversion, density cross term, dark-dark)
-are fixed multiples of these constants.
+vertices are properties of :class:`InteractionParams`, and they alone set
+the mean-field frame of :mod:`pumpprobe` for a pump occupation N:
+
+    pol_pol = Delta X^4 / 2          Kerr shift     E_pol~ = E_pol + 2 pol_pol N
+    pol_dark_pair = Delta X^2 / 2    pair coupling  V = 2 pol_dark_pair N
+    pol_dark_cross = 2 Delta X^2     dark shift     E_a~ = E_a + pol_dark_cross N
+    dark_dark = Delta / 2
+
+Every factor is a power of two, so away from underflow these are
+Delta X^4 N, Delta_tilde N and 2 Delta_tilde N to the last bit.
 
 ``double_excitation_excluded`` implements the energy-conservation argument
 that removes the bound state of two excited atoms in one cell from the
@@ -32,23 +40,32 @@ from .waveguide import WaveguideConfig
 
 @dataclass(frozen=True)
 class InteractionParams:
-    """Contact-interaction constants (all energies in eV)."""
+    """Contact-interaction constants and the vertices they give (all in eV)."""
 
     m_c2: float
     U: float
     Delta: float
-    Delta_tilde: float
     X2: float
 
+    @property
+    def Delta_tilde(self) -> float:     # Delta X^2, pump-weighted constant
+        return self.Delta * self.X2
 
-@dataclass(frozen=True)
-class VertexSet:
-    """Coefficients of the four retained interaction terms (eV)."""
+    @property
+    def pol_pol(self) -> float:         # Delta X^4 / 2, pump self-interaction
+        return self.Delta * self.X2 ** 2 / 2.0
 
-    pol_pol: float          # Delta X^4 / 2, pump-mode self-interaction
-    pol_dark_pair: float    # Delta X^2 / 2, two pump quanta <-> dark pair
-    pol_dark_cross: float   # 2 Delta X^2, density-density cross term
-    dark_dark: float        # Delta / 2
+    @property
+    def pol_dark_pair(self) -> float:   # Delta X^2 / 2, two pump quanta <-> dark pair
+        return self.Delta * self.X2 / 2.0
+
+    @property
+    def pol_dark_cross(self) -> float:  # 2 Delta X^2, density-density cross term
+        return 2.0 * self.Delta * self.X2
+
+    @property
+    def dark_dark(self) -> float:       # Delta / 2
+        return self.Delta / 2.0
 
 
 def effective_mass(wg: WaveguideConfig) -> float:
@@ -63,17 +80,7 @@ def interaction_params(wg: WaveguideConfig, cfg: SuperLatticeConfig,
         raise DomainError("X2 must lie in [0, 1]")
     m_c2 = effective_mass(wg)
     U = 4.0 * math.pi * CONSTANTS.hbar_c ** 2 / (m_c2 * cfg.a ** 2)
-    delta = U / cfg.N
-    return InteractionParams(m_c2=m_c2, U=U, Delta=delta,
-                             Delta_tilde=delta * X2, X2=X2)
-
-
-def vertex_set(ip: InteractionParams) -> VertexSet:
-    return VertexSet(
-        pol_pol=ip.Delta * ip.X2 ** 2 / 2.0,
-        pol_dark_pair=ip.Delta * ip.X2 / 2.0,
-        pol_dark_cross=2.0 * ip.Delta * ip.X2,
-        dark_dark=ip.Delta / 2.0)
+    return InteractionParams(m_c2=m_c2, U=U, Delta=U / cfg.N, X2=X2)
 
 
 @dataclass(frozen=True)

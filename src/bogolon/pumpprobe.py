@@ -8,10 +8,12 @@ the common drive energy E the mean-field amplitudes obey
     i dB+/dt  = (E_a~ - E - i hG_a) B+ + V conj(B-) + F+,
     i dB-/dt  = (E_a~ - E - i hG_a) B- + V conj(B+) + F-,
 
-with the pump-induced anomalous coupling V = Delta_tilde * N and the
-Hartree-shifted energies
+with the pump-induced anomalous coupling V and the Hartree-shifted
+energies set by the vertices of :class:`kinematic.InteractionParams`,
 
-    E_pol~ = E_pol(k) + Delta X^4 N,   E_a~ = E_a + 2 Delta_tilde N.
+    V = 2 pol_dark_pair N = Delta_tilde N,
+    E_pol~ = E_pol(k) + 2 pol_pol N = E_pol(k) + Delta X^4 N,
+    E_a~ = E_a + pol_dark_cross N = E_a + 2 Delta_tilde N.
 
 Damping enters as -i hGamma added to each rotating-frame energy; squared
 resonance denominators are then squared moduli of complex factors.  The
@@ -180,7 +182,7 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
     e = drive.E_drive if E_drive is None else E_drive
     e_pol = mode.E_lower
     hg = polariton_damping(mode, drive)
-    shift = ip.Delta * ip.X2 ** 2
+    shift = 2.0 * ip.pol_pol
 
     if drive.n_pump is not None:
         n = drive.n_pump
@@ -258,8 +260,8 @@ def _rotating_frame(drive: DriveConfig, mode: HopfieldMode,
                     ip: InteractionParams, cfg: SuperLatticeConfig, e):
     """Renormalized energies at drive energy e: (pump, E_a~, V_mf, hG_pol)."""
     pump = pump_occupation(drive, mode, ip, E_drive=e)
-    e_a_t = antisymmetric_energy(cfg) + 2.0 * ip.Delta_tilde * pump.n_pump
-    v_mf = ip.Delta_tilde * pump.n_pump
+    e_a_t = antisymmetric_energy(cfg) + ip.pol_dark_cross * pump.n_pump
+    v_mf = 2.0 * ip.pol_dark_pair * pump.n_pump
     return pump, e_a_t, v_mf, polariton_damping(mode, drive)
 
 

@@ -143,8 +143,7 @@ def test_criterion_5_pair_transformation_equivalence(SETUP):
         v = float(rng.uniform(1e-8, 5e-4))
         gap = v * float(rng.uniform(1.05, 20.0))
         f = float(rng.uniform(1e-12, 1e-6))
-        ip = InteractionParams(m_c2=3.0, U=v * 1e5, Delta=v, Delta_tilde=v,
-                               X2=1.0)
+        ip = InteractionParams(m_c2=3.0, U=v * 1e5, Delta=v, X2=1.0)
         drive = DriveConfig(E_drive=e_a + 2.0 * v - gap, F_pump=0.0,
                             F_probe_plus=f, F_probe_minus=0.0, hGamma_ph=0.0,
                             hGamma_s=0.0, hGamma_a=0.0, k_pump=SETUP.mode.k,

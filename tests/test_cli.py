@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from bogolon import (PAPER, antisymmetric_energy, cli, photon_dispersion,
 from bogolon.cli import (Dataset, EvolveSpec, _fmt, _settings,
                          build_run_config, main)
 from bogolon.errors import ModelError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _read_csv(path):
@@ -352,11 +358,17 @@ def test_exit_code_config_errors(tmp_path):
     assert main(["levels", "--preset", "paper", "--sweep", "nope:0:1:5"]) == 2
     assert main(["spectrum", "--preset", "paper", "--sweep", "theta:0:90:5",
                  "--out", str(tmp_path / "y.csv")]) == 2
+    assert main(["levels", "--preset", "paper", "--sweep", "theta:0:90",
+                 "--out", str(tmp_path / "y.csv")]) == 2
     for command in ("evolve", "oracle"):     # commands without a sweep
         assert main([command, "--preset", "paper", "--sweep", "k:0:1:10",
                      "--out", str(tmp_path / "y.csv")]) == 2, command
+    # an --out that cannot be written
+    assert main(["levels", "--preset", "paper",
+                 "--out", str(tmp_path / "missing" / "y.csv")]) == 2
     # misspelt or removed keys, non-integral counts and ill-typed values
     sweep = {"variable": "theta", "min": 0.0, "max": [90.0], "count": 5}
+    theta = {"variable": "theta", "min": 0.0, "max": 90.0}
     for command, settings in [
             ("levels", {"lattice": {"theta": 10}}),
             ("levels", {"lattise": {}}),
@@ -369,10 +381,39 @@ def test_exit_code_config_errors(tmp_path):
             ("levels", {"lattice": {"E_A": True}}),
             ("levels", {"drive": {"F_pump": [True, False]}}),
             ("oracle", {"oracle": {"n_cells": True}}),
-            ("levels", {"sweep": sweep})]:
+            ("levels", {"sweep": sweep}),
+            # sweep counts outside [2, 10^7], and max <= min
+            ("levels", {"sweep": {**theta, "count": 1}}),
+            ("levels", {"sweep": {**theta, "count": 10 ** 7 + 1}}),
+            ("levels", {"sweep": {**theta, "max": 0.0, "count": 5}}),
+            # a section, or the whole config, that is not an object
+            ("levels", {"lattice": 5}),
+            ("levels", [1, 2])]:
         invalid.write_text(json.dumps(settings))
         assert main([command, "--preset", "paper", "--config", str(invalid),
                      "--out", str(tmp_path / "z.csv")]) == 2, settings
+
+
+def test_complex_value_as_re_im_pair(tmp_path):
+    config, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    config.write_text(json.dumps({"drive": {"F_probe_plus": [1e-9, 2e-9]}}))
+    assert main(["levels", "--preset", "paper", "--config", str(config),
+                 "--out", str(out)]) == 0
+    assert "# drive.F_probe_plus = (1e-09+2e-09j)\n" in out.read_text()
+
+
+def test_module_entry_point_help_and_missing_command(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = [sys.executable, "-m", "bogolon.cli"]
+    proc = subprocess.run(run + ["--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for command in cli._HANDLERS:
+        assert f"\n  {command} " in proc.stdout, command
+    proc = subprocess.run(run, cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "command" in proc.stderr
 
 
 def test_exit_code_numerical_domain(tmp_path):
@@ -383,6 +424,7 @@ def test_exit_code_numerical_domain(tmp_path):
                       "lattice": {"theta_deg": 10.0}}),
         # a zero step is rejected before the step count divides by it
         ("evolve", {"evolve": {"dt": 0}}),
+        ("evolve", {"evolve": {"sample_every": 0}}),
     ]
     for command, settings in cases:
         config.write_text(json.dumps(settings))

@@ -4,8 +4,7 @@ from dataclasses import replace
 import pytest
 
 from bogolon import (WaveguideConfig, double_excitation_excluded,
-                     effective_mass, exciton_levels, interaction_params,
-                     vertex_set)
+                     effective_mass, exciton_levels, interaction_params)
 from bogolon.constants import CONSTANTS
 from bogolon.errors import DomainError
 from bogolon.waveguide import resonant_q0
@@ -66,20 +65,19 @@ def test_interaction_params_rejects_bad_fraction(wg, cfg):
 
 def test_vertex_set_structure(wg, cfg):
     ip = interaction_params(wg, cfg, X2=0.56)
-    v = vertex_set(ip)
-    assert v.pol_dark_cross == pytest.approx(4.0 * v.pol_dark_pair, rel=1e-15)
-    assert v.pol_pol == pytest.approx(v.pol_dark_pair * ip.X2, rel=1e-15)
-    assert v.dark_dark == pytest.approx(ip.Delta / 2.0, rel=1e-15)
-    assert v.pol_dark_pair == pytest.approx(ip.Delta_tilde / 2.0, rel=1e-15)
-    assert v.pol_dark_pair == pytest.approx(4.56e-5, rel=0.01)
+    assert ip.pol_dark_cross == pytest.approx(4.0 * ip.pol_dark_pair, rel=1e-15)
+    assert ip.pol_pol == pytest.approx(ip.pol_dark_pair * ip.X2, rel=1e-15)
+    assert ip.dark_dark == pytest.approx(ip.Delta / 2.0, rel=1e-15)
+    assert ip.pol_dark_pair == pytest.approx(ip.Delta_tilde / 2.0, rel=1e-15)
+    assert ip.pol_dark_pair == pytest.approx(4.56e-5, rel=0.01)
 
 
 def test_vertex_set_limits(wg, cfg):
-    full = vertex_set(interaction_params(wg, cfg, X2=1.0))
+    full = interaction_params(wg, cfg, X2=1.0)
     assert full.pol_pol == full.pol_dark_pair == pytest.approx(
         full.dark_dark, rel=1e-15)
     assert full.pol_dark_cross == pytest.approx(4.0 * full.dark_dark, rel=1e-15)
-    off = vertex_set(interaction_params(wg, cfg, X2=0.0))
+    off = interaction_params(wg, cfg, X2=0.0)
     assert off.pol_pol == off.pol_dark_pair == off.pol_dark_cross == 0.0
     assert off.dark_dark > 0.0
 

@@ -32,8 +32,7 @@ def _drive(**kw) -> DriveConfig:
 
 
 def _ip(delta=1.6e-4, x2=0.56) -> InteractionParams:
-    return InteractionParams(m_c2=3.0, U=delta * 1e5, Delta=delta,
-                             Delta_tilde=delta * x2, X2=x2)
+    return InteractionParams(m_c2=3.0, U=delta * 1e5, Delta=delta, X2=x2)
 
 
 def test_polariton_damping_reference():
@@ -253,6 +252,18 @@ def test_steady_state_pump_off_decouples(cfg):
     e_a = antisymmetric_energy(cfg)
     expected = drive.F_probe_plus / (drive.E_drive - e_a + 1j * drive.hGamma_a)
     assert ss.B_plus == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta=st.floats(1e-10, 1e-2), x2=st.floats(0.01, 1.0),
+       n=st.floats(0.0, 10.0))
+def test_steady_state_mean_field_couplings_exact(cfg, delta, x2, n):
+    # the module docstring's three couplings, to the last bit
+    mode = _mode(x2)
+    ss = steady_state(_drive(n_pump=n), mode, _ip(delta, x2), cfg)
+    assert ss.E_pol_tilde == mode.E_lower + delta * x2 ** 2 * n
+    assert ss.E_a_tilde == antisymmetric_energy(cfg) + 2.0 * (delta * x2) * n
+    assert ss.V_mf == (delta * x2) * n
 
 
 def test_steady_state_matches_undamped_closed_forms(cfg):
