@@ -375,8 +375,9 @@ def cmd_oracle(run: RunConfig) -> Dataset:
     """Exact-diagonalization reports: band check and blocking check."""
     cfg, spec = run.lattice, run.oracle
     _sweep(run)
-    band = validate_band(cfg, spec.n_cells)
+    # the two-excitation sector meets the size cap first, before a band solve
     blocking = validate_blocking(cfg, spec.n_cells, spec.V_dyn)
+    band = validate_band(cfg, spec.n_cells)
 
     rows = []
     for key, value in asdict(band).items():

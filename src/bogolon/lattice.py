@@ -64,6 +64,14 @@ class SuperLatticeConfig:
             raise DomainError("theta must lie in [0, pi/2]")
         if self.N < 3 or self.N % 2 == 0:
             raise DomainError("N must be odd and >= 3")
+        try:                        # float ** overflows by raising
+            with np.errstate(all="ignore"):
+                finite = math.isfinite(dipole_coupling(self.R, self) ** 2)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DomainError(f"in-cell coupling J0 = J(R) or J0^2 overflows "
+                              f"at R = {self.R}, mu = {self.mu}")
 
     @property
     def M(self) -> int:

@@ -25,9 +25,8 @@ from math import comb
 import numpy as np
 
 from .errors import DomainError, SectorSizeError
-from .lattice import (SuperLatticeConfig, allowed_wavenumbers,
-                      antisymmetric_energy, dipole_coupling, exciton_levels,
-                      symmetric_band)
+from .lattice import (SuperLatticeConfig, allowed_wavenumbers, dipole_coupling,
+                      exciton_levels, symmetric_band)
 
 _MAX_DIM = 10_000            # a dense float64 sector of 800 MB
 COUPLING_MODES = ("nearest-neighbor-cells", "full-dipole-sum")
@@ -77,15 +76,13 @@ def build_sector(cfg: SuperLatticeConfig, n_cells: int, n_exc: int,
         raise DomainError(f"unknown coupling mode {coupling_mode!r}")
     if n_cells < 1:
         raise DomainError("need n_cells >= 1")
-    if n_exc not in (0, 1, 2):
-        raise DomainError("n_exc must be 0, 1 or 2")
+    if n_exc not in (1, 2):
+        raise DomainError("n_exc must be 1 or 2")
     n_atoms = 2 * n_cells
     dim = comb(n_atoms, n_exc)
     if dim > _MAX_DIM:
         raise SectorSizeError(f"sector dimension {dim} exceeds {_MAX_DIM}: "
                               f"{dim * dim * 8 / 1e6:.1f} MB as a dense matrix")
-    if n_exc == 0:
-        return np.zeros((1, 1))
     coupling = _atom_couplings(cfg, n_cells, coupling_mode)
     if n_exc == 1:
         return cfg.E_A * np.eye(n_atoms) + coupling
@@ -125,7 +122,8 @@ class BandReport:
 
 def validate_band(cfg: SuperLatticeConfig, n_cells: int) -> BandReport:
     """Compare the single-excitation spectrum at R = a/100 with the
-    analytic {E_a x N} + {E_s(k)} level set.
+    analytic {E_a x N} + {E_s(k)} level set.  The ring may be any odd
+    n_cells >= 3 (``SuperLatticeConfig`` rejects others) under the sector cap.
 
     The small R suppresses the splitting of the inter-cell distances
     a -+ R that the single-hopping band ignores; the report quantifies
@@ -136,20 +134,17 @@ def validate_band(cfg: SuperLatticeConfig, n_cells: int) -> BandReport:
     ``DARK_WINDOW_OVER_J * |J|`` of E_a, can fall below the N
     antisymmetric states.
     """
-    if n_cells % 2 == 0 or not 3 <= n_cells <= 7:
-        raise DomainError("n_cells must be odd and within 3..7")
     small = replace(cfg, R=cfg.a / 100.0, N=n_cells)
     w, _ = np.linalg.eigh(build_sector(small, n_cells, 1))
 
     lv = exciton_levels(small)
-    e_a = antisymmetric_energy(small)
     analytic = np.sort(np.concatenate([
-        np.full(n_cells, e_a),
+        np.full(n_cells, lv.E_a),
         symmetric_band(allowed_wavenumbers(small), small)]))
     max_dev = float(np.max(np.abs(w - analytic)))
 
     window = DARK_WINDOW_OVER_J * abs(lv.J)
-    dark_count = int(np.sum(np.abs(w - e_a) <= window))
+    dark_count = int(np.sum(np.abs(w - lv.E_a) <= window))
     return BandReport(
         n_cells=n_cells, R_used=small.R, J=lv.J, eigenvalues=w,
         analytic=analytic, max_deviation=max_dev,

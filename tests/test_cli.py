@@ -339,6 +339,27 @@ def test_oracle_report(tmp_path):
     assert float(values[("band", "deviation_over_J")]) < 2e-3
 
 
+def test_oracle_ring_reach(tmp_path, capsys, monkeypatch):
+    config, out = tmp_path / "cfg.json", tmp_path / "oracle.csv"
+
+    def run(n_cells):
+        config.write_text(json.dumps({"oracle": {"n_cells": n_cells}}))
+        return main(["oracle", "--preset", "paper", "--config", str(config),
+                     "--out", str(out)])
+
+    assert run(21) == 0
+    assert out.read_text().count("\nband,eigenvalues[") == 42
+    assert run(4) == 3
+    # a two-excitation sector over the cap fails before any band solve
+    monkeypatch.setattr(cli, "validate_band", None)
+    capsys.readouterr()
+    for n_cells in (73, 4999):
+        assert run(n_cells) == 3
+    err = capsys.readouterr().err
+    assert "sector dimension 10585 exceeds 10000" in err
+    assert "sector dimension 49975003 exceeds 10000" in err
+
+
 def test_plot_script_flag(tmp_path):
     out = tmp_path / "frac.csv"
     assert main(["fractions", "--preset", "paper", "--out", str(out),
@@ -388,7 +409,11 @@ def test_exit_code_config_errors(tmp_path):
             ("levels", {"sweep": {**theta, "max": 0.0, "count": 5}}),
             # a section, or the whole config, that is not an object
             ("levels", {"lattice": 5}),
-            ("levels", [1, 2])]:
+            ("levels", [1, 2]),
+            # an in-cell coupling J0 or J0^2 that overflows
+            ("levels", {"lattice": {"R": 1e-90}}),
+            ("levels", {"lattice": {"mu": 1e200}}),
+            ("levels", {"lattice": {"a": 1e-200, "R": 1e-201}})]:
         invalid.write_text(json.dumps(settings))
         assert main([command, "--preset", "paper", "--config", str(invalid),
                      "--out", str(tmp_path / "z.csv")]) == 2, settings

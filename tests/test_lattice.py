@@ -35,6 +35,11 @@ def test_dipole_coupling_rejects_nonpositive_distance(cfg):
         dipole_coupling(0.0, cfg)
     with pytest.raises(DomainError):
         dipole_coupling(-5.0, cfg)
+    # and an angle override outside [0, pi/2]
+    with pytest.raises(DomainError):
+        dipole_coupling(100.0, cfg, theta=2.0)
+    with pytest.raises(DomainError):
+        exciton_levels(cfg, theta=np.array([0.5, -0.1]))
 
 
 def test_dipole_coupling_inverse_cube_scaling(cfg):
@@ -162,6 +167,8 @@ def test_config_invariants():
                 dict(good, theta=2.0), dict(good, N=4), dict(good, N=1),
                 dict(good, mu=math.nan), dict(good, mu=math.inf),
                 dict(good, E_A=math.nan), dict(good, a=math.inf),
-                dict(good, R=math.nan), dict(good, theta=math.nan)):
+                dict(good, R=math.nan), dict(good, theta=math.nan),
+                # J0 = J(R) or J0^2 overflows
+                dict(good, R=1e-90), dict(good, mu=1e200)):
         with pytest.raises((DomainError, ValueError)):
             SuperLatticeConfig(**bad)
