@@ -9,8 +9,7 @@ occupation), split by the pump-induced anomalous coupling.
 
 import numpy as np
 
-from bogolon import (antisymmetric_energy, reference_setup, spectrum_columns,
-                     steady_state)
+from bogolon import antisymmetric_energy, reference_setup, spectrum, steady_state
 
 setup = reference_setup()
 cfg, drive, mode, ip = setup.cfg, setup.drive, setup.mode, setup.ip
@@ -27,7 +26,8 @@ print(f"resonances at E - E_a = {ss.E_res_minus - e_a:.4e} "
       f"and {ss.E_res_plus - e_a:.4e} eV")
 
 grid = np.linspace(e_a, e_a + 4.0 * ip.Delta_tilde, 20001)
-offsets, i_minus, _ = spectrum_columns(drive, mode, ip, cfg, grid)
+spec = spectrum(drive, mode, ip, cfg, grid)
+offsets, i_minus = spec.E_offset, spec.I_minus_scaled
 peaks = [i for i in range(1, len(grid) - 1)
          if i_minus[i] > i_minus[i - 1] and i_minus[i] > i_minus[i + 1]]
 

@@ -18,9 +18,9 @@ from .oracle import (BandReport, BlockingReport, build_sector, validate_band,
 from .polariton import (HopfieldMode, find_resonance_k, hopfield,
                         verify_diagonalization)
 from .presets import PAPER, RunSetup, operating_point, reference_setup
-from .pumpprobe import (DriveConfig, PumpSolution, SpectrumPoint, SteadyState,
-                        Trajectory, polariton_damping, pump_occupation,
-                        spectrum, spectrum_columns, steady_state, time_evolve)
+from .pumpprobe import (DriveConfig, PumpSolution, SteadyState, Trajectory,
+                        polariton_damping, pump_occupation, spectrum,
+                        steady_state, time_evolve)
 from .waveguide import (WaveguideConfig, coupling_bright, coupling_dark,
                         photon_dispersion)
 

@@ -32,8 +32,8 @@ from .lattice import (SuperLatticeConfig, antisymmetric_energy,
 from .oracle import validate_band, validate_blocking
 from .polariton import find_resonance_k, hopfield
 from .presets import PAPER, operating_point, reference_setup
-from .pumpprobe import (DriveConfig, pump_occupation, spectrum_columns,
-                        steady_state, time_evolve)
+from .pumpprobe import (DriveConfig, pump_occupation, spectrum, steady_state,
+                        time_evolve)
 from .waveguide import WaveguideConfig, photon_dispersion, resonant_q0
 
 SWEEP_VARIABLES = ("theta", "k", "E_drive")
@@ -179,6 +179,8 @@ def build_run_config(data: dict, preset: bool = False) -> RunConfig:
                      for name in ("lattice", "waveguide", "drive"))
 
     cfg = _parse_section(SuperLatticeConfig, "lattice", lat)
+    oracle = _parse_section(OracleSpec, "oracle", _section(data, "oracle"))
+    _checked("oracle.n_cells", replace, cfg, N=oracle.n_cells)
     if wgd.get("q0") is None and "epsilon" in wgd:
         wgd["q0"] = _checked("waveguide.epsilon", lambda: resonant_q0(
             _parse_value("float", wgd["epsilon"]), cfg.E_A))
@@ -202,7 +204,7 @@ def build_run_config(data: dict, preset: bool = False) -> RunConfig:
         sweep=(None if data.get("sweep") is None else
                _parse_section(SweepSpec, "sweep", _section(data, "sweep"))),
         evolve=_parse_section(EvolveSpec, "evolve", _section(data, "evolve")),
-        oracle=_parse_section(OracleSpec, "oracle", _section(data, "oracle")))
+        oracle=oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +341,18 @@ def cmd_spectrum(run: RunConfig) -> Dataset:
     n_for_span = run.drive.n_pump if run.drive.n_pump is not None else 1.0
     span = 4.0 * ip.Delta_tilde * max(n_for_span, 1e-3)
     sweep = _sweep(run, "E_drive", SweepSpec("E_drive", e_a, e_a + span, 10001))
-    rows = _rows(sweep.grid(),
-                 lambda e: spectrum_columns(run.drive, mode, ip, cfg, e))
+
+    def columns(e):
+        spec = spectrum(run.drive, mode, ip, cfg, e)
+        return spec.E_offset, spec.I_minus_scaled, spec.I_plus_scaled
+
     meta = _common_meta(run) + [
         ("derived.Delta", ip.Delta), ("derived.Delta_tilde", ip.Delta_tilde),
         ("derived.X2", ip.X2),
     ]
     return Dataset("spectrum", meta,
-                   ["E_offset", "I_minus_scaled", "I_plus_scaled"], rows)
+                   ["E_offset", "I_minus_scaled", "I_plus_scaled"],
+                   _rows(sweep.grid(), columns))
 
 
 def cmd_evolve(run: RunConfig) -> Dataset:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -122,15 +122,6 @@ class SteadyState:
     V_mf: float
     E_res_plus: Optional[float]
     E_res_minus: Optional[float]
-
-
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """Probe-normalized dark intensities at one drive energy."""
-
-    E_offset: float
-    I_minus_scaled: float
-    I_plus_scaled: float
 
 
 @dataclass(frozen=True)
@@ -312,10 +303,10 @@ def steady_state(drive: DriveConfig, mode: HopfieldMode,
     return ss
 
 
-def spectrum_columns(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
-                     cfg: SuperLatticeConfig, energies) -> tuple:
-    """Probe-normalized dark intensities over a drive-energy grid, as the
-    columns (E - E_a, I_minus_scaled, I_plus_scaled), in one broadcast pass.
+def spectrum(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
+             cfg: SuperLatticeConfig, energies) -> np.recarray:
+    """Probe-normalized dark intensities over a 1-D drive-energy grid in one
+    broadcast pass: records (E_offset = E - E_a, I_minus_scaled, I_plus_scaled).
 
     Intensities are scaled by the total injected probe intensity
     |F+|^2 + |F-|^2; energies are reported as offsets from the bare dark
@@ -324,20 +315,13 @@ def spectrum_columns(drive: DriveConfig, mode: HopfieldMode, ip: InteractionPara
     bistable at any grid point raises ``BistabilityError``.
     """
     energies = np.asarray(energies, dtype=float)
-    if energies.size == 0:
-        raise DomainError("energy grid must be nonempty")
+    if energies.ndim != 1 or energies.size == 0:
+        raise DomainError("energy grid must be a nonempty 1-D array")
     ss, _ = _stationary(drive, mode, ip, cfg, energies)
-    i_probe = abs(drive.F_probe_plus) ** 2 + abs(drive.F_probe_minus) ** 2
-    norm = i_probe if i_probe > 0.0 else 1.0
-    return energies - antisymmetric_energy(cfg), ss.I_minus / norm, ss.I_plus / norm
-
-
-def spectrum(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
-             cfg: SuperLatticeConfig,
-             energies: Sequence[float]) -> list[SpectrumPoint]:
-    """:func:`spectrum_columns` as one ``SpectrumPoint`` per grid point."""
-    columns = spectrum_columns(drive, mode, ip, cfg, energies)
-    return [SpectrumPoint(*row) for row in zip(*(c.tolist() for c in columns))]
+    norm = abs(drive.F_probe_plus) ** 2 + abs(drive.F_probe_minus) ** 2 or 1.0
+    return np.rec.fromarrays(
+        (energies - antisymmetric_energy(cfg), ss.I_minus / norm, ss.I_plus / norm),
+        names=("E_offset", "I_minus_scaled", "I_plus_scaled"))
 
 
 def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,

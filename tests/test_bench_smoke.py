@@ -65,3 +65,6 @@ def test_every_workload_passes_traced(tmp_path):
     assert figures["presets.reference_setup.calls"] > 0
     # --preset reuses the preset's own resonance wavenumber
     assert figures["polariton.find_resonance_k.calls"] == 0
+    # cmd_spectrum computes its spectra through pumpprobe.spectrum
+    assert figures["pumpprobe.spectrum.points"] > 0
+    assert figures["pumpprobe.spectrum.pole_hits"] == 0

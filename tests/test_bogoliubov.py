@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bogolon import (antisymmetric_energy, bogolon_steady_state, coefficients,
+from bogolon import (BogoliubovCoeffs, antisymmetric_energy,
+                     bogolon_steady_state, coefficients,
                      reconstruct_dark_amplitudes, steady_state)
-from bogolon.errors import DomainError, InstabilityError, SignRegimeError
+from bogolon.errors import (DomainError, InstabilityError, PoleError,
+                            SignRegimeError)
 from bogolon.kinematic import InteractionParams
 from bogolon.pumpprobe import DriveConfig
 from bogolon.polariton import HopfieldMode
@@ -68,6 +70,13 @@ def test_hyperbolic_identity_random_triples(v, ratio, e):
 def test_pair_modes_without_probe():
     co = coefficients(E_a_tilde=1.5001, V_mf=2e-5, E_drive=1.5)
     assert bogolon_steady_state(co, 0.0) == (0.0, 0.0)
+
+
+def test_pair_modes_reject_vanishing_energy():
+    co = BogoliubovCoeffs(u=1.0, v=0.0, E0_bar=0.0, E_a_tilde=1.5, V_mf=0.0,
+                          E_drive=1.5)
+    with pytest.raises(PoleError):
+        bogolon_steady_state(co, 1e-9)
 
 
 def test_pair_modes_ratio():

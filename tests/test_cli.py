@@ -349,7 +349,7 @@ def test_oracle_ring_reach(tmp_path, capsys, monkeypatch):
 
     assert run(21) == 0
     assert out.read_text().count("\nband,eigenvalues[") == 42
-    assert run(4) == 3
+    assert run(4) == 2
     # a two-excitation sector over the cap fails before any band solve
     monkeypatch.setattr(cli, "validate_band", None)
     capsys.readouterr()
@@ -402,6 +402,9 @@ def test_exit_code_config_errors(tmp_path):
             ("levels", {"lattice": {"E_A": True}}),
             ("levels", {"drive": {"F_pump": [True, False]}}),
             ("oracle", {"oracle": {"n_cells": True}}),
+            # an even or too-short ring, rejected when the config is read
+            ("oracle", {"oracle": {"n_cells": 4}}),
+            ("oracle", {"oracle": {"n_cells": 1}}),
             ("levels", {"sweep": sweep}),
             # sweep counts outside [2, 10^7], and max <= min
             ("levels", {"sweep": {**theta, "count": 1}}),

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bogolon import (SuperLatticeConfig, WaveguideConfig, antisymmetric_energy,
-                     coupling_bright, exciton_levels, find_resonance_k,
-                     hopfield, reference_setup, symmetric_band,
-                     verify_diagonalization)
-from bogolon.errors import (AmbiguousSolutionError, DomainError, ModelError,
-                            NoSolutionError)
+from bogolon import (MAGIC_ANGLE, SuperLatticeConfig, WaveguideConfig,
+                     antisymmetric_energy, coupling_bright, exciton_levels,
+                     find_resonance_k, hopfield, reference_setup,
+                     symmetric_band, verify_diagonalization)
+from bogolon.errors import (AmbiguousSolutionError, DegenerateModeError,
+                            DomainError, ModelError, NoSolutionError)
 from bogolon.polariton import _branch_energies
 from bogolon.waveguide import resonant_q0
 
@@ -65,6 +65,18 @@ def test_decoupled_limit_pure_fractions(cfg):
     mode = hopfield(0.0, wg_blue, weak)   # photon above exciton: delta > 0
     assert mode.X_lower ** 2 == pytest.approx(1.0, abs=1e-9)
     assert mode.X_upper ** 2 == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("E_A", [0.5, 1.0, 1.5, 2.0])
+def test_degenerate_mode_raises(cfg, E_A):
+    # at the magic angle the k = 0 band sits on E_A, the guide puts the
+    # photon there too, and u_b^2 / S_bar underflows the coupling to 0
+    magic = replace(cfg, E_A=E_A, theta=MAGIC_ANGLE)
+    assert symmetric_band(0.0, magic) == E_A
+    flat = WaveguideConfig(epsilon=1.0, q0=resonant_q0(1.0, E_A), u_b=1e-300,
+                           S_bar=1e308)
+    with pytest.raises(DegenerateModeError):
+        hopfield(0.0, flat, magic)
 
 
 def test_operating_point_fraction(wg, cfg, setup):

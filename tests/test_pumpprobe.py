@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bogolon import (DriveConfig, antisymmetric_energy, interaction_params,
                      polariton_damping, pump_occupation, pumpprobe, spectrum,
-                     spectrum_columns, steady_state, time_evolve)
+                     steady_state, time_evolve)
 from bogolon.errors import (BistabilityError, DomainError, PoleError,
                             StabilityError)
 from bogolon.kinematic import InteractionParams
@@ -445,8 +445,10 @@ def test_spectrum_zero_damping_limit(cfg):
 
 
 def test_spectrum_requires_grid(cfg):
-    with pytest.raises(DomainError):
-        spectrum(_drive(), _mode(), _ip(), cfg, [])
+    e_a = antisymmetric_energy(cfg)
+    for grid in ([], 1.5, [[e_a, e_a]]):
+        with pytest.raises(DomainError):
+            spectrum(_drive(), _mode(), _ip(), cfg, grid)
 
 
 def test_time_evolve_stays_dark_without_drive(cfg):
@@ -698,7 +700,8 @@ def test_spectrum_columns_equal_scalar_steady_state(cfg, pump, hGamma_a):
     e_a = antisymmetric_energy(cfg)
     drive = _drive(hGamma_a=hGamma_a, **pump)
     grid = np.linspace(e_a - ip.Delta_tilde, e_a + 4.0 * ip.Delta_tilde, 101)
-    offset, i_minus, i_plus = spectrum_columns(drive, mode, ip, cfg, grid)
+    spec = spectrum(drive, mode, ip, cfg, grid)
+    offset, i_minus, i_plus = spec.E_offset, spec.I_minus_scaled, spec.I_plus_scaled
     assert np.all(np.isfinite(i_minus)) and np.all(np.isfinite(i_plus))
     norm = abs(drive.F_probe_plus) ** 2
     for i, e in enumerate(grid.tolist()):
@@ -718,6 +721,6 @@ def test_spectrum_exact_pole_is_infinite_between_finite_neighbours(cfg):
     points = spectrum(drive, mode, ip, cfg, grid)
     assert math.isinf(points[2].I_plus_scaled)
     assert math.isinf(points[2].I_minus_scaled)
-    for p in points[:2] + points[3:]:
+    for p in points[[0, 1, 3, 4]]:
         assert math.isfinite(p.I_plus_scaled) and p.I_plus_scaled > 0.0
         assert p.I_minus_scaled == 0.0
