@@ -27,6 +27,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ModelError
+from .floatcsv import csv_lines
 from .lattice import (SuperLatticeConfig, antisymmetric_energy,
                       exciton_levels, symmetric_band)
 from .oracle import validate_band, validate_blocking
@@ -229,10 +230,10 @@ class Dataset:
         lines = [f"# bogolon {self.command} dataset"]
         lines += [f"# {key} = {_fmt(value)}" for key, value in self.meta]
         lines.append(",".join(self.columns))
-        # repr is what _fmt gives a float; formatting a column at a time
-        # keeps the per-cell work to the repr itself
-        fmt = repr if self.rows.dtype == np.float64 else _fmt
-        lines += map(",".join, zip(*(map(fmt, c) for c in self.rows.T.tolist())))
+        if self.rows.dtype == np.float64:
+            # csv_lines writes each cell as repr, _fmt's text for a float
+            return "\n".join(lines) + "\n" + csv_lines(self.rows)
+        lines += map(",".join, zip(*(map(_fmt, c) for c in self.rows.T.tolist())))
         return "\n".join(lines) + "\n"
 
 

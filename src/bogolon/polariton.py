@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import AmbiguousSolutionError, DegenerateModeError, NoSolutionError
 from .lattice import SuperLatticeConfig, _any, _unwrap, _where, symmetric_band
-from .waveguide import WaveguideConfig, coupling_bright, photon_dispersion
+from .waveguide import (WaveguideConfig, _bright_coupling, coupling_bright,
+                        photon_dispersion)
 
 #: Points of the coarse bracket scan used by the resonance finder.
 _SCAN_POINTS = 1000
@@ -57,7 +58,7 @@ def _branch_energies(k, wg: WaveguideConfig, cfg: SuperLatticeConfig,
     """(mean, delta, D, f) of H(k): the branches are E_pm = mean +- D."""
     e_ph = photon_dispersion(k, wg)
     e_s = symmetric_band(k, cfg, theta=theta)
-    f = coupling_bright(k, wg, cfg)
+    f = _bright_coupling(k, e_ph, wg, cfg)
     delta = (e_ph - e_s) / 2.0
     d = np.hypot(delta, f)
     if _any(d == 0.0):

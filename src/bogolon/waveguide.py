@@ -65,16 +65,20 @@ def photon_dispersion(q, wg: WaveguideConfig):
     return _unwrap(CONSTANTS.hbar_c / math.sqrt(wg.epsilon) * np.hypot(wg.q0, q))
 
 
-def _coupling_prefactor(k, wg: WaveguideConfig, cfg: SuperLatticeConfig):
+def _coupling_prefactor(e_ph, wg: WaveguideConfig, cfg: SuperLatticeConfig):
     # sqrt(E_ph/(eps0 Sbar a)) * u_b * mu with 1/eps0 = 4 pi e^2/(4 pi eps0)
-    e_ph = photon_dispersion(k, wg)
     return np.sqrt(e_ph * CONSTANTS.inv_eps0 / (wg.S_bar * cfg.a)) * wg.u_b * cfg.mu
+
+
+def _bright_coupling(k, e_ph, wg: WaveguideConfig, cfg: SuperLatticeConfig):
+    """coupling_bright at k, given e_ph = photon_dispersion(k, wg)."""
+    return _unwrap(_coupling_prefactor(e_ph, wg, cfg)
+                   * np.abs(np.cos(k * cfg.R / 2.0)))
 
 
 def coupling_bright(k, wg: WaveguideConfig, cfg: SuperLatticeConfig):
     """|f_k| for the bright (symmetric) exciton: prefactor * |cos(kR/2)|."""
-    return _unwrap(_coupling_prefactor(k, wg, cfg)
-                   * np.abs(np.cos(k * cfg.R / 2.0)))
+    return _bright_coupling(k, photon_dispersion(k, wg), wg, cfg)
 
 
 def coupling_dark(k, wg: WaveguideConfig, cfg: SuperLatticeConfig):
@@ -83,5 +87,5 @@ def coupling_dark(k, wg: WaveguideConfig, cfg: SuperLatticeConfig):
     Vanishes at k = 0; at the operating wavenumbers k R << 1 it is smaller
     than the bright coupling by tan(kR/2) ~ kR/2.
     """
-    return _unwrap(_coupling_prefactor(k, wg, cfg)
+    return _unwrap(_coupling_prefactor(photon_dispersion(k, wg), wg, cfg)
                    * np.abs(np.sin(k * cfg.R / 2.0)))

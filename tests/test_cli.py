@@ -17,6 +17,7 @@ from bogolon import (PAPER, antisymmetric_energy, cli, photon_dispersion,
 from bogolon.cli import (Dataset, EvolveSpec, _fmt, _settings,
                          build_run_config, main)
 from bogolon.errors import ModelError
+from bogolon.floatcsv import _BLOCK, csv_lines
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,14 +46,17 @@ def _render_reference(dataset):
     return "\n".join(lines) + "\n"
 
 
-def _first_mismatch(dataset):
-    """(line number, rendered, reference) of the first line where
-    ``render`` departs from the reference, else None; a diff of two whole
-    CSVs is too slow to report."""
-    got = dataset.render().split("\n")
-    want = _render_reference(dataset).split("\n")
+def _first_difference(got: str, want: str):
+    """(line number, got, wanted) of the first line where two texts differ,
+    else None; a diff of two whole CSVs is too slow to report."""
+    got, want = got.split("\n"), want.split("\n")
     pairs = zip(got + [None] * len(want), want + [None] * len(got))
     return next(((i, a, b) for i, (a, b) in enumerate(pairs) if a != b), None)
+
+
+def _first_mismatch(dataset):
+    """The first line where ``render`` departs from the reference."""
+    return _first_difference(dataset.render(), _render_reference(dataset))
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +99,42 @@ _EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
 def test_render_matches_per_cell_reference_on_float64(rows):
     columns = [f"c{i}" for i in range(rows.shape[1])]
     dataset = Dataset("levels", [("x", 1.5), ("n", 3)], columns, rows)
+    assert _first_mismatch(dataset) is None
+
+
+def test_csv_lines_matches_repr_on_edges_and_random_bits():
+    assert sys.float_repr_style == "short"
+    edges = np.concatenate([
+        np.ldexp(1.0, np.arange(-1074, 1024)),   # subnormal, power-of-two steps
+        [float(f"1e{n}") for n in range(-323, 309)],
+        [float(2**53 + i) for i in range(-64, 65)]])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, np.inf)])
+    special = [0.0, math.inf, math.nan]
+    rng = np.random.default_rng(20261018)
+    random = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    cells = np.concatenate([edges, -edges, special, np.negative(special), random])
+    cells = np.concatenate([cells, np.zeros(-cells.size % 7)]).reshape(-1, 7)
+    want = "".join(",".join(map(repr, row)) + "\n" for row in cells.tolist())
+    assert _first_difference(csv_lines(cells), want) is None
+
+
+def test_render_matches_per_cell_reference_across_writer_blocks():
+    # rows cross block edges, and special cells sit on both sides of each
+    ncol = 7
+    assert _BLOCK % ncol
+    shape = (4 * _BLOCK // ncol + 3, ncol)
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 20, shape)
+    flat = rows.reshape(-1)
+    for edge in range(_BLOCK, flat.size, _BLOCK):
+        flat[edge - 2:edge + 2] = [math.nan, -math.inf, -0.0, 5e-324]
+    rows[::97, 0] = -0.0
+    rows[::89, -1] = 5e-324
+    rows[-1, :4] = [math.nan, -math.inf, -0.0, 5e-324]
+    rows[-1, -1] = -math.nan
+    assert rows.size > 4 * _BLOCK
+    dataset = Dataset("levels", [("x", 1.5)], [f"c{i}" for i in range(ncol)], rows)
     assert _first_mismatch(dataset) is None
 
 
