@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -105,8 +106,8 @@ def _parse_value(type_name: str, value):
     or Optional of one; never a boolean."""
     if type_name.startswith("Optional["):
         return None if value is None else _parse_value(type_name[9:-1], value)
-    if any(isinstance(x, bool) for x in (value if isinstance(value, list)
-                                         else [value])):
+    if isinstance(value, bool) or (isinstance(value, list) and any(
+            isinstance(x, bool) for x in value)):
         raise ValueError(f"must not be a boolean, got {value!r}")
     if type_name == "str":
         return str(value)
@@ -138,22 +139,33 @@ def _settings(config) -> dict:
     return dict(entry(f.name) for f in fields(config))
 
 
+@functools.cache
+def _plan(cls, where: str) -> tuple:
+    """How :func:`_parse_section` reads ``cls`` from section ``where``: the
+    section's error label, then per field in declaration order its JSON
+    key, name, declared type, from-JSON conversion and error label."""
+    plan = []
+    for f in fields(cls):
+        key, _, from_json = _RENAMED.get(f.name, (f.name, None, None))
+        plan.append((key, f.name, f.type, from_json, f"{where}.{key}"))
+    return f"{where} section", tuple(plan)
+
+
 def _parse_section(cls, where: str, values: dict):
     """The config dataclass ``cls`` from its JSON section, the inverse of
     :func:`_settings`: each key is a field, parsed by its declared type; an
     absent key takes the field default, and any other key is an error."""
-    kwargs, known = {}, []
-    for f in fields(cls):
-        key, _, from_json = _RENAMED.get(f.name, (f.name, None, None))
-        known.append(key)
+    label, plan = _plan(cls, where)
+    kwargs = {}
+    for key, name, type_name, from_json, key_label in plan:
         if key in values:
-            value = _checked(f"{where}.{key}", _parse_value, f.type, values[key])
-            kwargs[f.name] = value if from_json is None else from_json(value)
-    unknown = values.keys() - set(known)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys {sorted(unknown)}; "
-                          f"expected {known}")
-    return _checked(f"{where} section", cls, **kwargs)
+            value = _checked(key_label, _parse_value, type_name, values[key])
+            kwargs[name] = value if from_json is None else from_json(value)
+    if len(kwargs) < len(values):
+        known = [key for key, *_ in plan]
+        unknown = sorted(values.keys() - set(known))
+        raise ConfigError(f"unknown {where} keys {unknown}; expected {known}")
+    return _checked(label, cls, **kwargs)
 
 
 def _section(data: dict, name: str) -> dict:

@@ -14,8 +14,9 @@ disperses the bright level into the band
 
     E_s(k) = E_A + J0 + 4 J cos(k a),
 
-while the dark level stays flat at E_a.  The formulas broadcast over arrays
-of distances, wavenumbers and (as a ``theta`` override) dipole angles.
+while the dark level stays flat at E_a.  A config derives J0, J, E_s and
+E_a once (``cfg.levels``); the formulas broadcast over arrays of distances,
+wavenumbers and (as a ``theta`` override) dipole angles.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -66,16 +68,22 @@ class SuperLatticeConfig:
             raise DomainError("N must be odd and >= 3")
         try:                        # float ** overflows by raising
             with np.errstate(all="ignore"):
-                finite = math.isfinite(dipole_coupling(self.R, self) ** 2)
+                finite = math.isfinite(self.levels.J0 ** 2)
         except OverflowError:
             finite = False
         if not finite:
-            raise DomainError(f"in-cell coupling J0 = J(R) or J0^2 overflows "
-                              f"at R = {self.R}, mu = {self.mu}")
+            raise DomainError(f"coupling J0 = J(R), J = J(a) or J0^2 overflows "
+                              f"at R = {self.R}, a = {self.a}, mu = {self.mu}")
 
     @property
     def M(self) -> int:
         return (self.N - 1) // 2
+
+    @cached_property
+    def levels(self) -> ExcitonLevels:
+        """J0, J, E_s and E_a, derived once when the config is built; not a
+        field, so ``fields``, ``==`` and ``hash`` see only the inputs."""
+        return _levels(self, None)
 
 
 @dataclass(frozen=True)
@@ -127,11 +135,16 @@ def dipole_coupling(r, cfg: SuperLatticeConfig, *, theta=None):
     return _unwrap(CONSTANTS.coulomb_mu2_prefactor * cfg.mu ** 2 * angular / r ** 3)
 
 
-def exciton_levels(cfg: SuperLatticeConfig, *, theta=None) -> ExcitonLevels:
-    """Level energies and hopping constants (arrays over an array theta)."""
+def _levels(cfg: SuperLatticeConfig, theta) -> ExcitonLevels:
     J0 = dipole_coupling(cfg.R, cfg, theta=theta)
     J = dipole_coupling(cfg.a, cfg, theta=theta)
     return ExcitonLevels(E_s=cfg.E_A + J0, E_a=cfg.E_A - J0, J0=J0, J=J)
+
+
+def exciton_levels(cfg: SuperLatticeConfig, *, theta=None) -> ExcitonLevels:
+    """Level energies and hopping constants (arrays over an array theta);
+    without ``theta``, those the config derived once."""
+    return cfg.levels if theta is None else _levels(cfg, theta)
 
 
 def intercell_couplings(cfg: SuperLatticeConfig) -> tuple[float, float, float]:
@@ -158,7 +171,7 @@ def symmetric_band(k, cfg: SuperLatticeConfig, *, theta=None):
 
 def antisymmetric_energy(cfg: SuperLatticeConfig) -> float:
     """Flat dark-exciton energy E_A - J0 (k-independent)."""
-    return cfg.E_A - dipole_coupling(cfg.R, cfg)
+    return cfg.levels.E_a
 
 
 def allowed_wavenumbers(cfg: SuperLatticeConfig) -> np.ndarray:

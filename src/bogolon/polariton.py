@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import AmbiguousSolutionError, DegenerateModeError, NoSolutionError
 from .lattice import SuperLatticeConfig, _any, _unwrap, _where, symmetric_band
-from .waveguide import (WaveguideConfig, _bright_coupling, coupling_bright,
-                        photon_dispersion)
+from .waveguide import WaveguideConfig, _bright_coupling, photon_dispersion
 
 #: Points of the coarse bracket scan used by the resonance finder.
 _SCAN_POINTS = 1000
@@ -36,6 +35,9 @@ _SCAN_POINTS = 1000
 _ENERGY_TOL = 1e-12
 #: Bisection levels evaluated per array call by the resonance finder.
 _BLOCK_DEPTH = 6
+_BLOCK = 2 ** _BLOCK_DEPTH
+#: Index stride of each bisection level in a block, coarsest first.
+_LEVEL_STEPS = tuple(_BLOCK >> level for level in range(_BLOCK_DEPTH))
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ def verify_diagonalization(mode: HopfieldMode, wg: WaveguideConfig,
     """
     e_ph = photon_dispersion(mode.k, wg)
     e_s = symmetric_band(mode.k, cfg)
-    f = coupling_bright(mode.k, wg, cfg)
+    f = _bright_coupling(mode.k, e_ph, wg, cfg)
     h = np.array([[e_s, f], [f, e_ph]])
     u = np.array([[mode.X_upper, mode.Y_upper],
                   [mode.X_lower, mode.Y_lower]])
@@ -130,17 +132,17 @@ def find_resonance_k(target: float, wg: WaveguideConfig,
             f"target {target} eV outside lower-branch range [{lo}, {hi}] eV")
 
     roots = list(hits)
+    grid = np.empty(_BLOCK + 1)
     for i in brackets:
         lo, hi, f_lo, halvings = float(ks[i]), float(ks[i + 1]), vals[i], 0
         while halvings < 200 and lo != hi:   # lo = hi: tolerance met
-            # lo, hi and the midpoints of the next levels between them.
-            grid = np.array([lo, hi])
-            for _ in range(_BLOCK_DEPTH):
-                fine = np.empty(2 * grid.size - 1)
-                fine[::2], fine[1::2] = grid, 0.5 * (grid[:-1] + grid[1:])
-                grid = fine
+            # lo, hi and the midpoints of the next levels between them,
+            # one strided pass per level, coarsest first.
+            grid[0], grid[-1] = lo, hi
+            for step in _LEVEL_STEPS:
+                grid[step // 2::step] = 0.5 * (grid[:-1:step] + grid[step::step])
             f_grid = offset(grid[1:-1])
-            a, b = 0, 2 ** _BLOCK_DEPTH
+            a, b = 0, _BLOCK
             while b - a > 1 and halvings < 200:
                 m, halvings = (a + b) // 2, halvings + 1
                 fm = f_grid[m - 1]

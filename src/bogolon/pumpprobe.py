@@ -60,6 +60,9 @@ _OCCUPATION_TOL = 1e-12
 _NEWTON_MAX_STEPS = 100
 #: Most samples after t = 0 that one :func:`time_evolve` call returns.
 _MAX_SAMPLES = 1_000_000
+#: Record type of :func:`spectrum`.
+_SPECTRUM_DTYPE = np.dtype((np.record, [("E_offset", float), ("I_minus_scaled", float),
+                                        ("I_plus_scaled", float)]))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -319,9 +322,11 @@ def spectrum(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
         raise DomainError("energy grid must be a nonempty 1-D array")
     ss, _ = _stationary(drive, mode, ip, cfg, energies)
     norm = abs(drive.F_probe_plus) ** 2 + abs(drive.F_probe_minus) ** 2 or 1.0
-    return np.rec.fromarrays(
-        (energies - antisymmetric_energy(cfg), ss.I_minus / norm, ss.I_plus / norm),
-        names=("E_offset", "I_minus_scaled", "I_plus_scaled"))
+    out = np.empty(energies.shape, dtype=_SPECTRUM_DTYPE)
+    out["E_offset"] = energies - antisymmetric_energy(cfg)
+    out["I_minus_scaled"] = ss.I_minus / norm
+    out["I_plus_scaled"] = ss.I_plus / norm
+    return out.view(np.recarray)
 
 
 def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,

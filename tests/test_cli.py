@@ -460,6 +460,16 @@ def test_exit_code_config_errors(tmp_path):
         invalid.write_text(json.dumps(settings))
         assert main([command, "--preset", "paper", "--config", str(invalid),
                      "--out", str(tmp_path / "z.csv")]) == 2, settings
+    # the messages name the section, the key and the bad value
+    for settings, message in [
+            ({"lattice": {"theta": 10}}, "unknown lattice keys ['theta']; expected "
+             "['E_A', 'a', 'R', 'mu', 'theta_deg', 'N']"),
+            ({"lattice": {"N": 101.5}}, "bad lattice.N: must be an integer, got 101.5"),
+            ({"drive": {"F_pump": [True, False]}},
+             "bad drive.F_pump: must not be a boolean, got [True, False]")]:
+        with pytest.raises(cli.ConfigError) as err:
+            cli.build_run_config(settings, preset=True)
+        assert str(err.value) == message
 
 
 def test_complex_value_as_re_im_pair(tmp_path):

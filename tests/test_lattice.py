@@ -1,12 +1,13 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from bogolon import (MAGIC_ANGLE, SuperLatticeConfig, allowed_wavenumbers,
-                     antisymmetric_energy, dipole_coupling, exciton_levels,
-                     intercell_couplings, symmetric_band)
+                     antisymmetric_energy, cli, dipole_coupling, exciton_levels,
+                     find_resonance_k, intercell_couplings, lattice,
+                     symmetric_band)
 from bogolon.errors import DomainError
 
 # Frozen reference couplings: direct evaluation of
@@ -168,7 +169,44 @@ def test_config_invariants():
                 dict(good, mu=math.nan), dict(good, mu=math.inf),
                 dict(good, E_A=math.nan), dict(good, a=math.inf),
                 dict(good, R=math.nan), dict(good, theta=math.nan),
-                # J0 = J(R) or J0^2 overflows
-                dict(good, R=1e-90), dict(good, mu=1e200)):
+                # J0 = J(R), J = J(a) or J0^2 overflows
+                dict(good, R=1e-90), dict(good, mu=1e200), dict(good, a=1e200)):
         with pytest.raises((DomainError, ValueError)):
             SuperLatticeConfig(**bad)
+
+
+def test_config_derives_its_levels_once(cfg, wg, monkeypatch):
+    # a parameter scan pays for the two dipole sums once per config
+    j0, j = dipole_coupling(cfg.R, cfg), dipole_coupling(cfg.a, cfg)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dipole_coupling(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "dipole_coupling", counted)
+    k = np.linspace(0.0, math.pi / cfg.a, 7)
+    for _ in range(3):
+        lv = exciton_levels(cfg)
+        band = symmetric_band(k, cfg)
+        e_a = antisymmetric_energy(cfg)
+        k_star = find_resonance_k(e_a, wg, cfg)
+    assert len(calls) <= 2
+    assert (lv.J0, lv.J, lv.E_s, lv.E_a) == (j0, j, cfg.E_A + j0, cfg.E_A - j0)
+    assert e_a == cfg.E_A - j0
+    assert np.array_equal(band, cfg.E_A + j0 + 4.0 * j * np.cos(k * cfg.a))
+    assert 0.0 < k_star < math.pi / cfg.a
+    # the levels are no field: the config compares, hashes and writes as
+    # its six inputs
+    assert [f.name for f in fields(SuperLatticeConfig)] == [
+        "E_A", "a", "R", "mu", "theta", "N"]
+    twin = SuperLatticeConfig(**{f.name: getattr(cfg, f.name)
+                                 for f in fields(cfg)})
+    assert twin == cfg and hash(twin) == hash(cfg)
+    assert list(cli._settings(cfg)) == ["E_A", "a", "R", "mu", "theta_deg", "N"]
+    # a replaced config derives its own levels
+    other = replace(cfg, R=1.5 * cfg.R, theta=math.radians(70.0))
+    lv = exciton_levels(other)
+    assert lv.J0 == dipole_coupling(other.R, other) != j0
+    assert lv.J == dipole_coupling(other.a, other) != j
+    assert antisymmetric_energy(other) == other.E_A - lv.J0

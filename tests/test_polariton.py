@@ -274,7 +274,7 @@ def test_find_resonance_k_equals_bisect_loop(theta, r_over_a, kind, u):
     assert type(new) is type(ref)
 
 
-@pytest.mark.parametrize("halvings", [6, 7])
+@pytest.mark.parametrize("halvings", [6, 7, 12, 13, 18, 19])
 def test_find_resonance_k_stops_on_both_sides_of_a_block_edge(wg, cfg,
                                                               halvings):
     # Target the energy at a seeded midpoint `halvings` levels down the
