@@ -30,7 +30,7 @@ from .constants import CONSTANTS
 from .errors import ModelError
 from .floatcsv import csv_lines
 from .lattice import (SuperLatticeConfig, antisymmetric_energy,
-                      exciton_levels, symmetric_band)
+                      check_cell_count, exciton_levels, symmetric_band)
 from .oracle import validate_band, validate_blocking
 from .polariton import find_resonance_k, hopfield
 from .presets import PAPER, operating_point, reference_setup
@@ -193,7 +193,7 @@ def build_run_config(data: dict, preset: bool = False) -> RunConfig:
 
     cfg = _parse_section(SuperLatticeConfig, "lattice", lat)
     oracle = _parse_section(OracleSpec, "oracle", _section(data, "oracle"))
-    _checked("oracle.n_cells", replace, cfg, N=oracle.n_cells)
+    _checked("oracle.n_cells", check_cell_count, oracle.n_cells)
     if wgd.get("q0") is None and "epsilon" in wgd:
         wgd["q0"] = _checked("waveguide.epsilon", lambda: resonant_q0(
             _parse_value("float", wgd["epsilon"]), cfg.E_A))
@@ -434,7 +434,9 @@ def _plot_script(out_path: str, dataset: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``main`` reuses it."""
     commands = "".join(f"\n  {name:<12}{handler.__doc__}"
                        for name, handler in _HANDLERS.items())
     parser = argparse.ArgumentParser(

@@ -1,10 +1,11 @@
 """Float64 tables as CSV lines, each cell byte for byte what ``repr`` prints.
 
 ``repr`` gives the shortest decimal that reads back as the same double,
-the closest such one, ties to even.  Those digits come here from the
-Schubfach algorithm (R. Giulietti, "The Schubfach way to render doubles",
-2020): one 126-bit constant per decimal exponent and three 64x64-bit
-products per value, so numpy finds them for a block of cells at a time.
+the closest such one, ties to even.  Those digits come here from Dragonbox
+(J. Jeon, "Dragonbox: A New Floating-Point Binary-to-Decimal Conversion
+Algorithm", 2020), nearest to even, kappa = 2: one 64x128-bit product per
+value and a division by 1000 (or 100), so numpy finds them for a block of
+cells at a time; powers of two take its shorter-interval path, once each.
 The text follows ``repr``'s layout: fixed notation when the decimal point
 position p lies in -4 < p <= 16 (``0.00012``, ``123.0``), else
 ``d[.ddd]e+XX`` with at least two exponent digits.  Subnormal, infinite and
@@ -26,8 +27,8 @@ _U = np.uint64
 _M32, _M63 = _U(2**32 - 1), _U(2**63 - 1)
 #: Cells per block: the temporaries of a block stay in cache.
 _BLOCK = 4096
-#: Decimal exponents of the constants g(k) ~ 10^-k, k = _K_MIN .. 292.
-_K_MIN = -324
+#: Factors that pad 15, 16, 17 digits to 17.
+_PAD = np.array([100, 10, 1], dtype=_U)
 #: Bytes of a cell's row (see above).
 _ROW = 48
 #: Offsets of the four quads' parts of the ``last`` table.
@@ -46,10 +47,13 @@ def _words(texts) -> np.ndarray:
 
 @cache
 def _tables():
-    """(g, quads, last, masks, prefix, exponent), built on first use.
+    """(by_exp, quads, last, masks, prefix, exponent), built on first use.
 
-    g: rows g1, hi and lo 32 bits of g1, of g0, where g(k) = g1 2^63 + g0 is
-    floor(10^-k 2^-r) + 1, scaled into [2^125, 2^126).  For the 16 digits
+    by_exp[:, f], for the doubles c 2^q of exponent field f (q = f - 1075)
+    and k = floor(log10(2^q)) - 2: hi and lo of phi(-k) = hi 2^64 + lo,
+    where phi(j) = ceil(10^j 2^(127 - floor(j log2 10))); the shift
+    b = q + floor(-k log2 10); k + 18; d and j + 15 of the power of two
+    2^(q + 52) = d 10^j.  Signed entries hold int64 bits.  For the 16 digits
     after the first, in four quads v = 0..9999: quads[v] their characters,
     each followed by a NUL; last[w * 10000 + v] the place (1..16) of the
     last nonzero digit in quad w, 0 if none; masks[n] keeps the first n - 1
@@ -57,14 +61,16 @@ def _tables():
     zeros.  exponent[p + 399] for a point position p: "e+XX" or "e-XX" with
     exponent p - 1; entry 0 is empty.
     """
-    rows = []
-    for k in range(_K_MIN, 293):
-        r = int(_flog2pow10(-k)) - 125
-        num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
-        g = (num << -r if r < 0 else num) // (den << r if r > 0 else den) + 1
-        g1, g0 = g >> 63, g & (2**63 - 1)
-        rows.append((g1, g1 >> 32, g1 & (2**32 - 1), g0 >> 32, g0 & (2**32 - 1)))
-    g = np.array(rows, dtype=_U).T.copy()
+    phi = []
+    for j in range(-292, 327):
+        s = 127 - int(_flog2pow10(j))
+        num = 10**max(j, 0) << max(s, 0)
+        phi.append(-(-num // (10**max(-j, 0) << max(-s, 0))))
+    phi = np.array([(x >> 64, x & (2**64 - 1)) for x in phi], dtype=_U).T
+    q = np.arange(-1075, 973)
+    k = ((q * 661_971_961_083) >> 41) - 2
+    by_exp = np.vstack([phi[:, 292 - k], np.stack(
+        [q + _flog2pow10(-k), k + 18]).astype(_U), *_shorter(phi[0], q)])
     v = np.arange(10_000)
     chars = np.zeros((10_000, 8), dtype=np.uint8)
     chars[:, ::2] = v[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
@@ -75,61 +81,94 @@ def _tables():
     prefix = _words(b"-" * neg + (b"0." + b"0" * (z - 1) if z else b"")
                     for neg in (0, 1) for z in range(5))
     exponent = _words([b""] + [b"e%+03d" % (p - 1) for p in range(-398, 400)])
-    return g, chars.view(_U).ravel(), last.ravel(), masks, prefix, exponent
+    return by_exp, chars.view(_U).ravel(), last.ravel(), masks, prefix, exponent
 
 
-def _mulhi(a_hi, a_lo, b_hi, b_lo):
-    """High 64 bits of the 128-bit product of two uint64 given as 32-bit limbs."""
+def _shorter(phi_hi, q):
+    """(d, k + 15 as uint64) of the shortest nearest d 10^k to the doubles
+    2^(q + 52), given hi of phi(j) for j = -292..326."""
+    k = (q * 661_971_961_083 - 274_743_187_321) >> 41   # floor(log10(3/4 2^q))
+    b = (q + _flog2pow10(-k)).astype(_U)                # 0..3
+    hi = phi_hi[-k + 292]
+    # the left end, rounded up: an integer only at 2^54 and 2^55, where it
+    # is no multiple of 10 and so never the answer
+    left = ((hi - (hi >> _U(54))) >> (_U(11) - b)) + _U(1)
+    right = (hi + (hi >> _U(53))) >> (_U(11) - b)
+    s = right // _U(10) * _U(10)
+    d = ((hi >> (_U(10) - b)) + _U(1)) >> _U(1)
+    # the one tie, at q = -77, rounds to even
+    tie = (q == -77) & (d & _U(1)).astype(bool)
+    d = d - tie + (~tie & (d < left))
+    return np.where(s >= left, s, d), (k + 15).astype(_U)
+
+
+def _divmod(a, n: int):
+    """(a // n, a % n) for uint64 a; numpy's // by a scalar is fast, its % not."""
+    quotient = a // _U(n)
+    return quotient, a - quotient * _U(n)
+
+
+def _mulhi(a, b_hi, b_lo):
+    """High 64 bits of the 128-bit product of two uint64, b as 32-bit limbs."""
+    a_hi, a_lo = a >> _U(32), a & _M32
     lo_lo = a_lo * b_lo
     hi_lo = a_hi * b_lo
     cross = (lo_lo >> _U(32)) + (hi_lo & _M32) + a_lo * b_hi
     return a_hi * b_hi + (hi_lo >> _U(32)) + (cross >> _U(32))
 
 
-def _rop(g, cp):
-    """floor(g cp / 2^127), its last bit set if the quotient is inexact."""
-    g1, g1_hi, g1_lo, g0_hi, g0_lo = g
-    cp_hi, cp_lo = cp >> _U(32), cp & _M32
-    z = ((g1 * cp) >> _U(1)) + _mulhi(g0_hi, g0_lo, cp_hi, cp_lo)
-    vbp = _mulhi(g1_hi, g1_lo, cp_hi, cp_lo) + (z >> _U(63))
-    return vbp | (((z & _M63) + _M63) >> _U(63))
-
-
 def _shortest(bits):
     """(left, p) for the positive normal doubles ``bits``: the shortest
     digits that read back as each, left-aligned in 17 (trailing zeros
-    filled in), and the position p of the decimal point, so that the value
-    reads 0.ddd 10^p."""
-    exp_bits = (bits >> _U(52)).astype(np.int64)
-    q = exp_bits - 1075
+    filled in), and the point position p: the value reads 0.ddd 10^p."""
+    exp_bits = (bits >> _U(52)).astype(np.intp)
     frac = bits & _U(2**52 - 1)
     c = frac | _U(2**52)
+    by_exp = _tables()[0]
+    hi, lo, b, p = np.take(by_exp[:4], exp_bits, axis=1)
+    # z = floor((c + 1/2) 2^q 10^-k): the top 128 of the 192 bits of u phi
+    u = ((c << _U(1)) | _U(1)) << b
+    u_hi, u_lo = u >> _U(32), u & _M32
+    low = u * hi
+    mid = low + _mulhi(lo, u_hi, u_lo)
+    z = _mulhi(hi, u_hi, u_lo) + (mid < low)
+    # [z - delta, z] is c's rounding interval, its ends in for an even c only
+    delta = hi >> (_U(63) - b)
+    s, r = _divmod(z, 1000)
+    # an integer z at an excluded right end: one multiple of 1000 down
+    at = np.flatnonzero(r == _U(0))
+    at = at[(mid[at] == _U(0)) & (c[at] & _U(1)).astype(bool)]
+    s[at] -= _U(1)
+    r[at] = _U(1000)
+    small = r > delta
+    # s 10^(k + 3) if r < delta, or at r == delta if z - delta is in; else
+    # one more digit, nearest to c: tail, or tail - 1 by the parity of c's
+    # own product where 100 divides dist, or at such a tie for an even d.
+    # One product serves both tests: x = 2c - 1 where r == delta, else 2c
+    dist = r - (delta >> _U(1)) + _U(50)
+    tail, rem = _divmod(dist, 100)
+    at = np.flatnonzero(r == delta)
+    ties = np.flatnonzero((r >= delta) & (rem == _U(0)))
+    cells = np.concatenate([at, ties])
+    x = (c[cells] << _U(1)) - (np.arange(cells.size) < at.size)
+    x_hi, x_lo, x_b = hi[cells], lo[cells], b[cells]
+    top = x * x_hi + _mulhi(x_lo, x >> _U(32), x & _M32)
+    # floor(x phi / 2^(128 - b)): its parity, and if its 64 fraction bits are 0
+    parity = ((top >> (_U(64) - x_b)) & _U(1)).astype(bool)
+    integer = ((top << x_b) | ((x * x_lo) >> (_U(64) - x_b))) == _U(0)
+    n = at.size
+    small[at] = ~(parity[:n] | (integer[:n] & (c[at] & _U(1) == _U(0))))
+    d = np.where(small, s * _U(10) + tail, s)
+    d[ties] -= small[ties] & (
+        (parity[n:] != ((dist[ties] ^ _U(50)) & _U(1)).astype(bool))
+        | (integer[n:] & (d[ties] & _U(1)).astype(bool)))
+    # d 10^(k + 3 - small) has 15, 16 or 17 digits; pad them to 17
+    p = p.view(np.int64) - small
     # at a power of two the lower neighbour is twice as close
-    asym = (frac == _U(0)) & (exp_bits > 1)
-    # k = floor(log10(2^q)), or floor(log10(3/4 2^q)) at a power of two
-    k = (q * 661_971_961_083 - asym * 274_743_187_321) >> 41
-    h = (q + _flog2pow10(-k) + 2).astype(_U)   # 2..5: cb << h < 2^60
-    g = np.take(_tables()[0], k - _K_MIN, axis=1)
-    cb = c << _U(2)
-    vb = _rop(g, cb << h)
-    # the interval [vbl, vbr] keeps its ends for an even c only
-    vbl = _rop(g, (cb - _U(2) + asym) << h) + (c & _U(1))
-    vbr = _rop(g, (cb + _U(2)) << h) - (c & _U(1))
-    s = vb >> _U(2)
-    # s has 16 or 17 digits, and the interval holds one multiple of 10 at most
-    s10 = s // _U(10)
-    s10_in, t10_in = vbl <= s10 * _U(40), s10 * _U(40) + _U(40) <= vbr
-    short = s10_in != t10_in
-    # else s or t = s + 1: the one inside, else the closer, else the even
-    mid = s * _U(4) + _U(2)
-    closer_t = (vb > mid) | ((vb == mid) & (s & _U(1)).astype(bool))
-    s_in, t_in = vbl <= s << _U(2), (s << _U(2)) + _U(4) <= vbr
-    d = np.where(short, s10 + t10_in,
-                 s + np.where(s_in == t_in, closer_t, t_in))
-    # d 10^k has 15, 16 or 17 digits; pad them to 17
-    wide, wider = d >= _U(10**15), d >= _U(10**16)
-    return (d * np.where(wide, np.where(wider, _U(1), _U(10)), _U(100)),
-            k + short + 15 + wide + wider)
+    at = np.flatnonzero((frac == _U(0)) & (exp_bits > 1))
+    d[at], p[at] = by_exp[4, exp_bits[at]], by_exp[5, exp_bits[at]].view(np.int64)
+    wide = (d >= _U(10**15)).view(np.int8) + (d >= _U(10**16)).view(np.int8)
+    return d * np.take(_PAD, wide), p + wide
 
 
 def _block(x, first: int, ncol: int) -> bytes:
@@ -143,10 +182,9 @@ def _block(x, first: int, ncol: int) -> bytes:
     # zero and the special cells take 1.0's digits and point, p = 1
     left, p = _shortest(np.where(odd, _U(0x3FF0000000000000), bits & _M63))
     left[zero] = 0
-    rest = left % _U(10**16)
-    hi = (rest // _U(10**8)).astype(np.intp)
-    lo = (rest % _U(10**8)).astype(np.intp)
-    quad = np.stack([hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4])
+    lead, rest = _divmod(left, 10**16)
+    hi, lo = _divmod(rest, 10**8)
+    quad = np.stack([*_divmod(hi, 10**4), *_divmod(lo, 10**4)]).astype(np.intp)
     count = np.take(last, quad + _QUAD_OFFSETS).max(axis=0) + 1
     fixed = (p > -4) & (p <= 16)
     # fixed notation shows an integer's zeros up to the point and one after
@@ -158,7 +196,7 @@ def _block(x, first: int, ncol: int) -> bytes:
     row[:, 1:5] = np.take(quads, quad).T & np.take(masks, shown, axis=0)
     row[:, 5] = np.take(exponent, np.where(fixed, 0, p + 399))
     text = row.view(np.uint8)
-    text[:, 6] = left // _U(10**16) + _U(ord("0"))
+    text[:, 6] = lead + _U(ord("0"))
     dotted = np.flatnonzero(np.where(fixed, p > 0, count > 1))
     text.reshape(-1)[dotted * _ROW + 5 + 2 * np.where(fixed, p, 1)[dotted]] = ord(".")
     text[:, -1] = ord(",")

@@ -64,8 +64,7 @@ class SuperLatticeConfig:
             raise DomainError("transition energy E_A must be positive")
         if not 0 <= self.theta <= math.pi / 2:
             raise DomainError("theta must lie in [0, pi/2]")
-        if self.N < 3 or self.N % 2 == 0:
-            raise DomainError("N must be odd and >= 3")
+        check_cell_count(self.N)
         try:                        # float ** overflows by raising
             with np.errstate(all="ignore"):
                 finite = math.isfinite(self.levels.J0 ** 2)
@@ -94,6 +93,12 @@ class ExcitonLevels:
     E_a: float
     J0: float
     J: float
+
+
+def check_cell_count(N: int) -> None:
+    """Reject a ring of N unit cells unless N is odd and at least 3."""
+    if N < 3 or N % 2 == 0:
+        raise DomainError("N must be odd and >= 3")
 
 
 def _check_finite(config) -> None:

@@ -119,6 +119,34 @@ def test_csv_lines_matches_repr_on_edges_and_random_bits():
     assert _first_difference(csv_lines(cells), want) is None
 
 
+# Cells that take each rare branch of the writer's shortest-digit kernel,
+# found by searching random bit patterns and all powers of two; disabling
+# the branch's fix-up makes these cells fail.
+_RARE_BRANCH_CELLS = {
+    # an integer product at the right end, excluded for an odd significand
+    "excluded right end": [2.8442427998060228e+16, 6.2225321419972536e+16],
+    # remainder equal to the half-width: the interval's left end decides
+    "left end inside": [8.7440601510756e-293, 1.321183575170743e-303],
+    "left end an included integer": [3.045389526666427e+16],
+    "left end outside": [1.1919491083919481e-93, 4.9533893142048403e+17],
+    # one more digit, divisible by 100: the value's own parity corrects it
+    "parity correction": [3.1278033205429626e+62, 7.459936633812398e+293],
+    # ... or the value is an exact tie, which rounds to the even digit
+    "round-down tie": [575395288650688.2, 1306661915704527.2],
+    # powers of two: the shorter interval, its one tie (2^-25), the only
+    # integer left ends (2^54, 2^55) and a round-up below the left end
+    "shorter interval": [2.0**-25, 2.0**54, 2.0**55, 2.0**-1017],
+}
+
+
+@pytest.mark.parametrize("branch", list(_RARE_BRANCH_CELLS))
+def test_csv_lines_matches_repr_on_rare_kernel_branches(branch):
+    cells = np.array(_RARE_BRANCH_CELLS[branch])
+    cells = np.concatenate([cells, -cells])[:, None]
+    want = "".join(repr(x) + "\n" for x in cells[:, 0].tolist())
+    assert csv_lines(cells) == want
+
+
 def test_render_matches_per_cell_reference_across_writer_blocks():
     # rows cross block edges, and special cells sit on both sides of each
     ncol = 7
@@ -465,6 +493,7 @@ def test_exit_code_config_errors(tmp_path):
             ({"lattice": {"theta": 10}}, "unknown lattice keys ['theta']; expected "
              "['E_A', 'a', 'R', 'mu', 'theta_deg', 'N']"),
             ({"lattice": {"N": 101.5}}, "bad lattice.N: must be an integer, got 101.5"),
+            ({"oracle": {"n_cells": 4}}, "bad oracle.n_cells: N must be odd and >= 3"),
             ({"drive": {"F_pump": [True, False]}},
              "bad drive.F_pump: must not be a boolean, got [True, False]")]:
         with pytest.raises(cli.ConfigError) as err:
@@ -492,6 +521,22 @@ def test_module_entry_point_help_and_missing_command(tmp_path):
                           text=True, timeout=60)
     assert proc.returncode == 2
     assert "command" in proc.stderr
+
+
+def test_main_reuses_its_parser_across_commands(tmp_path):
+    # the parser is built once per process; two commands through it write
+    # what fresh processes write
+    assert cli.build_parser() is cli.build_parser()
+    runs = [["levels", "--preset", "paper", "--sweep", "theta:0:90:7"],
+            ["dispersion", "--preset", "paper", "--sweep", "k:0:1e-4:9"]]
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / f"here{i}.csv")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for i, argv in enumerate(runs):
+        fresh = tmp_path / f"fresh{i}.csv"
+        subprocess.run([sys.executable, "-m", "bogolon.cli", *argv, "--out",
+                        str(fresh)], env=env, check=True, timeout=60)
+        assert (tmp_path / f"here{i}.csv").read_bytes() == fresh.read_bytes()
 
 
 def test_exit_code_numerical_domain(tmp_path):
