@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -130,7 +130,7 @@ def _checked(where: str, parse, *args, **kwargs):
 
 
 def _settings(config) -> dict:
-    """A config dataclass as its JSON section: fields in declaration order,
+    """A dataclass as its JSON section: fields in declaration order,
     renamed as in _RENAMED."""
     def entry(name):
         key, to_json, _ = _RENAMED.get(name, (name, None, None))
@@ -249,19 +249,18 @@ class Dataset:
         return "\n".join(lines) + "\n"
 
 
+def _meta(section: str, config) -> list:
+    """A dataclass's ``#`` lines: ``section.key`` per :func:`_settings`
+    entry, None written as ``none``."""
+    return [(f"{section}.{key}", "none" if value is None else value)
+            for key, value in _settings(config).items()]
+
+
 def _common_meta(run: RunConfig) -> list:
-    lv = exciton_levels(run.lattice)
-    return [
-        ("constants.hbar_c", CONSTANTS.hbar_c),
-        ("constants.coulomb_mu2_prefactor", CONSTANTS.coulomb_mu2_prefactor),
-        *((f"{section}.{key}", "none" if value is None else value)
-          for section, config in (("lattice", run.lattice),
-                                  ("waveguide", run.waveguide),
-                                  ("drive", run.drive))
-          for key, value in _settings(config).items()),
-        ("derived.J0", lv.J0), ("derived.J", lv.J),
-        ("derived.E_s", lv.E_s), ("derived.E_a", lv.E_a),
-    ]
+    return [entry for section, config in (
+        ("constants", CONSTANTS), ("lattice", run.lattice),
+        ("waveguide", run.waveguide), ("drive", run.drive),
+        ("derived", run.lattice.levels)) for entry in _meta(section, config)]
 
 
 def _sweep(run: RunConfig, variable: Optional[str] = None,
@@ -381,11 +380,10 @@ def cmd_evolve(run: RunConfig) -> Dataset:
         np.abs(x) ** 2 for x in (traj.A, traj.B_plus, traj.B_minus)])
     # a requested sampling differs from the one used only where capped
     capped = spec.sample_every not in (None, traj.sample_every)
-    meta = _common_meta(run) + [
-        ("evolve.dt", traj.dt), ("evolve.t_end", traj.t_end),
-        ("evolve.sample_every", traj.sample_every), ("evolve.capped", capped),
-        ("steady.I_plus", ss.I_plus), ("steady.I_minus", ss.I_minus),
-        ("steady.N_pump", ss.N_pump),
+    used = EvolveSpec(dt=traj.dt, t_end=traj.t_end, sample_every=traj.sample_every)
+    meta = _common_meta(run) + _meta("evolve", used) + [
+        ("evolve.capped", capped), ("steady.I_plus", ss.I_plus),
+        ("steady.I_minus", ss.I_minus), ("steady.N_pump", ss.N_pump),
     ]
     return Dataset("evolve", meta, ["t", "A2", "B_plus2", "B_minus2"], rows)
 
@@ -399,16 +397,13 @@ def cmd_oracle(run: RunConfig) -> Dataset:
     band = validate_band(cfg, spec.n_cells)
 
     rows = []
-    for key, value in asdict(band).items():
-        if isinstance(value, np.ndarray):
-            for i, x in enumerate(value):
-                rows.append(("band", f"{key}[{i}]", x))
-        else:
-            rows.append(("band", key, value))
-    for key, value in asdict(blocking).items():
-        rows.append(("blocking", key, value))
-    meta = _common_meta(run) + [(f"oracle.{key}", value)
-                                for key, value in _settings(spec).items()]
+    for section, report in (("band", band), ("blocking", blocking)):
+        for key, value in _settings(report).items():
+            if isinstance(value, np.ndarray):
+                rows += [(section, f"{key}[{i}]", x) for i, x in enumerate(value)]
+            else:
+                rows.append((section, key, value))
+    meta = _common_meta(run) + _meta("oracle", spec)
     return Dataset("oracle", meta, ["section", "key", "value"],
                    np.array(rows, dtype=object))
 

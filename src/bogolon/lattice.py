@@ -89,10 +89,10 @@ class SuperLatticeConfig:
 class ExcitonLevels:
     """In-cell splitting and nearest-neighbour hopping energies (eV)."""
 
-    E_s: float
-    E_a: float
     J0: float
     J: float
+    E_s: float
+    E_a: float
 
 
 def check_cell_count(N: int) -> None:
@@ -143,7 +143,7 @@ def dipole_coupling(r, cfg: SuperLatticeConfig, *, theta=None):
 def _levels(cfg: SuperLatticeConfig, theta) -> ExcitonLevels:
     J0 = dipole_coupling(cfg.R, cfg, theta=theta)
     J = dipole_coupling(cfg.a, cfg, theta=theta)
-    return ExcitonLevels(E_s=cfg.E_A + J0, E_a=cfg.E_A - J0, J0=J0, J=J)
+    return ExcitonLevels(J0=J0, J=J, E_s=cfg.E_A + J0, E_a=cfg.E_A - J0)
 
 
 def exciton_levels(cfg: SuperLatticeConfig, *, theta=None) -> ExcitonLevels:

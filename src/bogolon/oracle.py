@@ -1,8 +1,8 @@
 """Brute-force diagonalization of small two-atom-per-cell lattices.
 
 Number-conserving sectors of the hard-core excitation Hamiltonian are built
-as dense matrices from the 2N x 2N atom coupling matrix: one row per atom
-for one excitation, one per pair of distinct atoms for two, so double
+as dense matrices: the 2N x 2N one-excitation matrix, one row per atom, and
+its lift to the pairs of distinct atoms for two excitations, so double
 occupation of an atom is excluded structurally.  The reports diagonalize
 them with LAPACK (``np.linalg.eigh``; the tests compare it with a cyclic
 Jacobi solver of their own).  This checks the analytic band formulas, the
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from math import comb
 
 import numpy as np
 
@@ -33,13 +32,6 @@ COUPLING_MODES = ("nearest-neighbor-cells", "full-dipole-sum")
 
 #: Dark-level degeneracy window used by the band report, in units of |J|.
 DARK_WINDOW_OVER_J = 1e-3
-
-
-def _pair_row(x, y):
-    """Row of the two-excitation state {x, y}: hi (hi - 1) / 2 + lo, the
-    order of ``np.tril_indices(2N, -1)``."""
-    hi, lo = np.maximum(x, y), np.minimum(x, y)
-    return hi * (hi - 1) // 2 + lo
 
 
 def _atom_couplings(cfg: SuperLatticeConfig, n_cells: int,
@@ -66,11 +58,9 @@ def build_sector(cfg: SuperLatticeConfig, n_cells: int, n_exc: int,
                  V_dyn: float = 0.0) -> np.ndarray:
     """Dense Hamiltonian of the n_exc-excitation sector.
 
-    Rows are the atoms (atom (cell n, alpha) is 2n + alpha) for one
-    excitation and the pairs hi > lo of ``np.tril_indices(2 * n_cells, -1)``
-    for two.  Diagonal entries are n_exc * E_A, plus 2*V_dyn for pairs on
-    both atoms of one cell; off-diagonal entries move one excitation between
-    two atoms with the dipole coupling of their distance.
+    One excitation: h1 = E_A + the dipole couplings, one row per atom (atom
+    (cell n, alpha) is 2n + alpha).  Two: h1 lifted to the pairs of distinct
+    atoms by :func:`_hard_core_pairs`, with 2*V_dyn on pairs filling a cell.
     """
     if coupling_mode not in COUPLING_MODES:
         raise DomainError(f"unknown coupling mode {coupling_mode!r}")
@@ -79,21 +69,27 @@ def build_sector(cfg: SuperLatticeConfig, n_cells: int, n_exc: int,
     if n_exc not in (1, 2):
         raise DomainError("n_exc must be 1 or 2")
     n_atoms = 2 * n_cells
-    dim = comb(n_atoms, n_exc)
+    dim = math.comb(n_atoms, n_exc)
     if dim > _MAX_DIM:
         raise SectorSizeError(f"sector dimension {dim} exceeds {_MAX_DIM}: "
                               f"{dim * dim * 8 / 1e6:.1f} MB as a dense matrix")
-    coupling = _atom_couplings(cfg, n_cells, coupling_mode)
-    if n_exc == 1:
-        return cfg.E_A * np.eye(n_atoms) + coupling
+    h1 = cfg.E_A * np.eye(n_atoms) + _atom_couplings(cfg, n_cells, coupling_mode)
+    return h1 if n_exc == 1 else _hard_core_pairs(h1, 2.0 * V_dyn)
 
-    hi, lo = np.tril_indices(n_atoms, -1)
-    h = np.diag(np.where(hi // 2 == lo // 2, 2 * cfg.E_A + 2.0 * V_dyn,
-                         2 * cfg.E_A))
-    atoms = np.arange(n_atoms)
-    for stay, move in ((hi, lo), (lo, hi)):     # move to every free atom k
-        row, k = np.nonzero((atoms != stay[:, None]) & (atoms != move[:, None]))
-        h[row, _pair_row(stay[row], k)] = coupling[move[row], k]
+
+def _hard_core_pairs(h1: np.ndarray, shift: float) -> np.ndarray:
+    """h1 lifted to the pairs hi > lo of ``np.tril_indices(n, -1)``, that is
+    H1 (x) 1 + 1 (x) H1 without double occupation, plus ``shift`` on pairs
+    filling one cell (atoms 2n, 2n + 1): h1[hi, hi] + h1[lo, lo] on the
+    diagonal, and the hops h1[move, k] of either atom to every free atom k."""
+    hi, lo = np.tril_indices(len(h1), -1)
+    pair_row = np.zeros(h1.shape, dtype=np.intp)    # pair {x, y} -> its row
+    pair_row[hi, lo] = pair_row[lo, hi] = np.arange(hi.size)
+    h = np.diag(h1[hi, hi] + h1[lo, lo] + np.where(hi // 2 == lo // 2, shift, 0.0))
+    free = np.arange(len(h1) - 2)           # k: the n - 2 atoms a pair leaves free
+    k = free + (free >= lo[:, None]) + (free >= hi[:, None] - 1)
+    stay = np.stack([hi, lo])[:, :, None]   # the other atom moves to k
+    h[np.arange(hi.size)[:, None], pair_row[stay, k]] = h1[stay[::-1], k]
     return h
 
 
@@ -106,7 +102,10 @@ class BandReport:
     residual of the a -+ R inter-cell distances, 12 (R/a)^2 |J| to leading
     order.  ``dark_count`` counts eigenvalues within ``dark_window``
     (``DARK_WINDOW_OVER_J * |J|``) of the flat E_a; this is not the number
-    of antisymmetric states, which is always N.
+    of antisymmetric states, which is always N.  A difference of ~1.4 eV
+    eigenvalues, ``deviation_over_J`` carries about 5 of the 17 digits the
+    CSV prints (1.200297e-3 to 1.200310e-3 over odd N = 3..101 at the
+    preset); Bloch bands in offsets from E_A are the route to more.
     """
 
     n_cells: int
@@ -197,7 +196,7 @@ def validate_blocking(cfg: SuperLatticeConfig, n_cells: int,
     separated = (cluster.size == n_cells and min_gap > 4.0 * abs(j0))
     return BlockingReport(
         n_cells=n_cells, dimension=h.shape[0],
-        expected_dimension=comb(2 * n_cells, 2),
+        expected_dimension=math.comb(2 * n_cells, 2),
         no_double_occupation=bool(np.all(hi != lo)), V_dyn=V_dyn,
         cluster_size=int(cluster.size), cluster_centroid=cluster_centroid,
         manifold_centroid=manifold_centroid, separation=separation,

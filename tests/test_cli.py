@@ -421,9 +421,12 @@ def test_oracle_ring_reach(tmp_path, capsys, monkeypatch):
     # a two-excitation sector over the cap fails before any band solve
     monkeypatch.setattr(cli, "validate_band", None)
     capsys.readouterr()
-    for n_cells in (73, 4999):
+    for n_cells in (71, 73, 4999):
         assert run(n_cells) == 3
     err = capsys.readouterr().err
+    # 71 cells, C(142, 2) rows, is the first ring over the cap; 69 is the last under it
+    assert ("sector dimension 10011 exceeds 10000: 801.8 MB as a dense matrix"
+            in err)
     assert "sector dimension 10585 exceeds 10000" in err
     assert "sector dimension 49975003 exceeds 10000" in err
 

@@ -194,6 +194,30 @@ def test_sector_matches_loop_and_jacobi_on_random_lattices(theta, r_over_a, v_dy
     assert np.max(np.abs(w_lapack - w_jacobi)) <= 1e-12 * cfg.E_A
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), shift=st.floats(-1.0, 1.0))
+def test_hard_core_pairs_is_projected_kronecker_lift(data, n, shift):
+    # a second route to the pair sector of any symmetric h1, with a diagonal
+    # that is not constant: P^T (h1 (x) 1 + 1 (x) h1) P / 2, where P maps
+    # each pair (hi, lo) to both of its ordered states
+    def values(count, magnitudes):
+        signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)),
+                                   min_size=count, max_size=count))
+        exps = data.draw(st.lists(magnitudes, min_size=count, max_size=count))
+        return np.array(signs) * 10.0 ** np.array(exps)
+
+    hi, lo = np.tril_indices(n, -1)
+    h1 = np.zeros((n, n))
+    h1[hi, lo] = h1[lo, hi] = values(hi.size, st.floats(-9.0, 0.0))
+    h1[np.diag_indices(n)] = 1.5 + values(n, st.floats(-9.0, 0.0))
+    p = np.zeros((n * n, hi.size))
+    p[hi * n + lo, np.arange(hi.size)] = p[lo * n + hi, np.arange(hi.size)] = 1.0
+    lift = np.kron(h1, np.eye(n)) + np.kron(np.eye(n), h1)
+    expected = p.T @ lift @ p / 2.0
+    expected[np.diag_indices(hi.size)] += np.where(hi // 2 == lo // 2, shift, 0.0)
+    assert np.array_equal(oracle._hard_core_pairs(h1, shift), expected)
+
+
 def test_single_cell_spectrum_gives_split_doublet(small_cfg):
     w, _ = np.linalg.eigh(build_sector(small_cfg, 1, 1))
     lv = exciton_levels(small_cfg)
