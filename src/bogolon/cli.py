@@ -103,9 +103,11 @@ _TYPES = {"float": float, "int": int, "complex": complex}
 def _parse_value(type_name: str, value):
     """A JSON value as a config field's declared type (text: annotations are
     deferred): finite float or complex ([re, im] too), integral int, str,
-    or Optional of one; never a boolean."""
+    or Optional of one; never a boolean, and null only for an Optional."""
     if type_name.startswith("Optional["):
         return None if value is None else _parse_value(type_name[9:-1], value)
+    if value is None:
+        raise ValueError("must not be null")
     if isinstance(value, bool) or (isinstance(value, list) and any(
             isinstance(x, bool) for x in value)):
         raise ValueError(f"must not be a boolean, got {value!r}")
@@ -182,8 +184,8 @@ def build_run_config(data: dict, preset: bool = False) -> RunConfig:
     With or without the preset, each derived setting the merged sections
     leave absent or null follows the resolved lattice and guide: q0 puts
     the photon band bottom on E_A, E_drive is the dark level and k_pump the
-    wavenumber where the lower branch crosses it; an absent F_pump sustains
-    a set n_pump.
+    wavenumber where the lower branch crosses it; an absent or null F_pump
+    sustains a set n_pump, else there is no pump.
     """
     unknown = data.keys() - {f.name for f in fields(RunConfig)}
     if unknown:
@@ -200,6 +202,8 @@ def build_run_config(data: dict, preset: bool = False) -> RunConfig:
     wg = _parse_section(WaveguideConfig, "waveguide", wgd)
 
     e_a = antisymmetric_energy(cfg)
+    if drv.get("F_pump", 0) is None:
+        del drv["F_pump"]
     if drv.get("E_drive") is None:
         drv["E_drive"] = e_a
     if drv.get("k_pump") is None:

@@ -5,11 +5,11 @@ the closest such one, ties to even.  Those digits come here from Dragonbox
 (J. Jeon, "Dragonbox: A New Floating-Point Binary-to-Decimal Conversion
 Algorithm", 2020), nearest to even, kappa = 2: one 64x128-bit product per
 value and a division by 1000 (or 100), so numpy finds them for a block of
-cells at a time; powers of two take its shorter-interval path, once each.
-The text follows ``repr``'s layout: fixed notation when the decimal point
-position p lies in -4 < p <= 16 (``0.00012``, ``123.0``), else
-``d[.ddd]e+XX`` with at least two exponent digits.  Subnormal, infinite and
-nan cells are rare; each goes through ``repr`` itself.
+cells at a time.  The text follows ``repr``'s layout: fixed notation when
+the decimal point position p lies in -4 < p <= 16 (``0.00012``, ``123.0``),
+else ``d[.ddd]e+XX`` with at least two exponent digits.  Powers of two,
+whose lower neighbour is twice as close, and subnormal, infinite and nan
+cells are rare; they go through ``repr`` itself, in one batch per block.
 
 A cell's text is first written to a row of six uint64 words, NUL where it
 has no character: the sign, "0." and zeros from byte 0, digit j at byte
@@ -50,16 +50,15 @@ def _tables():
     """(by_exp, quads, last, masks, prefix, exponent), built on first use.
 
     by_exp[:, f], for the doubles c 2^q of exponent field f (q = f - 1075)
-    and k = floor(log10(2^q)) - 2: hi and lo of phi(-k) = hi 2^64 + lo,
-    where phi(j) = ceil(10^j 2^(127 - floor(j log2 10))); the shift
-    b = q + floor(-k log2 10); k + 18; d and j + 15 of the power of two
-    2^(q + 52) = d 10^j.  Signed entries hold int64 bits.  For the 16 digits
-    after the first, in four quads v = 0..9999: quads[v] their characters,
-    each followed by a NUL; last[w * 10000 + v] the place (1..16) of the
-    last nonzero digit in quad w, 0 if none; masks[n] keeps the first n - 1
-    digits.  prefix[neg * 5 + z]: the sign, then for z > 0 "0." and z - 1
-    zeros.  exponent[p + 399] for a point position p: "e+XX" or "e-XX" with
-    exponent p - 1; entry 0 is empty.
+    and k = floor(log10(2^q)) - 2, has four rows: hi and lo of
+    phi(-k) = hi 2^64 + lo, where phi(j) = ceil(10^j 2^(127 - floor(j log2
+    10))); the shift b = q + floor(-k log2 10); and k + 18, held as int64
+    bits.  For the 16 digits after the first, in four quads v = 0..9999:
+    quads[v] their characters, each followed by a NUL; last[w * 10000 + v]
+    the place (1..16) of the last nonzero digit in quad w, 0 if none;
+    masks[n] keeps the first n - 1 digits.  prefix[neg * 5 + z]: the sign,
+    then for z > 0 "0." and z - 1 zeros.  exponent[p + 399] for a point
+    position p: "e+XX" or "e-XX" with exponent p - 1; entry 0 is empty.
     """
     phi = []
     for j in range(-292, 327):
@@ -69,8 +68,8 @@ def _tables():
     phi = np.array([(x >> 64, x & (2**64 - 1)) for x in phi], dtype=_U).T
     q = np.arange(-1075, 973)
     k = ((q * 661_971_961_083) >> 41) - 2
-    by_exp = np.vstack([phi[:, 292 - k], np.stack(
-        [q + _flog2pow10(-k), k + 18]).astype(_U), *_shorter(phi[0], q)])
+    by_exp = np.vstack([phi[:, 292 - k],
+                        np.stack([q + _flog2pow10(-k), k + 18]).astype(_U)])
     v = np.arange(10_000)
     chars = np.zeros((10_000, 8), dtype=np.uint8)
     chars[:, ::2] = v[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
@@ -82,24 +81,6 @@ def _tables():
                     for neg in (0, 1) for z in range(5))
     exponent = _words([b""] + [b"e%+03d" % (p - 1) for p in range(-398, 400)])
     return by_exp, chars.view(_U).ravel(), last.ravel(), masks, prefix, exponent
-
-
-def _shorter(phi_hi, q):
-    """(d, k + 15 as uint64) of the shortest nearest d 10^k to the doubles
-    2^(q + 52), given hi of phi(j) for j = -292..326."""
-    k = (q * 661_971_961_083 - 274_743_187_321) >> 41   # floor(log10(3/4 2^q))
-    b = (q + _flog2pow10(-k)).astype(_U)                # 0..3
-    hi = phi_hi[-k + 292]
-    # the left end, rounded up: an integer only at 2^54 and 2^55, where it
-    # is no multiple of 10 and so never the answer
-    left = ((hi - (hi >> _U(54))) >> (_U(11) - b)) + _U(1)
-    right = (hi + (hi >> _U(53))) >> (_U(11) - b)
-    s = right // _U(10) * _U(10)
-    d = ((hi >> (_U(10) - b)) + _U(1)) >> _U(1)
-    # the one tie, at q = -77, rounds to even
-    tie = (q == -77) & (d & _U(1)).astype(bool)
-    d = d - tie + (~tie & (d < left))
-    return np.where(s >= left, s, d), (k + 15).astype(_U)
 
 
 def _divmod(a, n: int):
@@ -118,14 +99,13 @@ def _mulhi(a, b_hi, b_lo):
 
 
 def _shortest(bits):
-    """(left, p) for the positive normal doubles ``bits``: the shortest
-    digits that read back as each, left-aligned in 17 (trailing zeros
-    filled in), and the point position p: the value reads 0.ddd 10^p."""
-    exp_bits = (bits >> _U(52)).astype(np.intp)
-    frac = bits & _U(2**52 - 1)
-    c = frac | _U(2**52)
+    """(left, p) for the positive normal doubles ``bits``, none a power of
+    two: the shortest digits that read back as each, left-aligned in 17
+    (trailing zeros filled in), and the point position p: the value reads
+    0.ddd 10^p."""
+    c = (bits & _U(2**52 - 1)) | _U(2**52)
     by_exp = _tables()[0]
-    hi, lo, b, p = np.take(by_exp[:4], exp_bits, axis=1)
+    hi, lo, b, p = np.take(by_exp, (bits >> _U(52)).astype(np.intp), axis=1)
     # z = floor((c + 1/2) 2^q 10^-k): the top 128 of the 192 bits of u phi
     u = ((c << _U(1)) | _U(1)) << b
     u_hi, u_lo = u >> _U(32), u & _M32
@@ -164,9 +144,6 @@ def _shortest(bits):
         | (integer[n:] & (d[ties] & _U(1)).astype(bool)))
     # d 10^(k + 3 - small) has 15, 16 or 17 digits; pad them to 17
     p = p.view(np.int64) - small
-    # at a power of two the lower neighbour is twice as close
-    at = np.flatnonzero((frac == _U(0)) & (exp_bits > 1))
-    d[at], p[at] = by_exp[4, exp_bits[at]], by_exp[5, exp_bits[at]].view(np.int64)
     wide = (d >= _U(10**15)).view(np.int8) + (d >= _U(10**16)).view(np.int8)
     return d * np.take(_PAD, wide), p + wide
 
@@ -177,10 +154,13 @@ def _block(x, first: int, ncol: int) -> bytes:
     _, quads, last, masks, prefix, exponent = _tables()
     bits = x.view(_U)
     exp_bits = (bits >> _U(52)) & _U(0x7FF)
-    odd = (exp_bits == _U(0)) | (exp_bits == _U(0x7FF))
+    # powers of two (a lower neighbour twice as close), subnormal, infinite
+    # and nan cells go through repr below
+    odd = ((exp_bits == _U(0)) | (exp_bits == _U(0x7FF))
+           | ((bits & _U(2**52 - 1)) == _U(0)))
     zero = (bits << _U(1)) == _U(0)
-    # zero and the special cells take 1.0's digits and point, p = 1
-    left, p = _shortest(np.where(odd, _U(0x3FF0000000000000), bits & _M63))
+    # zero and the repr cells take 1.5's point, p = 1
+    left, p = _shortest(np.where(odd, _U(0x3FF8000000000000), bits & _M63))
     left[zero] = 0
     lead, rest = _divmod(left, 10**16)
     hi, lo = _divmod(rest, 10**8)
@@ -201,10 +181,10 @@ def _block(x, first: int, ncol: int) -> bytes:
     text.reshape(-1)[dotted * _ROW + 5 + 2 * np.where(fixed, p, 1)[dotted]] = ord(".")
     text[:, -1] = ord(",")
     text[(ncol - 1 - first) % ncol::ncol, -1] = ord("\n")
-    for i in np.flatnonzero(odd & ~zero):
-        text[i, :-1] = 0
-        cell = repr(float(x[i])).encode()
-        text[i, :len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+    rare = odd & ~zero
+    cells = np.array([repr(v).encode() for v in x[rare].tolist()],
+                     dtype=f"S{_ROW - 1}")
+    text[rare, :-1] = cells.view(np.uint8).reshape(-1, _ROW - 1)
     return text.tobytes().translate(None, b"\0")
 
 
