@@ -3,11 +3,15 @@
 Number-conserving sectors of the hard-core excitation Hamiltonian are built
 as dense matrices: the 2N x 2N one-excitation matrix, one row per atom, and
 its lift to the pairs of distinct atoms for two excitations, so double
-occupation of an atom is excluded structurally.  The reports diagonalize
-them with LAPACK (``np.linalg.eigh``; the tests compare it with a cyclic
-Jacobi solver of their own).  This checks the analytic band formulas, the
-dark-level degeneracy, the a >> R single-hopping approximation and the
-energy separation of on-cell double excitations.
+occupation of an atom is excluded structurally.  The band report
+diagonalizes the one-excitation matrix with LAPACK (``np.linalg.eigh``;
+the tests compare it with a cyclic Jacobi solver of their own).  The
+blocking report solves the two-excitation sector in its N total-momentum
+blocks instead, built from the translation orbits of the atom pairs; the
+dense pair matrix is the reference the tests compare those blocks with.
+This checks the analytic band formulas, the dark-level degeneracy, the
+a >> R single-hopping approximation and the energy separation of on-cell
+double excitations.
 
 The N cells form a periodic ring, as the wavenumbers k = 2 pi p / (N a)
 assume: couplings use the minimum-image distances between the actual atom
@@ -18,8 +22,10 @@ keeps every pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,19 +68,23 @@ def build_sector(cfg: SuperLatticeConfig, n_cells: int, n_exc: int,
     (cell n, alpha) is 2n + alpha).  Two: h1 lifted to the pairs of distinct
     atoms by :func:`_hard_core_pairs`, with 2*V_dyn on pairs filling a cell.
     """
+    _check_sector(n_cells, n_exc, coupling_mode)
+    h1 = cfg.E_A * np.eye(2 * n_cells) + _atom_couplings(cfg, n_cells, coupling_mode)
+    return h1 if n_exc == 1 else _hard_core_pairs(h1, 2.0 * V_dyn)
+
+
+def _check_sector(n_cells: int, n_exc: int, coupling_mode: str) -> None:
+    """Raise for an invalid sector or one over the dense size cap."""
     if coupling_mode not in COUPLING_MODES:
         raise DomainError(f"unknown coupling mode {coupling_mode!r}")
     if n_cells < 1:
         raise DomainError("need n_cells >= 1")
     if n_exc not in (1, 2):
         raise DomainError("n_exc must be 1 or 2")
-    n_atoms = 2 * n_cells
-    dim = math.comb(n_atoms, n_exc)
+    dim = math.comb(2 * n_cells, n_exc)
     if dim > _MAX_DIM:
         raise SectorSizeError(f"sector dimension {dim} exceeds {_MAX_DIM}: "
                               f"{dim * dim * 8 / 1e6:.1f} MB as a dense matrix")
-    h1 = cfg.E_A * np.eye(n_atoms) + _atom_couplings(cfg, n_cells, coupling_mode)
-    return h1 if n_exc == 1 else _hard_core_pairs(h1, 2.0 * V_dyn)
 
 
 def _hard_core_pairs(h1: np.ndarray, shift: float) -> np.ndarray:
@@ -91,6 +101,108 @@ def _hard_core_pairs(h1: np.ndarray, shift: float) -> np.ndarray:
     stay = np.stack([hi, lo])[:, :, None]   # the other atom moves to k
     h[np.arange(hi.size)[:, None], pair_row[stay, k]] = h1[stay[::-1], k]
     return h
+
+
+class _PairBlocks(NamedTuple):
+    """Tables of the momentum blocks p = 0..N//2 of an N-cell ring's pair
+    sector, which depend on N alone.
+
+    Orbit o is atom alpha[o] in cell 0 with atom beta[o] in cell r[o].  Hop
+    h adds ``coupling[:2].ravel()[amp[h]] * phase[p, h]`` to block p, at the
+    real and imaginary indices that ``cell`` holds.  ``solves`` lists the
+    stacks of equal-size blocks, and ``count`` gives the multiplicity of
+    each of their eigenvalues.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    r: np.ndarray
+    on_cell: int                # the orbit (0, 1, 0) of the pairs filling a cell
+    amp: np.ndarray
+    phase: np.ndarray
+    cell: np.ndarray
+    solves: tuple[tuple[slice, int], ...]
+    count: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_blocks(n_cells: int) -> _PairBlocks:
+    """The block tables of the N-cell ring, kept for the last few N: they
+    take about 42 MB at N = 69.
+
+    The pair (alpha, beta, r) is also (beta, alpha, -r) seen from its other
+    atom, and the smaller key (2 alpha + beta) N + r represents both.
+    (alpha, alpha, 0) is a double occupation.  For even N the two orbits
+    (alpha, alpha, N/2) have period N/2, exist at even p only and come last.
+    Block p acts on the states sum_l e^{-iKl} T^l |o>, K = 2 pi p / N, so a
+    hop onto T^l of orbit o' has the phase e^{iKl} sqrt(period ratio).
+    Blocks p and N - p are complex conjugates: their eigenvalues count twice.
+    """
+    n = n_cells
+    key = np.arange(4 * n)
+    a, b, r = key // (2 * n), key // n % 2, key % n
+    mirror = (2 * b + a) * n + (-r) % n
+    short = (key == mirror) & (r != 0)
+    reps = np.flatnonzero((key < mirror) | short)
+    reps = reps[np.argsort(short[reps], kind="stable")]
+    size = reps.size
+    orbit = np.full(4 * n, -1)                  # -1: a double occupation
+    orbit[reps] = orbit[mirror[reps]] = np.arange(size)
+    # the pair (0, alpha), (r, beta) is T^r of its mirror's representative
+    to_rep = np.where(key > mirror, r, 0)
+    period = np.where(short[reps], n // 2, n)
+
+    # atom (0, alpha) hops to (m, g), or atom (r, beta) to (r + m, g), by
+    # C[m, alpha, g] = h1[alpha, 2m + g], in offsets from E_A
+    j = np.arange(2 * n)
+    m, g = j // 2, j % 2
+    ra, rb, rr = (x[reps, None] for x in (a, b, r))
+    moved = np.stack([(2 * g + rb) * n + (rr - m) % n, (2 * ra + g) * n + (rr + m) % n])
+    mover = np.broadcast_to(np.stack([ra, rb]), moved.shape)
+    src = np.broadcast_to(np.arange(size)[:, None], moved.shape)
+    shift = np.broadcast_to(np.stack([m, 0 * m])[:, None, :], moved.shape)
+    dst = orbit[moved]
+    hop = (dst >= 0) & (j != mover)             # to a free atom, not its own
+    src, dst, moved = src[hop], dst[hop], moved[hop]
+    shift = (shift[hop] + to_rep[moved]) % n
+
+    p = np.arange(n // 2 + 1)
+    cell = (p[:, None] * size + dst) * size + src
+    solves = (((slice(None), size),) if n % 2 else
+              ((slice(0, None, 2), size), (slice(1, None, 2), size - 2)))
+    count = np.where((p == 0) | (2 * p == n), 1, 2)
+    phase = np.exp(2j * np.pi / n * np.arange(n))[p[:, None] * shift % n]
+    phase *= np.sqrt(period[src] / period[dst])
+    blocks = _PairBlocks(
+        alpha=a[reps], beta=b[reps], r=r[reps], on_cell=int(orbit[n]),
+        amp=(mover * 2 * n + j)[hop], phase=phase,
+        cell=(2 * cell[..., None] + (0, 1)).ravel(), solves=solves,
+        count=np.concatenate([np.repeat(count[sel], k) for sel, k in solves]))
+    for table in blocks:
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+    return blocks
+
+
+def _pair_spectrum(coupling: np.ndarray, n_cells: int,
+                   V_dyn: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-excitation spectrum of the ring with atom couplings ``coupling``
+    (zero diagonal), in offsets from 2 E_A, solved in total-momentum blocks
+    with one stacked ``eigh`` per block size.  Returns each eigenvalue, its
+    weight on the pairs filling one cell and its multiplicity."""
+    t = _pair_blocks(n_cells)
+    n_p, size = t.phase.shape[0], t.alpha.size
+    weight = coupling[:2].ravel()[t.amp] * t.phase
+    # float weights, so that a ring without hops (N = 1) still sums to floats
+    blocks = np.bincount(t.cell, weight.view(float).ravel(), 2 * n_p * size * size)
+    blocks = blocks.view(complex).reshape(n_p, size, size)
+    blocks[:, t.on_cell, t.on_cell] += 2.0 * V_dyn
+    energies, on_cell = [], []
+    for sel, k in t.solves:
+        w, vecs = np.linalg.eigh(blocks[sel, :k, :k])
+        energies.append(w.ravel())
+        on_cell.append((np.abs(vecs[:, t.on_cell, :]) ** 2).ravel())
+    return np.concatenate(energies), np.concatenate(on_cell), t.count
 
 
 @dataclass(frozen=True)
@@ -153,7 +265,17 @@ def validate_band(cfg: SuperLatticeConfig, n_cells: int) -> BandReport:
 
 @dataclass(frozen=True)
 class BlockingReport:
-    """Placement of on-cell double excitations in the two-quantum sector."""
+    """Placement of on-cell double excitations in the two-quantum sector.
+
+    ``dimension`` counts the eigenvalues of the momentum blocks with their
+    multiplicity, against ``expected_dimension`` = C(2N, 2) pairs of
+    distinct atoms; ``no_double_occupation`` checks that no pair orbit puts
+    both excitations on one atom.  Centroids are absolute energies, the
+    mean over the cluster or manifold eigenvalues with multiplicity;
+    ``separation`` and ``min_gap`` are taken from the offsets from 2 E_A.
+    These agree with a dense ``eigh`` of ``build_sector(cfg, N, 2)`` to
+    within 1e-12 E_A, not bit for bit.
+    """
 
     n_cells: int
     dimension: int
@@ -174,31 +296,45 @@ def validate_blocking(cfg: SuperLatticeConfig, n_cells: int,
     """Check the two-excitation sector: structural single occupation per
     atom, and the 2 E_A + 2 V_dyn placement of doubly-excited cells.
 
+    The sector is solved block by block in total momentum K = 2 pi p / N
+    (nearest-neighbour cells).  Each block's basis is the translation
+    orbits of the pairs of distinct atoms, represented by atom alpha in
+    cell 0 and atom beta in cell r; for even N the orbits (alpha, alpha,
+    N/2) have period N/2 and appear at even p only.  The dense
+    ``build_sector(cfg, N, 2)`` is the reference the tests compare with;
+    the size cap on it still applies here.
+
     Eigenstates with more than half their weight on doubly-excited-cell
     basis states form the bound cluster; the report compares its centroid
     offset from the remaining (2 E_A) manifold with 2 V_dyn and flags a
     resonance when the cluster is incomplete or touches the manifold.
     """
-    h = build_sector(cfg, n_cells, 2, V_dyn=V_dyn)
-    hi, lo = np.tril_indices(2 * n_cells, -1)       # rows, as in build_sector
-    w, vecs = np.linalg.eigh(h)
-    weights = np.sum(vecs[hi // 2 == lo // 2, :] ** 2, axis=0)
+    mode = "nearest-neighbor-cells"
+    _check_sector(n_cells, 2, mode)
+    orbits = _pair_blocks(n_cells)
+    w, weights, count = _pair_spectrum(_atom_couplings(cfg, n_cells, mode),
+                                       n_cells, V_dyn)
     in_cluster = weights > 0.5
-    cluster = w[in_cluster]
-    manifold = w[~in_cluster]
+    cluster, manifold = w[in_cluster], w[~in_cluster]
+
+    def centroid(part):
+        n = np.sum(count[part])
+        return float(np.dot(count[part], w[part]) / n) if n else math.nan
 
     j0 = exciton_levels(cfg).J0
-    cluster_centroid = float(np.mean(cluster)) if cluster.size else math.nan
-    manifold_centroid = float(np.mean(manifold)) if manifold.size else math.nan
-    separation = cluster_centroid - manifold_centroid
+    cluster_size = int(np.sum(count[in_cluster]))
+    cluster_offset, manifold_offset = centroid(in_cluster), centroid(~in_cluster)
     min_gap = (float(np.min(np.abs(cluster[:, None] - manifold[None, :])))
                if cluster.size and manifold.size else 0.0)
-    separated = (cluster.size == n_cells and min_gap > 4.0 * abs(j0))
+    separated = (cluster_size == n_cells and min_gap > 4.0 * abs(j0))
     return BlockingReport(
-        n_cells=n_cells, dimension=h.shape[0],
+        n_cells=n_cells, dimension=int(np.sum(count)),
         expected_dimension=math.comb(2 * n_cells, 2),
-        no_double_occupation=bool(np.all(hi != lo)), V_dyn=V_dyn,
-        cluster_size=int(cluster.size), cluster_centroid=cluster_centroid,
-        manifold_centroid=manifold_centroid, separation=separation,
-        expected_separation=2.0 * V_dyn, min_gap=min_gap,
-        separated=separated)
+        no_double_occupation=bool(np.all((orbits.alpha != orbits.beta)
+                                         | (orbits.r != 0))),
+        V_dyn=V_dyn, cluster_size=cluster_size,
+        cluster_centroid=2.0 * cfg.E_A + cluster_offset,
+        manifold_centroid=2.0 * cfg.E_A + manifold_offset,
+        separation=cluster_offset - manifold_offset,
+        expected_separation=2.0 * V_dyn,
+        min_gap=min_gap, separated=separated)

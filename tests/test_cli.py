@@ -415,8 +415,10 @@ def test_oracle_ring_reach(tmp_path, capsys, monkeypatch):
         return main(["oracle", "--preset", "paper", "--config", str(config),
                      "--out", str(out)])
 
-    assert run(21) == 0
-    assert out.read_text().count("\nband,eigenvalues[") == 42
+    # 69 cells, C(138, 2) = 9453 pair states, is the last ring under the cap
+    for n_cells in (21, 69):
+        assert run(n_cells) == 0
+        assert out.read_text().count("\nband,eigenvalues[") == 2 * n_cells
     assert run(4) == 2
     # a two-excitation sector over the cap fails before any band solve
     monkeypatch.setattr(cli, "validate_band", None)

@@ -241,20 +241,20 @@ def test_jacobi_against_lapack_route():
         assert np.allclose(v.T @ v, np.eye(n), atol=1e-12)
 
 
-def test_lapack_route_agrees_with_jacobi_on_blocking_sector(small_cfg, monkeypatch):
+def test_lapack_route_agrees_with_jacobi_on_blocking_sector(small_cfg):
     e_abs = 1e-12 * small_cfg.E_A
     h = build_sector(small_cfg, 6, 2, V_dyn=1e-3)
     w_lapack, _ = np.linalg.eigh(h)
     w_jacobi, _ = jacobi_eigh(h)
     assert np.max(np.abs(w_lapack - w_jacobi)) <= e_abs
 
-    lapack = validate_blocking(small_cfg, 6, V_dyn=1e-3)
-    monkeypatch.setattr(np.linalg, "eigh", jacobi_eigh)
-    jacobi = validate_blocking(small_cfg, 6, V_dyn=1e-3)
-    assert lapack.cluster_size == jacobi.cluster_size == 6
-    assert lapack.separated and jacobi.separated
-    assert abs(lapack.separation - jacobi.separation) <= e_abs
-    assert abs(lapack.min_gap - jacobi.min_gap) <= e_abs
+    # the momentum-block report against the dense sector solved by Jacobi
+    blocks = validate_blocking(small_cfg, 6, V_dyn=1e-3)
+    jacobi = _dense_blocking(small_cfg, 6, 1e-3, jacobi_eigh)
+    assert blocks.cluster_size == jacobi["cluster_size"] == 6
+    assert blocks.separated and jacobi["separated"]
+    assert abs(blocks.separation - jacobi["separation"]) <= e_abs
+    assert abs(blocks.min_gap - jacobi["min_gap"]) <= e_abs
 
 
 def test_diagonalize_residual_and_trace(small_cfg):
@@ -362,6 +362,73 @@ def test_blocking_scales_with_cells(small_cfg):
     assert report.cluster_size == 5
     assert report.separation == pytest.approx(2e-3, rel=0.10)
     assert report.separated
+
+
+def _dense_blocking(cfg, n_cells, v_dyn, eigh=np.linalg.eigh):
+    """The blocking report's fields from one dense solve of build_sector."""
+    h = build_sector(cfg, n_cells, 2, V_dyn=v_dyn)
+    hi, lo = np.tril_indices(2 * n_cells, -1)
+    w, vecs = eigh(h)
+    in_cluster = np.sum(vecs[hi // 2 == lo // 2, :] ** 2, axis=0) > 0.5
+    cluster, manifold = w[in_cluster], w[~in_cluster]
+    centroids = [float(np.mean(x)) if x.size else math.nan for x in (cluster, manifold)]
+    min_gap = (float(np.min(np.abs(cluster[:, None] - manifold[None, :])))
+               if cluster.size and manifold.size else 0.0)
+    return dict(dimension=h.shape[0], cluster_size=int(cluster.size),
+                cluster_centroid=centroids[0], manifold_centroid=centroids[1],
+                separation=centroids[0] - centroids[1], min_gap=min_gap,
+                separated=(cluster.size == n_cells and min_gap
+                           > 4.0 * abs(exciton_levels(cfg).J0)))
+
+
+def _assert_report_matches_dense(report, dense, e_abs):
+    assert report.dimension == report.expected_dimension == dense["dimension"]
+    assert report.no_double_occupation
+    for key in ("cluster_size", "separated"):
+        assert getattr(report, key) == dense[key], key
+    for key in ("cluster_centroid", "manifold_centroid", "separation", "min_gap"):
+        got, want = getattr(report, key), dense[key]
+        assert (math.isnan(got) and math.isnan(want)) or abs(got - want) <= e_abs, key
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2),
+       r_over_a=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+       v_dyn=st.one_of(st.just(0.0), st.floats(1e-5, 3e-3)),
+       n_cells=st.integers(1, 9),
+       mode=st.sampled_from(oracle.COUPLING_MODES))
+def test_momentum_blocks_match_dense_sector(theta, r_over_a, v_dyn, n_cells, mode):
+    # the union of the block spectra, with multiplicity, is the dense pair
+    # sector's spectrum; both are built in offsets from 2 E_A, because the
+    # absolute 2 E_A + 2 V_dyn diagonal alone rounds by half an ulp of 3 eV
+    cfg = SuperLatticeConfig(E_A=1.5, a=1000.0, R=1000.0 * r_over_a, mu=2.5,
+                             theta=theta, N=5)
+    coupling = oracle._atom_couplings(cfg, n_cells, mode)
+    w, weights, count = oracle._pair_spectrum(coupling, n_cells, v_dyn)
+    dense = np.linalg.eigvalsh(oracle._hard_core_pairs(coupling, 2.0 * v_dyn))
+    assert w.shape == weights.shape == count.shape
+    assert np.sum(count) == dense.size == math.comb(2 * n_cells, 2)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(np.sort(np.repeat(w, count)) - dense)) <= 1e-12 * scale
+    assert np.all((weights >= 0.0) & (weights <= 1.0 + 1e-12))
+    # at V_dyn = 0 the on-cell pairs share degenerate levels with the
+    # manifold, and which states pass weights > 0.5 depends on the basis
+    # either eigh picks in those levels
+    if mode == "nearest-neighbor-cells" and v_dyn > 0.0:
+        _assert_report_matches_dense(validate_blocking(cfg, n_cells, v_dyn),
+                                     _dense_blocking(cfg, n_cells, v_dyn),
+                                     1e-12 * cfg.E_A)
+
+
+def test_single_cell_blocking_matches_dense(small_cfg):
+    # one pair and no hops: a cluster of one, no manifold to compare with
+    report = validate_blocking(small_cfg, 1, V_dyn=1e-3)
+    dense = _dense_blocking(small_cfg, 1, 1e-3)
+    _assert_report_matches_dense(report, dense, 1e-12 * small_cfg.E_A)
+    assert report.cluster_size == 1 and report.dimension == 1
+    assert math.isnan(report.manifold_centroid) and math.isnan(report.separation)
+    assert report.cluster_centroid == pytest.approx(2 * small_cfg.E_A + 2e-3, rel=1e-15)
+    assert report.min_gap == 0.0 and not report.separated
 
 
 def test_build_sector_rejects_bad_modes(small_cfg):
