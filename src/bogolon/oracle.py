@@ -7,8 +7,8 @@ occupation of an atom is excluded structurally.  The band report
 diagonalizes the one-excitation matrix with LAPACK (``np.linalg.eigh``;
 the tests compare it with a cyclic Jacobi solver of their own).  The
 blocking report solves the two-excitation sector in its N total-momentum
-blocks instead, built from the translation orbits of the atom pairs; the
-dense pair matrix is the reference the tests compare those blocks with.
+blocks instead, read off the same lift at each total momentum; the dense
+pair matrix is the reference the tests compare those blocks with.
 This checks the analytic band formulas, the dark-level degeneracy, the
 a >> R single-hopping approximation and the energy separation of on-cell
 double excitations.
@@ -44,18 +44,16 @@ def _atom_couplings(cfg: SuperLatticeConfig, n_cells: int,
                     coupling_mode: str) -> np.ndarray:
     """Symmetric 2N x 2N dipole couplings between atoms around the ring, zero
     on the diagonal and for pairs out of range."""
-    n_atoms = 2 * n_cells
-    j, i = np.tril_indices(n_atoms, -1)
-    cell = np.arange(n_atoms) // 2
-    pos = cell * cfg.a + (np.arange(n_atoms) % 2 - 0.5) * cfg.R
-    dcell, d = cell[j] - cell[i], pos[j] - pos[i]     # j > i: both >= 0
-    dcell = np.minimum(dcell, n_cells - dcell)        # minimum images
-    d = np.minimum(d, n_cells * cfg.a - d)
-    c = dipole_coupling(d, cfg)
+    atom = np.arange(2 * n_cells)
+    cell = atom // 2
+    pos = cell * cfg.a + (atom % 2 - 0.5) * cfg.R
+    d = np.abs(pos[:, None] - pos)
+    d = np.minimum(d, n_cells * cfg.a - d)           # minimum images
+    np.fill_diagonal(d, np.inf)
+    coupling = dipole_coupling(d, cfg)
     if coupling_mode == "nearest-neighbor-cells":
-        c = np.where(dcell > 1, 0.0, c)
-    coupling = np.zeros((n_atoms, n_atoms))
-    coupling[j, i] = coupling[i, j] = c
+        dcell = np.abs(cell[:, None] - cell)
+        coupling[np.minimum(dcell, n_cells - dcell) > 1] = 0.0
     return coupling
 
 
@@ -107,20 +105,20 @@ class _PairBlocks(NamedTuple):
     """Tables of the momentum blocks p = 0..N//2 of an N-cell ring's pair
     sector, which depend on N alone.
 
-    Orbit o is atom alpha[o] in cell 0 with atom beta[o] in cell r[o].  Hop
-    h adds ``coupling[:2].ravel()[amp[h]] * phase[p, h]`` to block p, at the
-    real and imaginary indices that ``cell`` holds.  ``solves`` lists the
-    stacks of equal-size blocks, and ``count`` gives the multiplicity of
-    each of their eigenvalues.
+    Representative o is atom alpha[o] in cell 0 with atom beta[o] in cell
+    r[o].  With ``rows`` the couplings ``coupling[:2].ravel()`` and a zero
+    appended, element (o', o) of block p is the sum over the terms
+    t = 2 mover + end of ``rows[hop[t, o', o]] * weight[p, t, o', o]``.
+    ``solves`` lists the stacks of equal-size blocks, and ``count`` gives
+    the multiplicity of each of their eigenvalues.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     r: np.ndarray
-    on_cell: int                # the orbit (0, 1, 0) of the pairs filling a cell
-    amp: np.ndarray
-    phase: np.ndarray
-    cell: np.ndarray
+    on_cell: int                # the pairs (0, 1, 0) filling a cell
+    hop: np.ndarray
+    weight: np.ndarray
     solves: tuple[tuple[slice, int], ...]
     count: np.ndarray
 
@@ -128,55 +126,54 @@ class _PairBlocks(NamedTuple):
 @functools.lru_cache(maxsize=4)
 def _pair_blocks(n_cells: int) -> _PairBlocks:
     """The block tables of the N-cell ring, kept for the last few N: they
-    take about 42 MB at N = 69.
+    take about 43 MB at N = 69.
 
-    The pair (alpha, beta, r) is also (beta, alpha, -r) seen from its other
-    atom, and the smaller key (2 alpha + beta) N + r represents both.
-    (alpha, alpha, 0) is a double occupation.  For even N the two orbits
-    (alpha, alpha, N/2) have period N/2, exist at even p only and come last.
-    Block p acts on the states sum_l e^{-iKl} T^l |o>, K = 2 pi p / N, so a
-    hop onto T^l of orbit o' has the phase e^{iKl} sqrt(period ratio).
-    Blocks p and N - p are complex conjugates: their eigenvalues count twice.
+    The ordered pair (alpha, beta, r), key (2 alpha + beta) N + r, is atom
+    alpha of cell 0 with atom beta of cell r.  At K = 2 pi p / N the lift
+    h1 (x) 1 + 1 (x) h1 takes it to (alpha', beta, r - m) with
+    C[m, alpha, alpha'] e^{iKm}, and to (alpha, beta', r + m) with
+    C[m, beta, beta'], where C[m, alpha, beta] = h1[alpha, 2m + beta] in
+    offsets from E_A.  Exchange X takes it to e^{iKr} (beta, alpha, -r),
+    its mirror.  The smaller key of the two is the representative o, and
+    the block basis is |S o> = (|o> + X|o>) / sqrt(2); the double
+    occupation (alpha, alpha, 0) is no representative.  For even N,
+    (alpha, alpha, N/2) is its own mirror with X = (-1)^p: |S o> = |o> at
+    even p and none at odd p, so these come last.  H commutes with X, so
+    <S o'|H|S o> = sqrt(2) <S o'|H|o>, once for a self-mirror o.  Blocks p
+    and N - p are complex conjugates: their eigenvalues count twice.
     """
     n = n_cells
     key = np.arange(4 * n)
     a, b, r = key // (2 * n), key // n % 2, key % n
     mirror = (2 * b + a) * n + (-r) % n
-    short = (key == mirror) & (r != 0)
-    reps = np.flatnonzero((key < mirror) | short)
-    reps = reps[np.argsort(short[reps], kind="stable")]
-    size = reps.size
-    orbit = np.full(4 * n, -1)                  # -1: a double occupation
-    orbit[reps] = orbit[mirror[reps]] = np.arange(size)
-    # the pair (0, alpha), (r, beta) is T^r of its mirror's representative
-    to_rep = np.where(key > mirror, r, 0)
-    period = np.where(short[reps], n // 2, n)
+    self_mirror = (key == mirror) & (r != 0)
+    reps = np.flatnonzero((key < mirror) | self_mirror)
+    reps = reps[np.argsort(self_mirror[reps], kind="stable")]
+    size, single = reps.size, self_mirror[reps]
 
-    # atom (0, alpha) hops to (m, g), or atom (r, beta) to (r + m, g), by
-    # C[m, alpha, g] = h1[alpha, 2m + g], in offsets from E_A
-    j = np.arange(2 * n)
-    m, g = j // 2, j % 2
-    ra, rb, rr = (x[reps, None] for x in (a, b, r))
-    moved = np.stack([(2 * g + rb) * n + (rr - m) % n, (2 * ra + g) * n + (rr + m) % n])
-    mover = np.broadcast_to(np.stack([ra, rb]), moved.shape)
-    src = np.broadcast_to(np.arange(size)[:, None], moved.shape)
-    shift = np.broadcast_to(np.stack([m, 0 * m])[:, None, :], moved.shape)
-    dst = orbit[moved]
-    hop = (dst >= 0) & (j != mover)             # to a free atom, not its own
-    src, dst, moved = src[hop], dst[hop], moved[hop]
-    shift = (shift[hop] + to_rep[moved]) % n
-
+    # element (o', o) reads H|o> on both ends u of |S o'>, u[0] = o' and
+    # u[1] its mirror: the first atom of o moves m = r_o - r_u cells onto u
+    # if the second stays, or the second moves -m cells if the first stays
+    u, o = np.stack([reps, mirror[reps]])[:, :, None], reps
+    m = (r[o] - r[u]) % n
+    hop = np.stack([np.where(b[u] == b[o], 2 * n * a[o] + 2 * m + a[u], 4 * n),
+                    np.where(a[u] == a[o], 2 * n * b[o] + 2 * (-m % n) + b[u], 4 * n)])
+    # e^{iKm} as the first atom moves, times conj e^{iKr_o'} at the mirror end
+    shift = np.stack([m, 0 * m]) + r[u] * [[[0]], [[1]]]
+    lift = np.where(single, 1.0, math.sqrt(2.0))
+    ends = np.stack([1.0 / lift, ~single / lift])       # <S o'| on u[0], u[1]
     p = np.arange(n // 2 + 1)
-    cell = (p[:, None] * size + dst) * size + src
+    root = np.exp(2j * np.pi / n * np.arange(n))
+    weight = ends[:, :, None] * lift * root[np.multiply.outer(p, shift) % n]
+
     solves = (((slice(None), size),) if n % 2 else
               ((slice(0, None, 2), size), (slice(1, None, 2), size - 2)))
     count = np.where((p == 0) | (2 * p == n), 1, 2)
-    phase = np.exp(2j * np.pi / n * np.arange(n))[p[:, None] * shift % n]
-    phase *= np.sqrt(period[src] / period[dst])
     blocks = _PairBlocks(
-        alpha=a[reps], beta=b[reps], r=r[reps], on_cell=int(orbit[n]),
-        amp=(mover * 2 * n + j)[hop], phase=phase,
-        cell=(2 * cell[..., None] + (0, 1)).ravel(), solves=solves,
+        alpha=a[reps], beta=b[reps], r=r[reps],
+        on_cell=int(np.flatnonzero(reps == n)[0]),
+        hop=hop.reshape(4, size, size),
+        weight=weight.reshape(p.size, 4, size, size), solves=solves,
         count=np.concatenate([np.repeat(count[sel], k) for sel, k in solves]))
     for table in blocks:
         if isinstance(table, np.ndarray):
@@ -191,11 +188,8 @@ def _pair_spectrum(coupling: np.ndarray, n_cells: int,
     with one stacked ``eigh`` per block size.  Returns each eigenvalue, its
     weight on the pairs filling one cell and its multiplicity."""
     t = _pair_blocks(n_cells)
-    n_p, size = t.phase.shape[0], t.alpha.size
-    weight = coupling[:2].ravel()[t.amp] * t.phase
-    # float weights, so that a ring without hops (N = 1) still sums to floats
-    blocks = np.bincount(t.cell, weight.view(float).ravel(), 2 * n_p * size * size)
-    blocks = blocks.view(complex).reshape(n_p, size, size)
+    rows = np.append(coupling[:2].ravel(), 0.0)
+    blocks = np.einsum("tij,ptij->pij", rows[t.hop], t.weight)
     blocks[:, t.on_cell, t.on_cell] += 2.0 * V_dyn
     energies, on_cell = [], []
     for sel, k in t.solves:
@@ -269,12 +263,16 @@ class BlockingReport:
 
     ``dimension`` counts the eigenvalues of the momentum blocks with their
     multiplicity, against ``expected_dimension`` = C(2N, 2) pairs of
-    distinct atoms; ``no_double_occupation`` checks that no pair orbit puts
-    both excitations on one atom.  Centroids are absolute energies, the
-    mean over the cluster or manifold eigenvalues with multiplicity;
-    ``separation`` and ``min_gap`` are taken from the offsets from 2 E_A.
-    These agree with a dense ``eigh`` of ``build_sector(cfg, N, 2)`` to
-    within 1e-12 E_A, not bit for bit.
+    distinct atoms; ``no_double_occupation`` checks that no block
+    representative puts both excitations on one atom.  Centroids are
+    absolute energies, the mean over the cluster or manifold eigenvalues
+    with multiplicity; ``separation`` and ``min_gap`` are taken from the
+    offsets from 2 E_A.  These agree with a dense ``eigh`` of
+    ``build_sector(cfg, N, 2)`` to within 1e-12 E_A, not bit for bit.  At
+    V_dyn = 0 the on-cell pairs share degenerate levels with the manifold:
+    ``cluster_size`` and the centroids then depend on the basis the
+    eigensolver picks inside those levels, and may differ from a dense
+    solve.
     """
 
     n_cells: int
@@ -297,12 +295,10 @@ def validate_blocking(cfg: SuperLatticeConfig, n_cells: int,
     atom, and the 2 E_A + 2 V_dyn placement of doubly-excited cells.
 
     The sector is solved block by block in total momentum K = 2 pi p / N
-    (nearest-neighbour cells).  Each block's basis is the translation
-    orbits of the pairs of distinct atoms, represented by atom alpha in
-    cell 0 and atom beta in cell r; for even N the orbits (alpha, alpha,
-    N/2) have period N/2 and appear at even p only.  The dense
-    ``build_sector(cfg, N, 2)`` is the reference the tests compare with;
-    the size cap on it still applies here.
+    (nearest-neighbour cells), each element read off the pair lift
+    h1 (x) 1 + 1 (x) h1 and folded onto the exchange-symmetric pairs of
+    distinct atoms.  The dense ``build_sector(cfg, N, 2)`` is the reference
+    the tests compare with; the size cap on it still applies here.
 
     Eigenstates with more than half their weight on doubly-excited-cell
     basis states form the bound cluster; the report compares its centroid
@@ -311,7 +307,7 @@ def validate_blocking(cfg: SuperLatticeConfig, n_cells: int,
     """
     mode = "nearest-neighbor-cells"
     _check_sector(n_cells, 2, mode)
-    orbits = _pair_blocks(n_cells)
+    reps = _pair_blocks(n_cells)
     w, weights, count = _pair_spectrum(_atom_couplings(cfg, n_cells, mode),
                                        n_cells, V_dyn)
     in_cluster = weights > 0.5
@@ -330,8 +326,8 @@ def validate_blocking(cfg: SuperLatticeConfig, n_cells: int,
     return BlockingReport(
         n_cells=n_cells, dimension=int(np.sum(count)),
         expected_dimension=math.comb(2 * n_cells, 2),
-        no_double_occupation=bool(np.all((orbits.alpha != orbits.beta)
-                                         | (orbits.r != 0))),
+        no_double_occupation=bool(np.all((reps.alpha != reps.beta)
+                                         | (reps.r != 0))),
         V_dyn=V_dyn, cluster_size=cluster_size,
         cluster_centroid=2.0 * cfg.E_A + cluster_offset,
         manifold_centroid=2.0 * cfg.E_A + manifold_offset,

@@ -411,6 +411,9 @@ def test_momentum_blocks_match_dense_sector(theta, r_over_a, v_dyn, n_cells, mod
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(np.sort(np.repeat(w, count)) - dense)) <= 1e-12 * scale
     assert np.all((weights >= 0.0) & (weights <= 1.0 + 1e-12))
+    # the trace of the projector on the N pairs filling a cell, which does
+    # not depend on the basis either eigh picks inside a degenerate level
+    assert np.sum(count * weights) == pytest.approx(n_cells, rel=1e-12)
     # at V_dyn = 0 the on-cell pairs share degenerate levels with the
     # manifold, and which states pass weights > 0.5 depends on the basis
     # either eigh picks in those levels
