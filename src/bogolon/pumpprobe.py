@@ -170,8 +170,10 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
     has no finite occupation and raises ``BistabilityError``.
 
     Broadcasts over an array ``E_drive`` (default ``drive.E_drive``) and
-    over array mode fields; ``iterations`` counts the Newton steps summed
-    over elements, and any bistable element raises for the whole call.
+    over array mode fields element by element, settled elements frozen; a
+    scalar drive stays on float64 scalars through the same numpy ufuncs.
+    ``iterations`` counts the Newton steps summed over elements; the first
+    bistable element in C order raises for the whole call.
     """
     e = drive.E_drive if E_drive is None else E_drive
     e_pol = mode.E_lower
@@ -186,68 +188,66 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
                             f_pump_magnitude=_unwrap(f_mag), iterations=0)
 
     f2 = abs(drive.F_pump) ** 2
-    shape = np.broadcast(e, e_pol, hg, shift).shape
-    d, s, h2 = (np.broadcast_to(x, shape).ravel()
-                for x in (e - e_pol, shift, hg ** 2))
+    d, s, h2 = (np.asarray(x, dtype=float)[()] for x in (e - e_pol, shift, hg ** 2))
     n, iterations = (_kerr_root(d, s, h2, f2) if f2 > 0.0
-                     else (np.zeros(d.size), 0))
-    n = _unwrap(n.reshape(shape))
+                     else (np.zeros_like(d + s + h2), 0))
+    n = _unwrap(n)
     return PumpSolution(n, _unwrap(e_pol + shift * n), abs(drive.F_pump),
                         iterations)
 
 
 def _kerr_root(d, s, h2, f2):
-    """Root of g(N) = N ((d - s N)^2 + h2) - f2 for each element of the flat
-    arrays d, s, h2 (f2 > 0), and the Newton steps taken over elements."""
+    """Root of g(N) = N ((d - s N)^2 + h2) - f2 for each element of what the
+    float64 scalars or arrays d, s, h2 broadcast to (f2 > 0), and the Newton
+    steps taken over elements; settled elements are frozen, not gathered."""
     with np.errstate(all="ignore"):
+        def g(n):
+            r = d - s * n
+            return n * (r * r + h2) - f2
         # g at its turning points N-, N+ (NaN for d^2 < 3 h2, where there
         # are none) and at its inflection N_i = 2d / (3s).
         dd, s3 = d * d, 3.0 * s
         n_i, spread = 2.0 * d / s3, np.sqrt(dd - 3.0 * h2) / s3
-        points = np.stack((n_i - spread, n_i + spread, n_i))
-        r = d - s * points
-        g = points * (r * r + h2) - f2
-        bistable = (points[0] > 0.0) & (g[0] > 0.0) & (g[1] < 0.0)
-        if bistable.any():
-            i = np.flatnonzero(bistable)[0]
-            n_lo, n_hi = float(points[0, i]), float(points[1, i])
+        n_minus, n_plus = n_i - spread, n_i + spread
+        bistable = (n_minus > 0.0) & (g(n_minus) > 0.0) & (g(n_plus) < 0.0)
+        if _any(bistable):
+            i = np.argmax(bistable)     # the first in C order
+            d_i, n_lo, n_hi = (float(np.broadcast_to(x, np.shape(bistable)).flat[i])
+                               for x in (d, n_minus, n_plus))
             raise BistabilityError(
-                f"bistable drive at E - E_pol = {float(d[i])!r} eV: three "
+                f"bistable drive at E - E_pol = {d_i!r} eV: three "
                 f"occupations solve the Lorentzian, turning points N = {n_lo!r}, "
                 f"{n_hi!r}", bracket=(n_lo, n_hi))
         # Every root lies below bound, and g(bound) >= 0: N h2 <= f2, and
         # N (d^2 + h2) <= f2 when s d <= 0; past max(d/s, 0) + c, with
         # s^2 c^3 = f2, s N - d >= s c, so g >= s^2 c^3 - f2 = 0.
-        bound = np.fmin(f2 / (h2 + np.where(s * d <= 0.0, dd, 0.0)),
+        bound = np.fmin(f2 / (h2 + _where(s * d <= 0.0, dd, 0.0)),
                         np.fmax(1.5 * n_i, 0.0) + np.cbrt(f2 / (s * s)))
-        if not np.isfinite(bound).all():
+        if _any(~np.isfinite(bound)):
             raise BistabilityError(
                 "undamped drive exactly on the unshifted polariton resonance; "
                 "occupation diverges", bracket=(0.0, math.inf))
         # g is concave below N_i and convex above it: Newton reaches a root
         # below N_i from 0 and any other from the bound, without overshoot.
-        n = np.where((n_i > 0.0) & (g[2] >= 0.0), 0.0, bound)
-        idx = np.arange(d.size)
-        n_out, iterations = np.empty(d.size), 0
+        n = _where((n_i > 0.0) & (g(n_i) >= 0.0), 0.0, bound)
+        active, left, iterations = True, np.size(n), 0
         for _ in range(_NEWTON_MAX_STEPS):
             sn = s * n
             r = d - sn
             slope = r * r + h2
             step = (n * slope - f2) / (slope - 2.0 * sn * r)
-            n, n_prev = np.minimum(np.maximum(n - step, 0.0), bound), n
-            iterations += idx.size
-            done = np.abs(n - n_prev) <= _OCCUPATION_TOL * n
-            if done.any():
-                n_out[idx[done]] = n[done]
-                if done.all():
-                    return n_out, iterations
-                keep = ~done
-                idx, d, s, h2, bound, n, n_prev = (
-                    x[keep] for x in (idx, d, s, h2, bound, n, n_prev))
+            new = np.minimum(np.maximum(n - step, 0.0), bound)
+            iterations += left
+            n, n_prev = _where(active, new, n), n
+            # a frozen element has not moved, so it stays settled
+            active = ~(np.abs(n - n_prev) <= _OCCUPATION_TOL * n)
+            left = int(np.count_nonzero(active))
+            if not left:
+                return n, iterations
     raise BistabilityError(
         f"occupation Newton steps did not settle in {_NEWTON_MAX_STEPS}: the "
         "drive sits within rounding of a turning point",
-        bracket=tuple(sorted((float(n_prev[0]), float(n[0])))))
+        bracket=tuple(sorted(float(x.flat[np.argmax(active)]) for x in (n_prev, n))))
 
 
 def _rotating_frame(drive: DriveConfig, mode: HopfieldMode,

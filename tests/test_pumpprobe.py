@@ -243,6 +243,165 @@ def test_pump_occupation_newton_property(case):
     assert abs(sol.n_pump - reference) <= tol * sol.n_pump
 
 
+def _compacting_kerr_root(d, s, h2, f2):
+    """The former Kerr solver on flat arrays: Newton steps that gather the
+    unsettled elements into shorter arrays after every step."""
+    with np.errstate(all="ignore"):
+        dd, s3 = d * d, 3.0 * s
+        n_i, spread = 2.0 * d / s3, np.sqrt(dd - 3.0 * h2) / s3
+        points = np.stack((n_i - spread, n_i + spread, n_i))
+        r = d - s * points
+        g = points * (r * r + h2) - f2
+        bistable = (points[0] > 0.0) & (g[0] > 0.0) & (g[1] < 0.0)
+        if bistable.any():
+            i = np.flatnonzero(bistable)[0]
+            n_lo, n_hi = float(points[0, i]), float(points[1, i])
+            raise BistabilityError(
+                f"bistable drive at E - E_pol = {float(d[i])!r} eV: three "
+                f"occupations solve the Lorentzian, turning points N = {n_lo!r}, "
+                f"{n_hi!r}", bracket=(n_lo, n_hi))
+        bound = np.fmin(f2 / (h2 + np.where(s * d <= 0.0, dd, 0.0)),
+                        np.fmax(1.5 * n_i, 0.0) + np.cbrt(f2 / (s * s)))
+        if not np.isfinite(bound).all():
+            raise BistabilityError(
+                "undamped drive exactly on the unshifted polariton resonance; "
+                "occupation diverges", bracket=(0.0, math.inf))
+        n = np.where((n_i > 0.0) & (g[2] >= 0.0), 0.0, bound)
+        idx = np.arange(d.size)
+        n_out, iterations = np.empty(d.size), 0
+        for _ in range(100):
+            sn = s * n
+            r = d - sn
+            slope = r * r + h2
+            step = (n * slope - f2) / (slope - 2.0 * sn * r)
+            n, n_prev = np.minimum(np.maximum(n - step, 0.0), bound), n
+            iterations += idx.size
+            done = np.abs(n - n_prev) <= 1e-12 * n
+            if done.any():
+                n_out[idx[done]] = n[done]
+                if done.all():
+                    return n_out, iterations
+                keep = ~done
+                idx, d, s, h2, bound, n, n_prev = (
+                    x[keep] for x in (idx, d, s, h2, bound, n, n_prev))
+    raise BistabilityError(
+        "occupation Newton steps did not settle in 100: the "
+        "drive sits within rounding of a turning point",
+        bracket=tuple(sorted((float(n_prev[0]), float(n[0])))))
+
+
+def _compacting_pump_occupation(drive, mode, ip, E_drive=None):
+    """(n_pump, E_pol_tilde, iterations) of the former self-consistent
+    branch: broadcast and flatten the inputs, solve, reshape."""
+    e = drive.E_drive if E_drive is None else E_drive
+    e_pol, hg, shift = mode.E_lower, polariton_damping(mode, drive), 2.0 * ip.pol_pol
+    shape = np.broadcast(e, e_pol, hg, shift).shape
+    d, s, h2 = (np.broadcast_to(x, shape).ravel()
+                for x in (e - e_pol, shift, hg ** 2))
+    n, iterations = _compacting_kerr_root(d, s, h2, abs(drive.F_pump) ** 2)
+    n = pumpprobe._unwrap(n.reshape(shape))
+    return n, pumpprobe._unwrap(e_pol + shift * n), iterations
+
+
+def _assert_bitwise_as_compacting(drive, mode, ip, E_drive=None):
+    """pump_occupation gives the former solver's values, types and shapes to
+    the bit, or the same BistabilityError message and bracket."""
+    try:
+        want = _compacting_pump_occupation(drive, mode, ip, E_drive)
+    except BistabilityError as expected:
+        with pytest.raises(BistabilityError) as err:
+            pump_occupation(drive, mode, ip, E_drive=E_drive)
+        assert str(err.value) == str(expected)
+        assert err.value.bracket == expected.bracket
+        return expected
+    sol = pump_occupation(drive, mode, ip, E_drive=E_drive)
+    got = (sol.n_pump, sol.E_pol_tilde, sol.iterations)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        assert np.shape(a) == np.shape(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(_kerr_drives(), _kerr_drives()),
+                      min_size=1, max_size=4))
+def test_pump_occupation_bitwise_equals_compacting_solver(pairs):
+    cases = [case for pair in pairs for case in pair]
+    for drive, mode, ip in cases:
+        _assert_bitwise_as_compacting(drive, mode, ip)
+    # One call for all: the cubic depends on c = d / h and f2 s / h^3 only,
+    # so each case moves to the first one's damping and pump by setting its
+    # detuning and Kerr constant s = Delta X2^2.
+    drive, mode, _ = cases[0]
+    h, f2 = polariton_damping(mode, drive), abs(drive.F_pump) ** 2
+    energies, deltas = [], []
+    for drive_i, mode_i, ip_i in cases:
+        h_i = polariton_damping(mode_i, drive_i)
+        s_i = ip_i.Delta * ip_i.X2 ** 2
+        c = (drive_i.E_drive - mode_i.E_lower) / h_i
+        energies.append(mode.E_lower + c * h)
+        deltas.append(4.0 * s_i * abs(drive_i.F_pump) ** 2 * (h / h_i) ** 3 / f2)
+    energies, deltas = np.array(energies), np.array(deltas)
+
+    def check(e, delta):
+        return _assert_bitwise_as_compacting(drive, mode, _ip(delta=delta, x2=0.5), e)
+
+    # each element alone, then all of them and those that settle, flat and 2-D
+    settled = [i for i in range(len(cases))
+               if check(energies[i:i + 1], deltas[i:i + 1]) is None]
+    for e, delta in ((energies, deltas), (energies[settled], deltas[settled])):
+        for shape in (e.shape, (1, e.size), (e.size, 1)) if e.size else ():
+            check(e.reshape(shape), delta.reshape(shape))
+    check(energies.reshape(2, -1), deltas.reshape(2, -1))
+    # every detuning against every Kerr constant: d and s broadcast apart
+    check(energies[:, None], deltas[None, :])
+
+
+def test_pump_occupation_step_cap_raises():
+    # within 1e-8 of the cusp d = sqrt(3) h and 1e-6 of g(N_i) in |F|^2: the
+    # Newton steps stay above 1e-12 relative for all 100 steps
+    h = 1.4885718676066422e-08
+    drive = _drive(E_drive=1.4999000128914104, F_pump=5.078196789046701e-11,
+                   hGamma_s=h, hGamma_ph=h, n_pump=None)
+    mode, ip = _mode(0.5), _ip(delta=0.00098461914866043, x2=0.5)
+    errors = []
+    for e_drive in (None, np.array([drive.E_drive])):
+        with pytest.raises(BistabilityError, match="did not settle") as err:
+            pump_occupation(drive, mode, ip, E_drive=e_drive)
+        errors.append((str(err.value), err.value.bracket))
+        assert _assert_bitwise_as_compacting(drive, mode, ip, e_drive) is not None
+    assert errors[0] == errors[1]
+    lo, hi = errors[0][1]
+    assert lo < hi
+    assert (lo, hi) == (3.464794315527114e-05, 3.464794315532956e-05)
+
+
+def test_pump_occupation_shapes_and_scalar_types():
+    ip = _ip()
+    drive = _drive(F_pump=1e-3, n_pump=None)
+    base = _red_detuned_mode()
+    x2 = np.array([[0.5], [0.56], [0.6]])
+    mode = replace(base, E_lower=base.E_lower + 1e-5 * np.arange(5),
+                   X_lower=-np.sqrt(x2), Y_lower=np.sqrt(1.0 - x2))
+    grid = np.linspace(1.4998, 1.5004, 15).reshape(3, 5)
+    sol = pump_occupation(drive, mode, ip, E_drive=grid)
+    assert sol.n_pump.shape == sol.E_pol_tilde.shape == (3, 5)
+    flat_mode = replace(mode, **{
+        f: np.broadcast_to(getattr(mode, f), grid.shape).ravel()
+        for f in ("E_lower", "X_lower", "Y_lower")})
+    flat = pump_occupation(drive, flat_mode, ip, E_drive=grid.ravel())
+    assert np.array_equal(sol.n_pump, flat.n_pump.reshape(3, 5))
+    assert np.array_equal(sol.E_pol_tilde, flat.E_pol_tilde.reshape(3, 5))
+    assert sol.iterations == flat.iterations
+    one = pump_occupation(drive, base, ip)
+    assert type(one.n_pump) is float and type(one.E_pol_tilde) is float
+    assert type(one.iterations) is int and one.iterations > 0
+    # no drive energies: nothing to solve, no Newton step
+    none = pump_occupation(drive, base, ip, E_drive=np.empty(0))
+    assert none.n_pump.shape == (0,) and none.iterations == 0
+
+
 def test_steady_state_pump_off_decouples(cfg):
     mode, ip = _mode(), _ip()
     drive = _drive(n_pump=0.0, hGamma_a=1e-9)
