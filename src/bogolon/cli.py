@@ -28,7 +28,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ModelError
-from .floatcsv import csv_lines
+from .floatcsv import csv_blocks
 from .lattice import (SuperLatticeConfig, antisymmetric_energy,
                       check_cell_count, exciton_levels, symmetric_band)
 from .oracle import validate_band, validate_blocking
@@ -242,15 +242,21 @@ class Dataset:
     columns: list
     rows: np.ndarray
 
-    def render(self) -> str:
+    def chunks(self):
+        """The CSV file as UTF-8 chunks: the ``#`` and column lines, then a
+        float64 table's :func:`csv_blocks`; an object table is one chunk."""
         lines = [f"# bogolon {self.command} dataset"]
         lines += [f"# {key} = {_fmt(value)}" for key, value in self.meta]
         lines.append(",".join(self.columns))
+        if self.rows.dtype != np.float64:
+            lines += map(",".join, zip(*(map(_fmt, c) for c in self.rows.T.tolist())))
+        yield ("\n".join(lines) + "\n").encode()
         if self.rows.dtype == np.float64:
-            # csv_lines writes each cell as repr, _fmt's text for a float
-            return "\n".join(lines) + "\n" + csv_lines(self.rows)
-        lines += map(",".join, zip(*(map(_fmt, c) for c in self.rows.T.tolist())))
-        return "\n".join(lines) + "\n"
+            # csv_blocks writes each cell as repr, _fmt's text for a float
+            yield from csv_blocks(self.rows)
+
+    def render(self) -> str:
+        return b"".join(self.chunks()).decode()
 
 
 def _meta(section: str, config) -> list:
@@ -282,11 +288,14 @@ def _sweep(run: RunConfig, variable: Optional[str] = None,
 
 
 def _rows(grid: np.ndarray, columns) -> np.ndarray:
-    """The rows of ``columns(grid)``, a tuple of column arrays (scalars
-    broadcast), computed on _CHUNK grid points at a time."""
-    return np.concatenate([
-        np.column_stack(np.broadcast_arrays(*columns(grid[lo:lo + _CHUNK])))
-        for lo in range(0, grid.size, _CHUNK)])
+    """The float64 rows of ``columns(grid)``, a tuple of column arrays
+    (scalars broadcast), computed on _CHUNK grid points at a time."""
+    for lo in range(0, grid.size, _CHUNK):
+        block = np.broadcast_arrays(*columns(grid[lo:lo + _CHUNK]))
+        if lo == 0:
+            rows = np.empty((grid.size, len(block)))
+        np.stack(block, axis=1, out=rows[lo:lo + _CHUNK])
+    return rows
 
 
 def cmd_levels(run: RunConfig) -> Dataset:
@@ -488,8 +497,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dataset.render())
+        with open(out_path, "wb") as fh:
+            fh.writelines(dataset.chunks())
         if args.plot_script:
             with open(out_path + ".gp", "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(_plot_script(out_path, dataset))

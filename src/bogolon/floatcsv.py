@@ -14,7 +14,8 @@ cells are rare; they go through ``repr`` itself, in one batch per block.
 A cell's text is first written to a row of six uint64 words, NUL where it
 has no character: the sign, "0." and zeros from byte 0, digit j at byte
 6 + 2j and the point after it at 7 + 2j, "e+XX" from byte 40 and the
-separator at byte 47.  Deleting the NULs leaves the text.
+separator at byte 47.  Deleting the NULs leaves the text.  ``csv_blocks``
+yields it a block at a time: a writer holds the table and one block.
 """
 
 from __future__ import annotations
@@ -188,10 +189,15 @@ def _block(x, first: int, ncol: int) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
-def csv_lines(rows: np.ndarray) -> str:
-    """The float64 table ``rows`` as CSV lines, each ending in '\\n'; every
-    cell reads as ``repr(float(cell))``."""
+def csv_blocks(rows: np.ndarray):
+    """The float64 table ``rows`` as ASCII CSV lines, each ending in '\\n',
+    yielded _BLOCK cells at a time; every cell reads as ``repr(float(cell))``."""
     ncol = rows.shape[1]
     flat = np.ascontiguousarray(rows, dtype=np.float64).reshape(-1)
-    return b"".join(_block(flat[i:i + _BLOCK], i, ncol)
-                    for i in range(0, flat.size, _BLOCK)).decode("ascii")
+    for i in range(0, flat.size, _BLOCK):
+        yield _block(flat[i:i + _BLOCK], i, ncol)
+
+
+def csv_lines(rows: np.ndarray) -> str:
+    """The text of :func:`csv_blocks`, as one string."""
+    return b"".join(csv_blocks(rows)).decode("ascii")

@@ -182,6 +182,49 @@ def test_render_matches_per_cell_reference_on_object_table():
     assert "band,dimension,5\n" in text and "band,nan,nan\n" in text
 
 
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_main_writes_rendered_bytes_at_preset(tmp_path, preset_datasets, command):
+    # main streams Dataset.chunks to the file; render joins the same chunks.
+    # A float64 table is a header chunk and its writer blocks, the oracle's
+    # object table one chunk
+    dataset = preset_datasets[command]
+    floats = dataset.rows.dtype == np.float64
+    assert floats == (command != "oracle")
+    blocks = -(-dataset.rows.size // _BLOCK) if floats else 0
+    assert len(list(dataset.chunks())) == 1 + blocks
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--preset", "paper", "--out", str(out)]) == 0
+    assert out.read_bytes() == dataset.render().encode()
+
+
+def test_main_writes_rendered_bytes_across_writer_blocks(tmp_path):
+    # 1001 rows of 5 cells: two writer blocks, a row straddling the edge
+    out = tmp_path / "levels.csv"
+    assert main(["levels", "--preset", "paper", "--out", str(out),
+                 "--sweep", "theta:0:90:1001"]) == 0
+    sweep = {"variable": "theta", "min": 0.0, "max": 90.0, "count": 1001}
+    dataset = cli.cmd_levels(build_run_config({"sweep": sweep}, preset=True))
+    assert dataset.rows.size == 5005 and _BLOCK < 5005 < 2 * _BLOCK
+    assert _BLOCK % 5 and len(list(dataset.chunks())) == 3
+    assert out.read_bytes() == dataset.render().encode()
+
+
+def test_chunks_are_the_header_and_bounded_writer_blocks():
+    # the longest repr of a double, 24 characters, fills the first block
+    longest = -2.2250738585072014e-308
+    assert len(repr(longest)) == 24
+    rng = np.random.default_rng(27)
+    rows = rng.integers(0, 2**64, (2500, 5), dtype=np.uint64).view(np.float64)
+    rows.reshape(-1)[:_BLOCK] = longest
+    dataset = Dataset("levels", [("x", 1.5)], [f"c{i}" for i in range(5)], rows)
+    chunks = list(dataset.chunks())
+    assert len(chunks) == 1 + 4
+    assert chunks[0] == b"# bogolon levels dataset\n# x = 1.5\nc0,c1,c2,c3,c4\n"
+    assert len(chunks[1]) == _BLOCK * 25
+    assert all(len(chunk) <= _BLOCK * 25 for chunk in chunks[1:])
+    assert b"".join(chunks) == dataset.render().encode()
+
+
 def test_levels_with_preset_and_magic_angle_row(tmp_path):
     out = tmp_path / "levels.csv"
     rc = main(["levels", "--preset", "paper", "--out", str(out),
