@@ -28,7 +28,12 @@ The stationary formulas broadcast over drive energies and mode fields.
 
 :func:`time_evolve` checks them with classical RK4: on
 x = (A, B+, conj(B-), 1) the equations are one affine generator M, and a
-step is x -> P(hM) x with P the RK4 polynomial.  That keeps RK4's
+step is x -> P(hM) x with P the RK4 polynomial.  The pump does not couple
+to the pair, so P(hM) is a scalar pump map and a 2x2 pair map, each with
+its forcing column S(hG) h f, S(z) = (P(z) - 1) / z, built in Python
+complex scalars; squaring raises it to the sampling stride, and the
+samples within each block are one stacked product of the stride map's
+first powers with the state before the block.  That keeps RK4's
 truncation error; exp(Mt) would not, and would equal the closed forms by
 construction.  Its step, end time and sampling default to rules on the
 rotating frame it solves, and the trajectory reports the values used.
@@ -60,6 +65,11 @@ _OCCUPATION_TOL = 1e-12
 _NEWTON_MAX_STEPS = 100
 #: Most samples after t = 0 that one :func:`time_evolve` call returns.
 _MAX_SAMPLES = 1_000_000
+#: Samples per block of :func:`time_evolve`, and blocks per stacked product.
+_BLOCK = 32
+#: The amplitude each term of a stacked map reads, as indices into
+#: (A, B+, conj(B-), 0): the pump reads A, the pair reads both its members.
+_TERMS = np.array([[0, 3], [1, 2], [1, 2]])
 #: Record type of :func:`spectrum`.
 _SPECTRUM_DTYPE = np.dtype((np.record, [("E_offset", float), ("I_minus_scaled", float),
                                         ("I_plus_scaled", float)]))
@@ -337,8 +347,19 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
 
     One step of h = t_end / ceil(t_end / dt) is x -> P(hM) x on
     x = (A, B+, conj(B-), 1), with M the affine generator and
-    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24; samples every ``sample_every``
-    steps (and at the last) come from powers of P(hM).
+    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  M is block diagonal but for its
+    forcing column f, so P(hM) = [[P(hG), S(hG) h f], [0, 1]] with
+    S(z) = 1 + z/2 + z^2/6 + z^3/24: a scalar map for A and a 2x2 map for
+    (B+, conj(B-)), each with its column, evaluated by Horner's rule in
+    Python complex scalars and kept as the increment P - 1.  One ladder of
+    squarings raises the step to the stride ``sample_every`` and to the
+    steps left after the last full stride, which the final sample takes.
+    Samples come in blocks of ``_BLOCK``: the last sample of a block
+    follows from the one before the block by the stride map's ``_BLOCK``-th
+    power, in Python; the others are its lower powers applied to that
+    state, ``_BLOCK`` blocks to one stacked product of float64 parts in a
+    fixed order (no BLAS, no fused multiply-add), so no sample costs a
+    numpy call of its own.
     Time is measured in hbar/eV.  The step must resolve the fastest rate
     of the frame (the largest of the detunings, V_mf and the dampings),
     dt < 0.1 / rate, and there must be fewer than 2**63 steps, else
@@ -377,27 +398,120 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
         raise StabilityError(
             f"dt = {dt} exceeds stability bound 0.1/{rate} = {0.1 / rate}")
 
-    # x = (A, B+, conj(B-), 1).  V_mf is real, so (B+, conj(B-)) is a
-    # closed pair: d conj(B-)/dt = i (conj(z_a) conj(B-) + V B+ + conj(F-)).
+    # V_mf is real, so (B+, conj(B-)) is a closed pair:
+    # d conj(B-)/dt = i (conj(z_a) conj(B-) + V B+ + conj(F-)).
     z_pol = (pump.E_pol_tilde - e) - 1j * hg_pol
     z_a = (e_a_t - e) - 1j * drive.hGamma_a
-    m = np.array([
-        [-1j * z_pol, 0, 0, -1j * drive.F_pump],
-        [0, -1j * z_a, -1j * v, -1j * drive.F_probe_plus],
-        [0, 1j * v, 1j * np.conj(z_a), 1j * np.conj(drive.F_probe_minus)],
-        [0, 0, 0, 0]], dtype=complex)
-
     h = t_end / n_steps
-    hm, eye = h * m, np.eye(4)
-    step = eye + hm @ (eye + hm @ (eye + hm @ (eye + hm / 4) / 3) / 2)
+    zp, z00, z01, z10, z11, fp, f0, f1 = (complex(h * c) for c in (
+        -1j * z_pol, -1j * z_a, -1j * v, 1j * v, 1j * z_a.conjugate(),
+        -1j * drive.F_pump, -1j * drive.F_probe_plus,
+        1j * drive.F_probe_minus.conjugate()))
+    # Horner's rule P(hM) = 1 + hM (1 + hM (1 + hM (1 + hM/4) / 3) / 2) on
+    # the increment: each pass turns 1 + D into 1 + hM (1 + D) / k
+    step = (0j,) * 8
+    for k in (4, 3, 2, 1):
+        a, p, q, r, s, ca, c0, c1 = step
+        step = ((zp + zp * a) / k, (z00 + (z00 * p + z01 * r)) / k,
+                (z01 + (z00 * q + z01 * s)) / k, (z10 + (z10 * p + z11 * r)) / k,
+                (z11 + (z10 * q + z11 * s)) / k, (zp * ca + fp) / k,
+                (z00 * c0 + z01 * c1 + f0) / k, (z10 * c0 + z11 * c1 + f1) / k)
 
-    n_samples, rest = divmod(n_steps, sample_every)
-    stretches = [sample_every] * n_samples + [rest] * (rest > 0)
-    powers = {n: np.linalg.matrix_power(step, n) for n in set(stretches)}
-    x = np.zeros((len(stretches) + 1, 4), dtype=complex)
-    x[0, 3] = 1.0
-    for i, n in enumerate(stretches):
-        x[i + 1] = powers[n] @ x[i]
-    return Trajectory(times=np.cumsum([0] + stretches) * h, A=x[:, 0],
-                      B_plus=x[:, 1], B_minus=x[:, 2].conj(), dt=dt,
+    stride = min(sample_every, n_steps)
+    n_samples, rest = divmod(n_steps, stride)
+    stride_map, rest_map = _ladder(step, (stride, rest))
+    # S^j = S^hi o S^(j - hi), hi the largest power of two below j: log2(j)
+    # products deep, not j - 1, which where the pair generator is (nearly)
+    # defective magnifies their rounding less
+    block = min(n_samples, _BLOCK)
+    powers = [stride_map]
+    while len(powers) < block:
+        hi = 1 << (len(powers).bit_length() - 1)
+        powers.append(_compose(powers[hi - 1], powers[len(powers) - hi]))
+    # every block-th sample follows from the one before by S^block; the
+    # samples between them are one stacked product per _BLOCK blocks
+    n_blocks = -(-n_samples // block)
+    starts = [(0j, 0j, 0j)]
+    for _ in range(n_blocks):
+        starts.append(_map(powers[-1], starts[-1]))
+    x = np.empty((3, n_blocks * block + 2), dtype=complex)
+    x[:, :-1:block] = np.array(starts).T
+    if block > 1:
+        inner = x[:, 1:-1].reshape(3, n_blocks, block)[:, :, :-1]
+        stacked = _stack(powers[:-1])
+        for k in range(0, n_blocks, _BLOCK):
+            _apply(stacked, starts[k:min(k + _BLOCK, n_blocks)], inner[:, k:k + _BLOCK])
+    x = x[:, :n_samples + 1 + (rest > 0)]
+    marks = np.arange(n_samples + 1) * stride
+    if rest:
+        x[:, -1] = _map(rest_map, x[:, -2].tolist())
+        marks = np.append(marks, n_steps)
+    return Trajectory(times=marks * h, A=x[0], B_plus=x[1],
+                      B_minus=np.conjugate(x[2], out=x[2]), dt=dt,
                       t_end=t_end, sample_every=sample_every)
+
+
+# An affine map of (A, B+, conj(B-)) is a tuple (a, p, q, r, s, fa, f0, f1)
+# of Python complex scalars: A -> A + (a A + fa) and the pair
+# (y0, y1) -> (y0 + (p y0 + q y1 + f0), y1 + (r y0 + s y1 + f1)).  Keeping
+# the increment, not 1 + a, keeps its low digits: a step moves the state
+# by a few percent, and 1 + a would round them to the spacing of 1.
+
+def _map(u, x):
+    """The affine map u applied to the amplitudes x = (A, y0, y1)."""
+    a, p, q, r, s, fa, f0, f1 = u
+    amp, y0, y1 = x
+    return (amp + (a * amp + fa), y0 + (p * y0 + q * y1 + f0),
+            y1 + (r * y0 + s * y1 + f1))
+
+
+def _compose(u, w):
+    """The affine map u o w: w first, then u, whose increment is
+    u's + w's + u's w's and whose column is _map(u, w's)."""
+    a, p, q, r, s, fa, f0, f1 = u
+    a2, p2, q2, r2, s2, fa2, g0, g1 = w
+    return (a + a2 + a * a2, p + p2 + (p * p2 + q * r2),
+            q + q2 + (p * q2 + q * s2), r + r2 + (r * p2 + s * r2),
+            s + s2 + (r * q2 + s * s2), fa2 + (a * fa2 + fa),
+            g0 + (p * g0 + q * g1 + f0), g1 + (r * g0 + s * g1 + f1))
+
+
+def _ladder(step, exponents):
+    """step**n for each n in exponents (None for 0), from one ladder of
+    squares shared by all of them."""
+    powers = [None] * len(exponents)
+    square, bit, top = step, 1, max(exponents)
+    while True:
+        for i, n in enumerate(exponents):
+            if n & bit:
+                powers[i] = square if powers[i] is None else _compose(square, powers[i])
+        bit <<= 1
+        if bit > top:
+            return powers
+        square = _compose(square, square)
+
+
+def _stack(maps):
+    """Real and imaginary parts of the maps' coefficients, shape (3, 2, 1, n),
+    one row per amplitude and one column per term it reads (the pump's
+    second is 0), and of their forcing columns, shape (3, 1, n)."""
+    m = np.array(maps, dtype=complex).T
+    coef = np.zeros((3, 2, 1, len(maps)), dtype=complex)
+    coef[0, 0, 0], coef[1:, :, 0] = m[0], m[1:5].reshape(2, 2, -1)
+    col = m[5:, None]
+    return tuple(np.ascontiguousarray(c) for c in (coef.real, coef.imag,
+                                                   col.real, col.imag))
+
+
+def _apply(stacked, starts, out):
+    """out[:, k, j] = map j applied to starts[k], in float64 parts and the
+    order of _map: numpy's complex product may fuse a multiply-add, which
+    rounds differently on CPUs that have one."""
+    cr, ci, fr, fi = stacked
+    x = np.array(starts, dtype=complex).T
+    terms = np.vstack([x, np.zeros((1, len(starts)))])[_TERMS, :, None]
+    sr, si = terms.real, terms.imag
+    for o, t, f, x0 in ((out.real, cr * sr - ci * si, fr, x.real),
+                        (out.imag, cr * si + ci * sr, fi, x.imag)):
+        np.add(np.add(t[:, 0], t[:, 1], out=o), f, out=o)
+        np.add(o, x0[:, :, None], out=o)

@@ -714,14 +714,18 @@ def _rk4_loop(drive, mode, ip, cfg, t_end, dt, sample_every):
     return np.array(times), np.array(ys).T
 
 
+def _damped_drive(cfg, detuning, damping, forces, n_pump):
+    return _drive(E_drive=antisymmetric_energy(cfg) + detuning,
+                  hGamma_ph=damping[0], hGamma_s=damping[1],
+                  hGamma_a=damping[2], F_pump=complex(*forces[:2]),
+                  F_probe_plus=complex(*forces[2:4]),
+                  F_probe_minus=complex(*forces[4:]), n_pump=n_pump)
+
+
 def _routes(cfg, detuning, damping, forces, n_pump, steps, sample_every):
     """Step-matrix and loop trajectories of one damped drive, dt = 0.05/scale."""
     mode, ip = _mode(), _ip()
-    drive = _drive(E_drive=antisymmetric_energy(cfg) + detuning,
-                   hGamma_ph=damping[0], hGamma_s=damping[1],
-                   hGamma_a=damping[2], F_pump=complex(*forces[:2]),
-                   F_probe_plus=complex(*forces[2:4]),
-                   F_probe_minus=complex(*forces[4:]), n_pump=n_pump)
+    drive = _damped_drive(cfg, detuning, damping, forces, n_pump)
     ss = steady_state(drive, mode, ip, cfg)
     scale = max(abs(ss.E_a_tilde - drive.E_drive),
                 abs(ss.E_pol_tilde - drive.E_drive), ss.V_mf, *damping)
@@ -772,6 +776,87 @@ def test_time_evolve_subnormal_force_stays_finite_and_tiny(cfg):
         assert np.all(a == 0) and np.all(b_plus == 0)
         assert np.all(np.isfinite(b_minus))
         assert 0 < np.max(np.abs(b_minus)) <= 1e-300
+
+
+_EP_FORCES = (3e-7, -1e-7, 2e-9, 5e-10, -1e-9, 3e-9)
+
+
+@pytest.mark.parametrize("sample_every", [1, 7, 10 ** 9])
+@pytest.mark.parametrize("side, off", [(1.0, 0.0), (3.0, 0.0), (1.0, 1e-6)])
+def test_time_evolve_at_the_pair_exceptional_point(cfg, side, off, sample_every):
+    # E - E_a = Delta~ n or 3 Delta~ n puts the drive at V_mf = |E_a~ - E|,
+    # where the pair generator is a Jordan block (a double eigenvalue with
+    # one eigenvector); random draws of the property never land there
+    n_pump = 1.2
+    detuning = side * _ip().Delta_tilde * n_pump * (1.0 + off)
+    damping = (5e-6, 8e-6, 4e-6)
+    ss = steady_state(_damped_drive(cfg, detuning, damping, _EP_FORCES, n_pump),
+                      _mode(), _ip(), cfg)
+    gap = abs(abs(ss.E_a_tilde - antisymmetric_energy(cfg) - detuning) - ss.V_mf)
+    assert gap <= (1e-9 if off == 0.0 else 1e-4) * ss.V_mf
+    assert off == 0.0 or gap >= 1e-7 * ss.V_mf
+    traj, (times, ref) = _routes(cfg, detuning, damping, _EP_FORCES, n_pump,
+                                 3000.0, sample_every)
+    assert np.array_equal(traj.times, times)
+    for amp, expected in zip((traj.A, traj.B_plus, traj.B_minus), ref):
+        assert np.max(np.abs(amp - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_time_evolve_never_reads_the_closed_forms(setup, monkeypatch):
+    # the second route shares only the rotating frame with the closed forms
+    s = setup
+    drive = replace(s.drive, hGamma_a=1e-6, hGamma_s=1e-6, hGamma_ph=1e-6)
+    kept = time_evolve(drive, s.mode, s.ip, s.cfg, sample_every=7)
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("time_evolve read the stationary solution")
+    monkeypatch.setattr(pumpprobe, "_stationary", closed_form)
+    monkeypatch.setattr(pumpprobe, "steady_state", closed_form)
+    traj = time_evolve(drive, s.mode, s.ip, s.cfg, sample_every=7)
+    assert len(traj.times) > 1 and np.isfinite(traj.B_plus).all()
+    for got, want in zip((traj.A, traj.B_plus, traj.B_minus),
+                         (kept.A, kept.B_plus, kept.B_minus)):
+        assert np.array_equal(got, want)
+
+
+def test_time_evolve_blocks_are_separate_float_products():
+    # a stacked product equals each map applied to each block's first state
+    # with one rounding per float multiply and add, in _map's order, bit for
+    # bit: no fused multiply-add
+    rng = np.random.default_rng(28)
+
+    def draw(n):
+        return tuple(complex(c) for c in rng.standard_normal(n)
+                     + 1j * rng.standard_normal(n))
+
+    def mul(u, w):
+        return complex(u.real * w.real - u.imag * w.imag,
+                       u.real * w.imag + u.imag * w.real)
+    maps, starts = [draw(8) for _ in range(6)], [draw(3) for _ in range(4)]
+    out = np.empty((3, len(starts), len(maps)), dtype=complex)
+    pumpprobe._apply(pumpprobe._stack(maps), starts, out)
+    for k, (a0, y0, y1) in enumerate(starts):
+        for j, (a, p, q, r, s, fa, f0, f1) in enumerate(maps):
+            assert out[0, k, j] == a0 + (mul(a, a0) + fa)
+            assert out[1, k, j] == y0 + (mul(p, y0) + mul(q, y1) + f0)
+            assert out[2, k, j] == y1 + (mul(r, y0) + mul(s, y1) + f1)
+
+
+@pytest.mark.parametrize("sample_every", [1, 7])
+def test_time_evolve_samples_across_block_edges(cfg, monkeypatch, sample_every):
+    # blocks of 5 samples, the last one partial, and at sample_every 7 a
+    # remainder step: the same trace to rounding
+    args = (cfg, 2e-5, (1e-6, 2e-6, 1e-6), _EP_FORCES, 0.7, 2003.0, sample_every)
+    whole, _ = _routes(*args)
+    monkeypatch.setattr(pumpprobe, "_BLOCK", 5)
+    blocked, (times, ref) = _routes(*args)
+    assert np.array_equal(blocked.times, times)
+    assert np.array_equal(blocked.times, whole.times)
+    for amp, same, expected in zip((blocked.A, blocked.B_plus, blocked.B_minus),
+                                   (whole.A, whole.B_plus, whole.B_minus), ref):
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(amp - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(amp - same)) <= 1e-13 * scale
 
 
 def test_drive_config_invariants():
