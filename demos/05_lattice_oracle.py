@@ -30,8 +30,8 @@ print(f"  leading residual 12 (R/a)^2 = {12 * x ** 2:.2e} |J| "
 print("\nfull dipole sum vs nearest-neighbour truncation (N = 5):")
 for a in (1000.0, 2000.0, 4000.0):
     c = replace(cfg, a=a)
-    w_nn, _ = np.linalg.eigh(build_sector(c, 5, 1, "nearest-neighbor-cells"))
-    w_full, _ = np.linalg.eigh(build_sector(c, 5, 1, "full-dipole-sum"))
+    w_nn, _ = np.linalg.eigh(build_sector(c, 5, "nearest-neighbor-cells"))
+    w_full, _ = np.linalg.eigh(build_sector(c, 5, "full-dipole-sum"))
     print(f"  a = {a:6.0f} A: max difference = "
           f"{np.max(np.abs(w_nn - w_full)):.3e} eV")
 

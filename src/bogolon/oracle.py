@@ -1,17 +1,17 @@
 """Brute-force diagonalization of small two-atom-per-cell lattices.
 
-Number-conserving sectors of the hard-core excitation Hamiltonian are built
-as dense matrices: the 2N x 2N one-excitation matrix, one row per atom, and
-its lift to the pairs of distinct atoms for two excitations, so double
-occupation of an atom is excluded structurally.  The band report
-diagonalizes the one-excitation matrix with LAPACK (``np.linalg.eigh``;
-the tests compare it with a cyclic Jacobi solver of their own).  The
-blocking report solves the two-excitation sector in its N total-momentum
-blocks instead, read off the same lift at each total momentum; the dense
-pair matrix is the reference the tests compare those blocks with.
-This checks the analytic band formulas, the dark-level degeneracy, the
-a >> R single-hopping approximation and the energy separation of on-cell
-double excitations.
+The band report builds the 2N x 2N one-excitation matrix, one row per atom,
+and diagonalizes it with LAPACK (``np.linalg.eigh``; the tests compare it
+with a cyclic Jacobi solver of their own).  The blocking report solves the
+two-excitation sector of the pairs of distinct atoms, so double occupation
+of an atom is excluded structurally, in its total-momentum blocks: each
+block is real symmetric in a basis fixed by inversion times complex
+conjugation, and is filled from the couplings of atoms 0 and 1 alone.  The
+tests compare the blocks with the dense pair sector, the lift of the
+one-excitation matrix that they build themselves.  This checks the
+analytic band formulas, the dark-level degeneracy, the a >> R
+single-hopping approximation and the energy separation of on-cell double
+excitations.
 
 The N cells form a periodic ring, as the wavenumbers k = 2 pi p / (N a)
 assume: couplings use the minimum-image distances between the actual atom
@@ -34,99 +34,83 @@ from .lattice import (SuperLatticeConfig, allowed_wavenumbers, dipole_coupling,
                       exciton_levels, symmetric_band)
 
 _MAX_DIM = 10_000            # a dense float64 sector of 800 MB
+#: Memory the pair route may take: its tables and the blocks solved at once.
+_MAX_PAIR_BYTES = 512e6
 COUPLING_MODES = ("nearest-neighbor-cells", "full-dipole-sum")
 
 #: Dark-level degeneracy window used by the band report, in units of |J|.
 DARK_WINDOW_OVER_J = 1e-3
 
 
-def _atom_couplings(cfg: SuperLatticeConfig, n_cells: int,
-                    coupling_mode: str) -> np.ndarray:
-    """Symmetric 2N x 2N dipole couplings between atoms around the ring, zero
-    on the diagonal and for pairs out of range."""
+def _atom_couplings(cfg: SuperLatticeConfig, n_cells: int, coupling_mode: str,
+                    rows: int | None = None) -> np.ndarray:
+    """Dipole couplings between atoms around the ring, zero on the diagonal
+    and for pairs out of range: the symmetric 2N x 2N matrix, or its first
+    ``rows`` rows."""
     atom = np.arange(2 * n_cells)
     cell = atom // 2
     pos = cell * cfg.a + (atom % 2 - 0.5) * cfg.R
-    d = np.abs(pos[:, None] - pos)
+    d = np.abs(pos[:rows, None] - pos)
     d = np.minimum(d, n_cells * cfg.a - d)           # minimum images
     np.fill_diagonal(d, np.inf)
     coupling = dipole_coupling(d, cfg)
     if coupling_mode == "nearest-neighbor-cells":
-        dcell = np.abs(cell[:, None] - cell)
+        dcell = np.abs(cell[:rows, None] - cell)
         coupling[np.minimum(dcell, n_cells - dcell) > 1] = 0.0
     return coupling
 
 
-def build_sector(cfg: SuperLatticeConfig, n_cells: int, n_exc: int,
-                 coupling_mode: str = "nearest-neighbor-cells",
-                 V_dyn: float = 0.0) -> np.ndarray:
-    """Dense Hamiltonian of the n_exc-excitation sector.
-
-    One excitation: h1 = E_A + the dipole couplings, one row per atom (atom
-    (cell n, alpha) is 2n + alpha).  Two: h1 lifted to the pairs of distinct
-    atoms by :func:`_hard_core_pairs`, with 2*V_dyn on pairs filling a cell.
-    """
-    _check_sector(n_cells, n_exc, coupling_mode)
-    h1 = cfg.E_A * np.eye(2 * n_cells) + _atom_couplings(cfg, n_cells, coupling_mode)
-    return h1 if n_exc == 1 else _hard_core_pairs(h1, 2.0 * V_dyn)
+def build_sector(cfg: SuperLatticeConfig, n_cells: int,
+                 coupling_mode: str = "nearest-neighbor-cells") -> np.ndarray:
+    """Dense one-excitation Hamiltonian h1 = E_A + the dipole couplings, one
+    row per atom (atom (cell n, alpha) is 2n + alpha)."""
+    _check_ring(n_cells, coupling_mode)
+    dim = 2 * n_cells
+    if dim > _MAX_DIM:
+        raise SectorSizeError(f"sector dimension {dim} exceeds {_MAX_DIM}: "
+                              f"{dim * dim * 8 / 1e6:.1f} MB as a dense matrix")
+    return cfg.E_A * np.eye(dim) + _atom_couplings(cfg, n_cells, coupling_mode)
 
 
-def _check_sector(n_cells: int, n_exc: int, coupling_mode: str) -> None:
-    """Raise for an invalid sector or one over the dense size cap."""
+def _check_ring(n_cells: int, coupling_mode: str) -> None:
+    """Raise for an unknown coupling mode or an empty ring."""
     if coupling_mode not in COUPLING_MODES:
         raise DomainError(f"unknown coupling mode {coupling_mode!r}")
     if n_cells < 1:
         raise DomainError("need n_cells >= 1")
-    if n_exc not in (1, 2):
-        raise DomainError("n_exc must be 1 or 2")
-    dim = math.comb(2 * n_cells, n_exc)
-    if dim > _MAX_DIM:
-        raise SectorSizeError(f"sector dimension {dim} exceeds {_MAX_DIM}: "
-                              f"{dim * dim * 8 / 1e6:.1f} MB as a dense matrix")
-
-
-def _hard_core_pairs(h1: np.ndarray, shift: float) -> np.ndarray:
-    """h1 lifted to the pairs hi > lo of ``np.tril_indices(n, -1)``, that is
-    H1 (x) 1 + 1 (x) H1 without double occupation, plus ``shift`` on pairs
-    filling one cell (atoms 2n, 2n + 1): h1[hi, hi] + h1[lo, lo] on the
-    diagonal, and the hops h1[move, k] of either atom to every free atom k."""
-    hi, lo = np.tril_indices(len(h1), -1)
-    pair_row = np.zeros(h1.shape, dtype=np.intp)    # pair {x, y} -> its row
-    pair_row[hi, lo] = pair_row[lo, hi] = np.arange(hi.size)
-    h = np.diag(h1[hi, hi] + h1[lo, lo] + np.where(hi // 2 == lo // 2, shift, 0.0))
-    free = np.arange(len(h1) - 2)           # k: the n - 2 atoms a pair leaves free
-    k = free + (free >= lo[:, None]) + (free >= hi[:, None] - 1)
-    stay = np.stack([hi, lo])[:, :, None]   # the other atom moves to k
-    h[np.arange(hi.size)[:, None], pair_row[stay, k]] = h1[stay[::-1], k]
-    return h
 
 
 class _PairBlocks(NamedTuple):
-    """Tables of the momentum blocks p = 0..N//2 of an N-cell ring's pair
-    sector, which depend on N alone.
+    """Tables of the real momentum blocks p = 0..N//2 of an N-cell ring's
+    pair sector with hops of up to ``reach`` cells, which depend on N and
+    the reach alone.
 
-    Representative o is atom alpha[o] in cell 0 with atom beta[o] in cell
-    r[o].  With ``rows`` the couplings ``coupling[:2].ravel()`` and a zero
-    appended, element (o', o) of block p is the sum over the terms
-    t = 2 mover + end of ``rows[hop[t, o', o]] * weight[p, t, o', o]``.
-    ``solves`` lists the stacks of equal-size blocks, and ``count`` gives
-    the multiplicity of each of their eigenvalues.
+    With ``values`` the couplings of atoms 0 and 1,
+    ``_atom_couplings(cfg, N, mode, 2).ravel()``, followed by 2 V_dyn and a
+    pad, the stack of blocks p = 0..N//2 is the (p, size, size) array whose
+    flat element ``index[p, t]`` sums ``values[coupling[t]] * weight[p, t]``
+    over the terms t.  For even N the last two rows are the pairs that are
+    their own exchange mirrors, which exist at even p only: at odd p the
+    pad decouples them, and ``keep`` drops their two eigenvalues from the
+    (p, size) spectrum.  ``count`` is the multiplicity of block p's
+    eigenvalues.
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
-    r: np.ndarray
-    on_cell: int                # the pairs (0, 1, 0) filling a cell
-    hop: np.ndarray
+    size: int
+    on_cell: int                # the row of the pairs (0, 1, 0) filling a cell
+    double_free: bool           # no representative is an atom's double occupation
+    index: np.ndarray
+    coupling: np.ndarray
     weight: np.ndarray
-    solves: tuple[tuple[slice, int], ...]
+    keep: np.ndarray
     count: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
-def _pair_blocks(n_cells: int) -> _PairBlocks:
-    """The block tables of the N-cell ring, kept for the last few N: they
-    take about 43 MB at N = 69.
+def _pair_blocks(n_cells: int, reach: int) -> _PairBlocks:
+    """The block tables of the N-cell ring, kept for the last few (N, reach):
+    about 40 N terms in nearest-neighbour mode, each with a weight and a
+    flat element per block.
 
     The ordered pair (alpha, beta, r), key (2 alpha + beta) N + r, is atom
     alpha of cell 0 with atom beta of cell r.  At K = 2 pi p / N the lift
@@ -134,69 +118,156 @@ def _pair_blocks(n_cells: int) -> _PairBlocks:
     C[m, alpha, alpha'] e^{iKm}, and to (alpha, beta', r + m) with
     C[m, beta, beta'], where C[m, alpha, beta] = h1[alpha, 2m + beta] in
     offsets from E_A.  Exchange X takes it to e^{iKr} (beta, alpha, -r),
-    its mirror.  The smaller key of the two is the representative o, and
-    the block basis is |S o> = (|o> + X|o>) / sqrt(2); the double
-    occupation (alpha, alpha, 0) is no representative.  For even N,
-    (alpha, alpha, N/2) is its own mirror with X = (-1)^p: |S o> = |o> at
-    even p and none at odd p, so these come last.  H commutes with X, so
-    <S o'|H|S o> = sqrt(2) <S o'|H|o>, once for a self-mirror o.  Blocks p
-    and N - p are complex conjugates: their eigenvalues count twice.
+    its mirror.  The smaller key of the two is the representative o, with
+    |S o> = (|o> + X|o>) / sqrt(2); the double occupation (alpha, alpha, 0)
+    is no representative.  For even N, (alpha, alpha, N/2) is its own
+    mirror with X = (-1)^p: |S o> = |o> at even p and none at odd p.  H
+    commutes with X, so <S o'|H|S o> = sqrt(2) <S o'|H|o>, once for a
+    self-mirror o.
+
+    Inversion, atom (n, alpha) -> (-n, 1 - alpha), times complex conjugation
+    is an antiunitary Theta that commutes with H, keeps K and squares to 1.
+    It takes |S o> to e^{-iKr} |S (1 - beta, 1 - alpha, r)>, or with phase 1
+    to |S o'> for o' the mirror of (1 - beta, 1 - alpha, r) when that is no
+    representative.  The block basis is Theta-invariant, so every block is
+    real symmetric: e^{-iKr/2} |S o> for a fixed o, and (|S o> + Theta|S o>)
+    / sqrt(2) with i (|S o> - Theta|S o>) / sqrt(2) for a pair o, o', in the
+    order of the first representative.  Each term is a hop of the lift, read
+    on one basis state of the bra's orbit and one of the ket's; its weight
+    is the real part of its phases.  Blocks p and N - p are complex
+    conjugates: their eigenvalues count twice.
     """
     n = n_cells
     key = np.arange(4 * n)
     a, b, r = key // (2 * n), key // n % 2, key % n
     mirror = (2 * b + a) * n + (-r) % n
     self_mirror = (key == mirror) & (r != 0)
-    reps = np.flatnonzero((key < mirror) | self_mirror)
+    is_rep = (key < mirror) | self_mirror
+    reps = np.flatnonzero(is_rep)
     reps = reps[np.argsort(self_mirror[reps], kind="stable")]
-    size, single = reps.size, self_mirror[reps]
+    size = reps.size
+    position = np.full(4 * n, -1)
+    position[reps] = np.arange(size)
+    rep_of = np.where(is_rep, position, position[mirror])   # -1: double occupation
+    lift = np.where(self_mirror[reps], 1.0, math.sqrt(2.0))
 
-    # element (o', o) reads H|o> on both ends u of |S o'>, u[0] = o' and
-    # u[1] its mirror: the first atom of o moves m = r_o - r_u cells onto u
-    # if the second stays, or the second moves -m cells if the first stays
-    u, o = np.stack([reps, mirror[reps]])[:, :, None], reps
-    m = (r[o] - r[u]) % n
-    hop = np.stack([np.where(b[u] == b[o], 2 * n * a[o] + 2 * m + a[u], 4 * n),
-                    np.where(a[u] == a[o], 2 * n * b[o] + 2 * (-m % n) + b[u], 4 * n)])
-    # e^{iKm} as the first atom moves, times conj e^{iKr_o'} at the mirror end
-    shift = np.stack([m, 0 * m]) + r[u] * [[[0]], [[1]]]
-    lift = np.where(single, 1.0, math.sqrt(2.0))
-    ends = np.stack([1.0 / lift, ~single / lift])       # <S o'| on u[0], u[1]
+    # Theta's orbits, each phase in units of pi p / N (so K r / 2 is r)
+    o, ra = np.arange(size), r[reps]
+    image = (3 - a[reps] - 2 * b[reps]) * n + ra      # (1 - beta, 1 - alpha, r)
+    theta = rep_of[image]
+    phi = np.where(is_rep[image], -2 * ra, 0)[np.minimum(o, theta)]
+    fixed, first = theta == o, o <= theta
+    width = np.where(fixed, 1, 2)[first]
+    start = np.cumsum(width) - width
+    col = np.empty(size, dtype=np.intp)
+    col[first], col[theta[first]] = start, start
+    # each representative's share of the (up to two) basis states of its
+    # orbit: the column, the modulus, the power of i and the phase exponent
+    half = math.sqrt(0.5)
+    share_col = np.stack([col, col + 1])
+    share_mod = np.stack([np.where(fixed, 1.0, half), np.where(fixed, 0.0, half)])
+    share_i = np.stack([0 * o, np.where(first, 1, 3)])
+    share_phase = np.stack([np.where(fixed, -ra, np.where(first, 0, phi)),
+                            np.where(first, 0, phi)])
+
+    # the hops of H|o>: mover 0 moves the first atom m cells to atom g,
+    # mover 1 the second, over the distinct cell offsets within reach
+    m = np.unique(np.arange(-reach, reach + 1) % n)[:, None]
+    ket, mover, g = o[:, None, None, None], np.arange(2)[:, None, None], np.arange(2)
+    own = np.where(mover == 0, a[reps][ket], b[reps][ket])
+    to = np.where(mover == 0, (2 * g + b[reps][ket]) * n + (ra[ket] - m) % n,
+                  (2 * a[reps][ket] + g) * n + (ra[ket] + m) % n)
+    valid = ((m != 0) | (g != own)) & (rep_of[to] >= 0)
+    ket, to, coupling, shift = (np.broadcast_to(x, valid.shape)[valid] for x in (
+        ket, to, 2 * n * own + 2 * m + g, np.where(mover == 0, 2 * m, 0)))
+    bra = rep_of[to]
+    shift += np.where(is_rep[to], 0, 2 * r[to])      # read on the bra's mirror
+    # every share of the bra with every share of the ket
+    sb, sk = (x[:, None] for x in np.divmod(np.arange(4), 2))
+    mod = (lift[ket] / lift[bra]) * share_mod[sb, bra] * share_mod[sk, ket]
+    phase = shift + share_phase[sk, ket] - share_phase[sb, bra]
+    quarter = share_i[sk, ket] - share_i[sb, bra]
     p = np.arange(n // 2 + 1)
-    root = np.exp(2j * np.pi / n * np.arange(n))
-    weight = ends[:, :, None] * lift * root[np.multiply.outer(p, shift) % n]
-
-    solves = (((slice(None), size),) if n % 2 else
-              ((slice(0, None, 2), size), (slice(1, None, 2), size - 2)))
-    count = np.where((p == 0) | (2 * p == n), 1, 2)
+    cos = np.cos(np.pi / (2 * n) * np.arange(4 * n))
+    cos[n::2 * n] = 0.0                                # exact quarter turns
+    weight = mod * cos[(2 * p[:, None, None] * phase + n * quarter) % (4 * n)]
+    element = share_col[sb, bra] * size + share_col[sk, ket]
+    keep = np.ones((p.size, size), dtype=bool)
+    if n % 2 == 0:                     # no self-mirror states at odd p
+        keep[1::2, -2:] = False
+        weight[1::2, np.maximum(element // size, element % size) >= size - 2] = 0.0
+    used = np.any(weight != 0.0, axis=0)
+    # two more terms: value 4N, 2 V_dyn, on the on-cell diagonal at every p
+    # and, for even N, value 4N + 1, the pad, on the absent rows' at odd p
+    on_cell = col[position[n]]
+    extra = np.array([on_cell, size - 2, size - 1])[:1 if n % 2 else 3]
+    pad = np.arange(extra.size) > 0
     blocks = _PairBlocks(
-        alpha=a[reps], beta=b[reps], r=r[reps],
-        on_cell=int(np.flatnonzero(reps == n)[0]),
-        hop=hop.reshape(4, size, size),
-        weight=weight.reshape(p.size, 4, size, size), solves=solves,
-        count=np.concatenate([np.repeat(count[sel], k) for sel, k in solves]))
+        size=size, on_cell=int(on_cell),
+        double_free=bool(np.all((a[reps] != b[reps]) | (ra != 0))),
+        index=np.append(element[used], extra * (size + 1)) + size * size * p[:, None],
+        coupling=np.append(np.broadcast_to(coupling, used.shape)[used], 4 * n + pad),
+        weight=np.column_stack([weight[:, used], np.where(pad, p[:, None] % 2, 1)]),
+        keep=keep, count=np.where((p == 0) | (2 * p == n), 1.0, 2.0)[:, None])
     for table in blocks:
         if isinstance(table, np.ndarray):
             table.flags.writeable = False
     return blocks
 
 
-def _pair_spectrum(coupling: np.ndarray, n_cells: int,
-                   V_dyn: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-excitation spectrum of the ring with atom couplings ``coupling``
-    (zero diagonal), in offsets from 2 E_A, solved in total-momentum blocks
-    with one stacked ``eigh`` per block size.  Returns each eigenvalue, its
-    weight on the pairs filling one cell and its multiplicity."""
-    t = _pair_blocks(n_cells)
-    rows = np.append(coupling[:2].ravel(), 0.0)
-    blocks = np.einsum("tij,ptij->pij", rows[t.hop], t.weight)
-    blocks[:, t.on_cell, t.on_cell] += 2.0 * V_dyn
-    energies, on_cell = [], []
-    for sel, k in t.solves:
-        w, vecs = np.linalg.eigh(blocks[sel, :k, :k])
-        energies.append(w.ravel())
-        on_cell.append((np.abs(vecs[:, t.on_cell, :]) ** 2).ravel())
-    return np.concatenate(energies), np.concatenate(on_cell), t.count
+def _pair_bytes(n_cells: int, reach: int) -> tuple[float, float]:
+    """Estimated bytes of ``_pair_blocks(n_cells, reach)`` and of solving one
+    block, built from neither: about 4.5 terms per representative and hop,
+    each with an 8-byte weight and index per block; a block, its
+    eigenvectors and three term-sized temporaries."""
+    size = 2 * n_cells - n_cells % 2
+    terms = 9 * size * min(2 * reach + 1, n_cells)
+    return 8.0 * terms * (2 * (n_cells // 2) + 4), 8.0 * (2 * size * size + 3 * terms)
+
+
+def _fill_blocks(t: _PairBlocks, rows: np.ndarray, V_dyn: float,
+                 sel: slice) -> np.ndarray:
+    """The real blocks ``sel`` of p = 0..N//2 for the couplings ``rows``,
+    with 2 V_dyn on the on-cell pairs.  The absent self-mirror rows of an
+    even ring's odd p are decoupled at 4 (sum |rows| + |V_dyn|), twice a
+    bound on the sector's spectrum (the rows of atoms 0 and 1 hold each
+    atom's Gershgorin radius in h1), so they are each block's two highest
+    eigenvalues."""
+    pad = 4.0 * (np.abs(rows).sum() + abs(V_dyn)) or 1.0
+    values = np.concatenate((rows, (2.0 * V_dyn, pad)))
+    k2 = t.size * t.size
+    index = t.index[sel] - sel.start * k2 if sel.start else t.index[sel]
+    blocks = np.bincount(index.ravel(), (t.weight[sel] * values[t.coupling]).ravel(),
+                         minlength=len(index) * k2)
+    return blocks.astype(float, copy=False).reshape(-1, t.size, t.size)
+
+
+def _pair_spectrum(cfg: SuperLatticeConfig, n_cells: int, V_dyn: float,
+                   coupling_mode: str = "nearest-neighbor-cells") -> np.ndarray:
+    """Two-excitation spectrum of the ring, in offsets from 2 E_A, solved in
+    total-momentum blocks with one stacked real ``eigh`` per chunk of blocks.
+    Returns the rows: each eigenvalue, its weight on the pairs filling one
+    cell and its multiplicity.  Raises ``SectorSizeError`` before building
+    anything if the tables and one block would take more than
+    ``_MAX_PAIR_BYTES``."""
+    _check_ring(n_cells, coupling_mode)
+    reach = 1 if coupling_mode == "nearest-neighbor-cells" else n_cells // 2
+    tables, per_block = _pair_bytes(n_cells, reach)
+    if tables + per_block > _MAX_PAIR_BYTES:
+        raise SectorSizeError(
+            f"{n_cells}-cell pair blocks need about {(tables + per_block) / 1e6:.0f} MB,"
+            f" over the {_MAX_PAIR_BYTES / 1e6:.0f} MB budget")
+    t = _pair_blocks(n_cells, reach)
+    # every coupling, as the tables read only those within reach
+    rows = _atom_couplings(cfg, n_cells, "full-dipole-sum", 2).ravel()
+    spectrum = np.empty((3,) + t.keep.shape)
+    spectrum[2] = t.count
+    chunk = int((_MAX_PAIR_BYTES - tables) // per_block)
+    for lo in range(0, len(t.keep), chunk):
+        sel = slice(lo, lo + chunk)
+        spectrum[0, sel], vecs = np.linalg.eigh(_fill_blocks(t, rows, V_dyn, sel))
+        spectrum[1, sel] = vecs[:, t.on_cell, :] ** 2
+    return spectrum[:, t.keep]
 
 
 @dataclass(frozen=True)
@@ -228,7 +299,7 @@ class BandReport:
 def validate_band(cfg: SuperLatticeConfig, n_cells: int) -> BandReport:
     """Compare the single-excitation spectrum at R = a/100 with the
     analytic {E_a x N} + {E_s(k)} level set.  The ring may be any odd
-    n_cells >= 3 (``SuperLatticeConfig`` rejects others) under the sector cap.
+    n_cells >= 3 (``SuperLatticeConfig`` rejects others) under the dense cap.
 
     The small R suppresses the splitting of the inter-cell distances
     a -+ R that the single-hopping band ignores; the report quantifies
@@ -240,7 +311,7 @@ def validate_band(cfg: SuperLatticeConfig, n_cells: int) -> BandReport:
     antisymmetric states.
     """
     small = replace(cfg, R=cfg.a / 100.0, N=n_cells)
-    w, _ = np.linalg.eigh(build_sector(small, n_cells, 1))
+    w, _ = np.linalg.eigh(build_sector(small, n_cells))
 
     lv = exciton_levels(small)
     analytic = np.sort(np.concatenate([
@@ -264,15 +335,15 @@ class BlockingReport:
     ``dimension`` counts the eigenvalues of the momentum blocks with their
     multiplicity, against ``expected_dimension`` = C(2N, 2) pairs of
     distinct atoms; ``no_double_occupation`` checks that no block
-    representative puts both excitations on one atom.  Centroids are
-    absolute energies, the mean over the cluster or manifold eigenvalues
-    with multiplicity; ``separation`` and ``min_gap`` are taken from the
-    offsets from 2 E_A.  These agree with a dense ``eigh`` of
-    ``build_sector(cfg, N, 2)`` to within 1e-12 E_A, not bit for bit.  At
-    V_dyn = 0 the on-cell pairs share degenerate levels with the manifold:
-    ``cluster_size`` and the centroids then depend on the basis the
-    eigensolver picks inside those levels, and may differ from a dense
-    solve.
+    representative puts both excitations on one atom.  Levels closer than
+    1e-12 of the largest offset from 2 E_A form one level, whose on-cell
+    weight is the trace of the on-cell projector on its eigenspace over the
+    eigenspace's dimension: no eigensolver's choice of basis inside a
+    degenerate level changes it.  Centroids are absolute energies, the mean
+    over the cluster or manifold eigenvalues with multiplicity;
+    ``separation`` and ``min_gap`` are taken from the offsets.  These agree
+    with a dense ``eigh`` of the pair sector, at V_dyn = 0 too, to within
+    1e-12 E_A, not bit for bit.
     """
 
     n_cells: int
@@ -295,40 +366,39 @@ def validate_blocking(cfg: SuperLatticeConfig, n_cells: int,
     atom, and the 2 E_A + 2 V_dyn placement of doubly-excited cells.
 
     The sector is solved block by block in total momentum K = 2 pi p / N
-    (nearest-neighbour cells), each element read off the pair lift
-    h1 (x) 1 + 1 (x) h1 and folded onto the exchange-symmetric pairs of
-    distinct atoms.  The dense ``build_sector(cfg, N, 2)`` is the reference
-    the tests compare with; the size cap on it still applies here.
+    (nearest-neighbour cells), each block real symmetric in the basis of
+    ``_pair_blocks``.  Its memory, not its dimension, limits the ring: a
+    ring whose tables and one block would take more than
+    ``_MAX_PAIR_BYTES`` raises ``SectorSizeError`` before anything is built.
 
-    Eigenstates with more than half their weight on doubly-excited-cell
-    basis states form the bound cluster; the report compares its centroid
-    offset from the remaining (2 E_A) manifold with 2 V_dyn and flags a
-    resonance when the cluster is incomplete or touches the manifold.
+    Levels with more than half their weight on doubly-excited-cell basis
+    states form the bound cluster; the report compares its centroid offset
+    from the remaining (2 E_A) manifold with 2 V_dyn and flags a resonance
+    when the cluster is incomplete or touches the manifold.
     """
-    mode = "nearest-neighbor-cells"
-    _check_sector(n_cells, 2, mode)
-    reps = _pair_blocks(n_cells)
-    w, weights, count = _pair_spectrum(_atom_couplings(cfg, n_cells, mode),
-                                       n_cells, V_dyn)
-    in_cluster = weights > 0.5
-    cluster, manifold = w[in_cluster], w[~in_cluster]
-
-    def centroid(part):
-        n = np.sum(count[part])
-        return float(np.dot(count[part], w[part]) / n) if n else math.nan
-
-    j0 = exciton_levels(cfg).J0
-    cluster_size = int(np.sum(count[in_cluster]))
-    cluster_offset, manifold_offset = centroid(in_cluster), centroid(~in_cluster)
-    min_gap = (float(np.min(np.abs(cluster[:, None] - manifold[None, :])))
-               if cluster.size and manifold.size else 0.0)
-    separated = (cluster_size == n_cells and min_gap > 4.0 * abs(j0))
+    spectrum = _pair_spectrum(cfg, n_cells, V_dyn)
+    w, weights, count = spectrum[:, np.argsort(spectrum[0])]
+    # one level per run of eigenvalues closer than 1e-12 of the largest offset
+    gap = w[1:] - w[:-1]
+    level = np.concatenate(([0], (gap > 1e-12 * max(-w[0], w[-1])).cumsum()))
+    # more than half on-cell; a level that symmetry puts at one half (as at
+    # V_dyn = 0) stays out however the last digits of its weight round
+    in_cluster = (np.bincount(level, count * weights)
+                  > (0.5 + 1e-6) * np.bincount(level, count))[level]
+    (manifold_size, cluster_size), (manifold_sum, cluster_sum) = (
+        np.bincount(in_cluster, x, minlength=2).tolist() for x in (count, count * w))
+    cluster_offset = cluster_sum / cluster_size if cluster_size else math.nan
+    manifold_offset = manifold_sum / manifold_size if manifold_size else math.nan
+    # in sorted order the closest cluster-manifold pair is a neighbouring one
+    across = gap[in_cluster[1:] != in_cluster[:-1]]
+    min_gap = float(across.min()) if across.size else 0.0
+    separated = (cluster_size == n_cells
+                 and min_gap > 4.0 * abs(exciton_levels(cfg).J0))
     return BlockingReport(
-        n_cells=n_cells, dimension=int(np.sum(count)),
+        n_cells=n_cells, dimension=int(manifold_size + cluster_size),
         expected_dimension=math.comb(2 * n_cells, 2),
-        no_double_occupation=bool(np.all((reps.alpha != reps.beta)
-                                         | (reps.r != 0))),
-        V_dyn=V_dyn, cluster_size=cluster_size,
+        no_double_occupation=_pair_blocks(n_cells, 1).double_free,
+        V_dyn=V_dyn, cluster_size=int(cluster_size),
         cluster_centroid=2.0 * cfg.E_A + cluster_offset,
         manifold_centroid=2.0 * cfg.E_A + manifold_offset,
         separation=cluster_offset - manifold_offset,

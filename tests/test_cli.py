@@ -458,22 +458,19 @@ def test_oracle_ring_reach(tmp_path, capsys, monkeypatch):
         return main(["oracle", "--preset", "paper", "--config", str(config),
                      "--out", str(out)])
 
-    # 69 cells, C(138, 2) = 9453 pair states, is the last ring under the cap
-    for n_cells in (21, 69):
-        assert run(n_cells) == 0
-        assert out.read_text().count("\nband,eigenvalues[") == 2 * n_cells
+    # 101 cells, C(202, 2) = 20301 pair states: past the old dense cap
+    assert run(101) == 0
+    text = out.read_text()
+    assert text.count("\nband,eigenvalues[") == 202
+    assert "\nblocking,cluster_size,101\n" in text
+    assert "\nblocking,separated,True\n" in text
     assert run(4) == 2
-    # a two-excitation sector over the cap fails before any band solve
+    # pair blocks over the memory budget fail before any band solve
     monkeypatch.setattr(cli, "validate_band", None)
     capsys.readouterr()
-    for n_cells in (71, 73, 4999):
-        assert run(n_cells) == 3
-    err = capsys.readouterr().err
-    # 71 cells, C(142, 2) rows, is the first ring over the cap; 69 is the last under it
-    assert ("sector dimension 10011 exceeds 10000: 801.8 MB as a dense matrix"
-            in err)
-    assert "sector dimension 10585 exceeds 10000" in err
-    assert "sector dimension 49975003 exceeds 10000" in err
+    assert run(4999) == 3
+    assert ("4999-cell pair blocks need about 12407 MB, over the 512 MB budget"
+            in capsys.readouterr().err)
 
 
 def test_plot_script_flag(tmp_path):

@@ -67,6 +67,29 @@ def _bitmask_states(n_cells, n_exc):
                   for atoms in combinations(range(2 * n_cells), n_exc))
 
 
+def _hard_core_pairs(h1, shift):
+    """h1 lifted to the pairs hi > lo of ``np.tril_indices(n, -1)``, that is
+    H1 (x) 1 + 1 (x) H1 without double occupation, plus ``shift`` on pairs
+    filling one cell (atoms 2n, 2n + 1): h1[hi, hi] + h1[lo, lo] on the
+    diagonal, and the hops h1[move, k] of either atom to every free atom k."""
+    hi, lo = np.tril_indices(len(h1), -1)
+    pair_row = np.zeros(h1.shape, dtype=np.intp)    # pair {x, y} -> its row
+    pair_row[hi, lo] = pair_row[lo, hi] = np.arange(hi.size)
+    h = np.diag(h1[hi, hi] + h1[lo, lo] + np.where(hi // 2 == lo // 2, shift, 0.0))
+    free = np.arange(len(h1) - 2)           # k: the n - 2 atoms a pair leaves free
+    k = free + (free >= lo[:, None]) + (free >= hi[:, None] - 1)
+    stay = np.stack([hi, lo])[:, :, None]   # the other atom moves to k
+    h[np.arange(hi.size)[:, None], pair_row[stay, k]] = h1[stay[::-1], k]
+    return h
+
+
+def _pair_sector(cfg, n_cells, coupling_mode="nearest-neighbor-cells", V_dyn=0.0):
+    """The dense two-excitation sector, the reference of the momentum
+    blocks: h1 lifted to the pairs of distinct atoms, with 2 V_dyn on the
+    pairs filling a cell."""
+    return _hard_core_pairs(build_sector(cfg, n_cells, coupling_mode), 2.0 * V_dyn)
+
+
 @pytest.fixture()
 def no_couplings(monkeypatch):
     """Fail on any build of the atom couplings, for sectors that need none."""
@@ -79,7 +102,8 @@ def no_couplings(monkeypatch):
 def test_sector_dimensions(small_cfg):
     for n_cells, n_exc, dim in ((1, 1, 2), (2, 2, 6), (3, 1, 6), (7, 2, 91),
                                 (12, 2, 276)):
-        h = build_sector(small_cfg, n_cells, n_exc)
+        h = (build_sector(small_cfg, n_cells) if n_exc == 1
+             else _pair_sector(small_cfg, n_cells))
         assert isinstance(h, np.ndarray)
         assert h.shape == (dim, dim) == (math.comb(2 * n_cells, n_exc),) * 2
         assert np.array_equal(h, h.T)
@@ -87,19 +111,18 @@ def test_sector_dimensions(small_cfg):
 
 def test_sector_rejects_large_or_invalid_sectors(small_cfg, no_couplings):
     with pytest.raises(SectorSizeError) as excinfo:
-        build_sector(small_cfg, 71, 2)          # C(142, 2) = 10011
-    assert str(excinfo.value) == ("sector dimension 10011 exceeds 10000: "
-                                  "801.8 MB as a dense matrix")
-    with pytest.raises(DomainError):
-        build_sector(small_cfg, 0, 1)
-    with pytest.raises(DomainError):
-        build_sector(small_cfg, 3, 3)
-    with pytest.raises(DomainError):
-        build_sector(small_cfg, 3, 0)
+        build_sector(small_cfg, 5001)           # 10002 atoms
+    assert str(excinfo.value) == ("sector dimension 10002 exceeds 10000: "
+                                  "800.3 MB as a dense matrix")
+    for n_cells in (0, -1):
+        with pytest.raises(DomainError):
+            build_sector(small_cfg, n_cells)
+        with pytest.raises(DomainError):
+            validate_blocking(small_cfg, n_cells, 1e-3)
 
 
 def test_single_cell_sector_matrix(small_cfg):
-    h = build_sector(small_cfg, 1, 1)
+    h = build_sector(small_cfg, 1)
     lv = exciton_levels(small_cfg)
     expected = np.array([[small_cfg.E_A, lv.J0], [lv.J0, small_cfg.E_A]])
     assert np.allclose(h, expected, rtol=1e-15, atol=0.0)
@@ -108,7 +131,7 @@ def test_single_cell_sector_matrix(small_cfg):
 def test_three_cell_elements_by_hand(small_cfg):
     # atom i sits at (i//2)*a + (i%2 - 1/2)*R; single-excitation rows are
     # the atoms, so row/column index equals the atom index
-    h = build_sector(small_cfg, 3, 1, "nearest-neighbor-cells")
+    h = build_sector(small_cfg, 3, "nearest-neighbor-cells")
     a, r = small_cfg.a, small_cfg.R
     assert h[0, 1] == pytest.approx(dipole_coupling(r, small_cfg), rel=1e-15)
     assert h[0, 2] == pytest.approx(dipole_coupling(a, small_cfg), rel=1e-15)
@@ -123,7 +146,7 @@ def test_three_cell_elements_by_hand(small_cfg):
 
 def test_double_excitation_shift_on_diagonal(small_cfg):
     v_dyn = 2.5e-4
-    h = build_sector(small_cfg, 2, 2, V_dyn=v_dyn)
+    h = _pair_sector(small_cfg, 2, V_dyn=v_dyn)
     for row, s in enumerate(_bitmask_states(2, 2)):
         both_one_cell = any(s & (1 << (2 * c)) and s & (1 << (2 * c + 1))
                             for c in range(2))
@@ -168,7 +191,8 @@ def test_array_sector_equals_bitmask_loop(small_cfg):
     for n_cells in range(1, 9):
         for n_exc in (1, 2):
             for mode in oracle.COUPLING_MODES:
-                h = build_sector(small_cfg, n_cells, n_exc, mode, V_dyn=1e-3)
+                h = (build_sector(small_cfg, n_cells, mode) if n_exc == 1
+                     else _pair_sector(small_cfg, n_cells, mode, V_dyn=1e-3))
                 assert np.array_equal(h, _sector_loop(
                     small_cfg, n_cells, n_exc, mode, 1e-3))
 
@@ -186,7 +210,8 @@ def test_sector_matches_loop_and_jacobi_on_random_lattices(theta, r_over_a, v_dy
     cfg = SuperLatticeConfig(E_A=1.5, a=1000.0, R=1000.0 * r_over_a, mu=2.5,
                              theta=theta, N=5)
     for n_exc in (1, 2):
-        h = build_sector(cfg, n_cells, n_exc, mode, V_dyn=v_dyn)
+        h = (build_sector(cfg, n_cells, mode) if n_exc == 1
+             else _pair_sector(cfg, n_cells, mode, V_dyn=v_dyn))
         np.testing.assert_allclose(
             h, _sector_loop(cfg, n_cells, n_exc, mode, v_dyn), rtol=1e-15, atol=0)
     w_lapack, _ = np.linalg.eigh(h)             # the two-excitation sector
@@ -215,11 +240,11 @@ def test_hard_core_pairs_is_projected_kronecker_lift(data, n, shift):
     lift = np.kron(h1, np.eye(n)) + np.kron(np.eye(n), h1)
     expected = p.T @ lift @ p / 2.0
     expected[np.diag_indices(hi.size)] += np.where(hi // 2 == lo // 2, shift, 0.0)
-    assert np.array_equal(oracle._hard_core_pairs(h1, shift), expected)
+    assert np.array_equal(_hard_core_pairs(h1, shift), expected)
 
 
 def test_single_cell_spectrum_gives_split_doublet(small_cfg):
-    w, _ = np.linalg.eigh(build_sector(small_cfg, 1, 1))
+    w, _ = np.linalg.eigh(build_sector(small_cfg, 1))
     lv = exciton_levels(small_cfg)
     assert w[0] == pytest.approx(lv.E_a, rel=1e-14)   # J0 > 0 at 80 deg
     assert w[1] == pytest.approx(lv.E_s, rel=1e-14)
@@ -243,7 +268,7 @@ def test_jacobi_against_lapack_route():
 
 def test_lapack_route_agrees_with_jacobi_on_blocking_sector(small_cfg):
     e_abs = 1e-12 * small_cfg.E_A
-    h = build_sector(small_cfg, 6, 2, V_dyn=1e-3)
+    h = _pair_sector(small_cfg, 6, V_dyn=1e-3)
     w_lapack, _ = np.linalg.eigh(h)
     w_jacobi, _ = jacobi_eigh(h)
     assert np.max(np.abs(w_lapack - w_jacobi)) <= e_abs
@@ -258,7 +283,7 @@ def test_lapack_route_agrees_with_jacobi_on_blocking_sector(small_cfg):
 
 
 def test_diagonalize_residual_and_trace(small_cfg):
-    h = build_sector(small_cfg, 3, 2, V_dyn=1e-3)
+    h = _pair_sector(small_cfg, 3, V_dyn=1e-3)
     w, v = np.linalg.eigh(h)
     e_a = small_cfg.E_A
     for i in range(len(w)):
@@ -268,7 +293,7 @@ def test_diagonalize_residual_and_trace(small_cfg):
 
 
 def test_spectrum_invariant_under_cell_relabeling(small_cfg):
-    h = build_sector(small_cfg, 3, 1)
+    h = build_sector(small_cfg, 3)
     # mirror the lattice: cell n -> 2 - n with the in-cell pair swapped
     perm = [2 * (2 - (i // 2)) + (1 - i % 2) for i in range(6)]
     p = np.zeros((6, 6))
@@ -334,8 +359,8 @@ def test_full_sum_error_shrinks_with_pitch(small_cfg):
     deviations = []
     for a in (1000.0, 2000.0, 4000.0):
         c = replace(small_cfg, a=a)
-        w_nn, _ = np.linalg.eigh(build_sector(c, 5, 1, "nearest-neighbor-cells"))
-        w_full, _ = np.linalg.eigh(build_sector(c, 5, 1, "full-dipole-sum"))
+        w_nn, _ = np.linalg.eigh(build_sector(c, 5, "nearest-neighbor-cells"))
+        w_full, _ = np.linalg.eigh(build_sector(c, 5, "full-dipole-sum"))
         deviations.append(np.max(np.abs(w_nn - w_full)))
     assert deviations[0] > deviations[1] > deviations[2]
 
@@ -365,18 +390,32 @@ def test_blocking_scales_with_cells(small_cfg):
 
 
 def _dense_blocking(cfg, n_cells, v_dyn, eigh=np.linalg.eigh):
-    """The blocking report's fields from one dense solve of build_sector."""
-    h = build_sector(cfg, n_cells, 2, V_dyn=v_dyn)
+    """The blocking report's fields from one dense solve of the pair sector,
+    in offsets from 2 E_A.  Eigenvalues closer than 1e-12 of the largest
+    offset form one level, which is in the cluster when the mean of its
+    states' on-cell weights is over one half by more than 1e-6."""
+    coupling = oracle._atom_couplings(cfg, n_cells, "nearest-neighbor-cells")
+    h = _hard_core_pairs(coupling, 2.0 * v_dyn)
     hi, lo = np.tril_indices(2 * n_cells, -1)
     w, vecs = eigh(h)
-    in_cluster = np.sum(vecs[hi // 2 == lo // 2, :] ** 2, axis=0) > 0.5
+    weights = np.sum(vecs[hi // 2 == lo // 2, :] ** 2, axis=0)
+    tol = 1e-12 * np.max(np.abs(w))
+    levels = [[0]]
+    for i in range(1, w.size):
+        if w[i] - w[i - 1] > tol:
+            levels.append([])
+        levels[-1].append(i)
+    in_cluster = np.zeros(w.size, dtype=bool)
+    for level in levels:
+        in_cluster[level] = np.mean(weights[level]) > 0.5 + 1e-6
     cluster, manifold = w[in_cluster], w[~in_cluster]
-    centroids = [float(np.mean(x)) if x.size else math.nan for x in (cluster, manifold)]
+    offsets = [float(np.mean(x)) if x.size else math.nan for x in (cluster, manifold)]
     min_gap = (float(np.min(np.abs(cluster[:, None] - manifold[None, :])))
                if cluster.size and manifold.size else 0.0)
     return dict(dimension=h.shape[0], cluster_size=int(cluster.size),
-                cluster_centroid=centroids[0], manifold_centroid=centroids[1],
-                separation=centroids[0] - centroids[1], min_gap=min_gap,
+                cluster_centroid=2.0 * cfg.E_A + offsets[0],
+                manifold_centroid=2.0 * cfg.E_A + offsets[1],
+                separation=offsets[0] - offsets[1], min_gap=min_gap,
                 separated=(cluster.size == n_cells and min_gap
                            > 4.0 * abs(exciton_levels(cfg).J0)))
 
@@ -404,8 +443,9 @@ def test_momentum_blocks_match_dense_sector(theta, r_over_a, v_dyn, n_cells, mod
     cfg = SuperLatticeConfig(E_A=1.5, a=1000.0, R=1000.0 * r_over_a, mu=2.5,
                              theta=theta, N=5)
     coupling = oracle._atom_couplings(cfg, n_cells, mode)
-    w, weights, count = oracle._pair_spectrum(coupling, n_cells, v_dyn)
-    dense = np.linalg.eigvalsh(oracle._hard_core_pairs(coupling, 2.0 * v_dyn))
+    w, weights, count = oracle._pair_spectrum(cfg, n_cells, v_dyn, mode)
+    count = count.astype(int)
+    dense = np.linalg.eigvalsh(_hard_core_pairs(coupling, 2.0 * v_dyn))
     assert w.shape == weights.shape == count.shape
     assert np.sum(count) == dense.size == math.comb(2 * n_cells, 2)
     scale = np.max(np.abs(dense))
@@ -414,13 +454,50 @@ def test_momentum_blocks_match_dense_sector(theta, r_over_a, v_dyn, n_cells, mod
     # the trace of the projector on the N pairs filling a cell, which does
     # not depend on the basis either eigh picks inside a degenerate level
     assert np.sum(count * weights) == pytest.approx(n_cells, rel=1e-12)
-    # at V_dyn = 0 the on-cell pairs share degenerate levels with the
-    # manifold, and which states pass weights > 0.5 depends on the basis
-    # either eigh picks in those levels
-    if mode == "nearest-neighbor-cells" and v_dyn > 0.0:
+    # every block is real symmetric, read off the couplings of atoms 0 and 1
+    reach = 1 if mode == "nearest-neighbor-cells" else n_cells // 2
+    blocks = oracle._fill_blocks(oracle._pair_blocks(n_cells, reach),
+                                 coupling[:2].ravel(), v_dyn, slice(0, None))
+    assert blocks.dtype == np.float64
+    assert np.max(np.abs(blocks - blocks.transpose(0, 2, 1))) <= 1e-12 * scale
+    if mode == "nearest-neighbor-cells":
         _assert_report_matches_dense(validate_blocking(cfg, n_cells, v_dyn),
                                      _dense_blocking(cfg, n_cells, v_dyn),
                                      1e-12 * cfg.E_A)
+
+
+def test_pair_memory_bound_raises_before_any_table(small_cfg, monkeypatch):
+    def fail(*args):
+        raise AssertionError("pair tables built")
+
+    monkeypatch.setattr(oracle, "_pair_blocks", fail)
+    # 1015 cells is the first odd ring over the budget, 1013 the last under it
+    for n_cells, need in ((1015, 513), (4999, 12407)):
+        with pytest.raises(SectorSizeError) as excinfo:
+            validate_blocking(small_cfg, n_cells, V_dyn=1e-3)
+        assert str(excinfo.value) == (f"{n_cells}-cell pair blocks need about "
+                                      f"{need} MB, over the 512 MB budget")
+    assert sum(oracle._pair_bytes(1013, 1)) <= oracle._MAX_PAIR_BYTES
+
+
+def test_pair_blocks_solved_in_chunks_match_one_stack(small_cfg, monkeypatch):
+    # a budget that leaves room for one or two blocks at a time
+    wholes = {n_cells: oracle._pair_spectrum(small_cfg, n_cells, 1e-3) for n_cells in (6, 9)}
+    for n_cells, whole in wholes.items():
+        tables, per_block = oracle._pair_bytes(n_cells, 1)
+        for blocks in (1, 2):
+            monkeypatch.setattr(oracle, "_MAX_PAIR_BYTES", tables + blocks * per_block)
+            assert np.array_equal(oracle._pair_spectrum(small_cfg, n_cells, 1e-3), whole)
+
+
+def test_pair_memory_estimate_bounds_the_tables():
+    # the estimate, made before anything is built, covers what is built
+    for n_cells, reach in ((2, 1), (6, 1), (9, 4), (69, 1), (101, 1), (30, 15)):
+        t = oracle._pair_blocks(n_cells, reach)
+        tables, per_block = oracle._pair_bytes(n_cells, reach)
+        built = sum(x.nbytes for x in t if isinstance(x, np.ndarray))
+        assert built <= tables
+        assert 2 * 8 * t.size ** 2 <= per_block
 
 
 def test_single_cell_blocking_matches_dense(small_cfg):
@@ -436,4 +513,4 @@ def test_single_cell_blocking_matches_dense(small_cfg):
 
 def test_build_sector_rejects_bad_modes(small_cfg):
     with pytest.raises(DomainError):
-        build_sector(small_cfg, 3, 1, coupling_mode="everything")
+        build_sector(small_cfg, 3, coupling_mode="everything")
