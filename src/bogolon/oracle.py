@@ -249,8 +249,10 @@ def _pair_spectrum(cfg: SuperLatticeConfig, n_cells: int, V_dyn: float,
     Returns the rows: each eigenvalue, its weight on the pairs filling one
     cell and its multiplicity.  Raises ``SectorSizeError`` before building
     anything if the tables and one block would take more than
-    ``_MAX_PAIR_BYTES``."""
+    ``_MAX_PAIR_BYTES``, and ``DomainError`` for a non-finite V_dyn."""
     _check_ring(n_cells, coupling_mode)
+    if not math.isfinite(V_dyn):
+        raise DomainError(f"V_dyn must be finite, got {V_dyn!r}")
     reach = 1 if coupling_mode == "nearest-neighbor-cells" else n_cells // 2
     tables, per_block = _pair_bytes(n_cells, reach)
     if tables + per_block > _MAX_PAIR_BYTES:

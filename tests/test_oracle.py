@@ -119,6 +119,9 @@ def test_sector_rejects_large_or_invalid_sectors(small_cfg, no_couplings):
             build_sector(small_cfg, n_cells)
         with pytest.raises(DomainError):
             validate_blocking(small_cfg, n_cells, 1e-3)
+    for v_dyn in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            validate_blocking(small_cfg, 6, v_dyn)
 
 
 def test_single_cell_sector_matrix(small_cfg):
