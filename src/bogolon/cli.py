@@ -15,10 +15,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-domain error.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -28,10 +26,8 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ModelError
-from .floatcsv import csv_blocks
 from .lattice import (SuperLatticeConfig, antisymmetric_energy,
                       check_cell_count, exciton_levels, symmetric_band)
-from .oracle import validate_band, validate_blocking
 from .polariton import find_resonance_k, hopfield
 from .presets import PAPER, operating_point, reference_setup
 from .pumpprobe import (DriveConfig, pump_occupation, spectrum, steady_state,
@@ -253,6 +249,7 @@ class Dataset:
         yield ("\n".join(lines) + "\n").encode()
         if self.rows.dtype == np.float64:
             # csv_blocks writes each cell as repr, _fmt's text for a float
+            from .floatcsv import csv_blocks
             yield from csv_blocks(self.rows)
 
     def render(self) -> str:
@@ -403,6 +400,7 @@ def cmd_evolve(run: RunConfig) -> Dataset:
 
 def cmd_oracle(run: RunConfig) -> Dataset:
     """Exact-diagonalization reports: band check and blocking check."""
+    from .oracle import validate_band, validate_blocking
     cfg, spec = run.lattice, run.oracle
     _sweep(run)
     # the two-excitation sector meets the size cap first, before a band solve
@@ -445,6 +443,7 @@ def _plot_script(out_path: str, dataset: Dataset) -> str:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: ``main`` reuses it."""
+    import argparse
     commands = "".join(f"\n  {name:<12}{handler.__doc__}"
                        for name, handler in _HANDLERS.items())
     parser = argparse.ArgumentParser(
@@ -465,6 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    import json
     args = build_parser().parse_args(argv)
     try:
         data = {}

@@ -48,6 +48,22 @@ def _run_each(tmp_path, tracer=None):
     return failures, metrics
 
 
+def test_package_exports_are_restored_after_tracing():
+    # the package reads an export from its module on every access, so a
+    # wrapper read through it while traced does not outlive the tracer
+    import bogolon
+    from bogolon import polariton
+    original = polariton.hopfield
+    tracer = _bench_module("spans").Tracer()
+    tracer.install()
+    try:
+        assert bogolon.hopfield is not original
+        assert bogolon.hopfield.__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    assert bogolon.hopfield is original
+
+
 def test_every_workload_passes_its_own_check(tmp_path):
     failures, _ = _run_each(tmp_path)
     assert failures == {}

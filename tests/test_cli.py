@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bogolon import (PAPER, antisymmetric_energy, cli, photon_dispersion,
+from bogolon import (PAPER, antisymmetric_energy, cli, oracle, photon_dispersion,
                      pump_occupation, pumpprobe, reference_setup, time_evolve)
 from bogolon.cli import (Dataset, EvolveSpec, _fmt, _settings,
                          build_run_config, main)
@@ -466,7 +466,7 @@ def test_oracle_ring_reach(tmp_path, capsys, monkeypatch):
     assert "\nblocking,separated,True\n" in text
     assert run(4) == 2
     # pair blocks over the memory budget fail before any band solve
-    monkeypatch.setattr(cli, "validate_band", None)
+    monkeypatch.setattr(oracle, "validate_band", None)
     capsys.readouterr()
     assert run(4999) == 3
     assert ("4999-cell pair blocks need about 12407 MB, over the 512 MB budget"
@@ -567,6 +567,35 @@ def test_module_entry_point_help_and_missing_command(tmp_path):
                           text=True, timeout=60)
     assert proc.returncode == 2
     assert "command" in proc.stderr
+
+
+def test_commands_import_only_the_modules_they_run(tmp_path):
+    # a fresh interpreter; stdlib modules differ between numpy versions, so
+    # only bogolon's own are pinned
+    script = """if True:
+        import json, sys
+        from bogolon.cli import build_run_config, main
+        def loaded():
+            print(json.dumps([m for m in sys.modules if m.startswith("bogolon.")]))
+        build_run_config({}, preset=True)
+        loaded()
+        assert main(["levels", "--preset", "paper", "--sweep", "theta:0:90:11",
+                     "--out", sys.argv[1]]) == 0
+        loaded()
+        assert main(["oracle", "--preset", "paper", "--out", sys.argv[2]]) == 0
+        loaded()
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "levels.csv"),
+         str(tmp_path / "oracle.csv")], env=env, capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    resolve, levels, ran_oracle = map(set, map(json.loads, proc.stdout.splitlines()))
+    lazy = {"bogolon.oracle", "bogolon.bogoliubov", "bogolon.floatcsv"}
+    assert not resolve & lazy
+    assert levels & lazy == {"bogolon.floatcsv"}
+    assert "bogolon.oracle" in ran_oracle
 
 
 def test_main_reuses_its_parser_across_commands(tmp_path):
