@@ -17,7 +17,7 @@ _MODULE = {name: module for module, names in {
     "lattice": "MAGIC_ANGLE ExcitonLevels SuperLatticeConfig allowed_wavenumbers "
                "antisymmetric_energy dipole_coupling exciton_levels "
                "intercell_couplings symmetric_band",
-    "oracle": "BandReport BlockingReport build_sector validate_band validate_blocking",
+    "oracle": "BandReport BlockingReport bloch_levels validate_band validate_blocking",
     "polariton": "HopfieldMode find_resonance_k hopfield verify_diagonalization",
     "presets": "PAPER RunSetup operating_point reference_setup",
     "pumpprobe": "DriveConfig PumpSolution SteadyState Trajectory polariton_damping "

@@ -403,7 +403,7 @@ def cmd_oracle(run: RunConfig) -> Dataset:
     from .oracle import validate_band, validate_blocking
     cfg, spec = run.lattice, run.oracle
     _sweep(run)
-    # the two-excitation sector meets the size cap first, before a band solve
+    # the pair check meets its 512 MB estimate first, before a band solve
     blocking = validate_blocking(cfg, spec.n_cells, spec.V_dyn)
     band = validate_band(cfg, spec.n_cells)
 

@@ -65,4 +65,4 @@ class SignRegimeError(ModelError):
 
 
 class SectorSizeError(ModelError):
-    """Requested excitation sector is too large to build densely."""
+    """Requested excitation sector would take more memory than its budget."""

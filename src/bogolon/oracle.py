@@ -1,23 +1,18 @@
-"""Brute-force diagonalization of small two-atom-per-cell lattices.
+"""Exact diagonalization of two-atom-per-cell rings.
 
-The band report builds the 2N x 2N one-excitation matrix, one row per atom,
-and diagonalizes it with LAPACK (``np.linalg.eigh``; the tests compare it
-with a cyclic Jacobi solver of their own).  The blocking report solves the
-two-excitation sector of the pairs of distinct atoms, so double occupation
-of an atom is excluded structurally, in its total-momentum blocks: each
-block is real symmetric in a basis fixed by inversion times complex
-conjugation, and is filled from the couplings of atoms 0 and 1 alone.  The
-tests compare the blocks with the dense pair sector, the lift of the
-one-excitation matrix that they build themselves.  This checks the
+The N cells form a periodic ring, as the wavenumbers k = 2 pi p / (N a)
+assume.  Every route reads one table, C[m, alpha, beta]: the dipole coupling
+from atom alpha of cell 0 to atom beta of cell m, at the minimum image of
+|m a + (beta - alpha) R|, over the offsets m = 0, +-1 in
+``nearest-neighbor-cells`` mode and over all of them in ``full-dipole-sum``.
+The band report solves the one-excitation sector in its 2x2 Bloch blocks,
+from one FFT of the table over m.  The blocking report solves the pairs of
+distinct atoms, so no atom is doubly occupied, in total-momentum blocks,
+each real symmetric in a basis fixed by inversion times complex conjugation.
+The tests compare both with dense matrices of their own.  This checks the
 analytic band formulas, the dark-level degeneracy, the a >> R
 single-hopping approximation and the energy separation of on-cell double
 excitations.
-
-The N cells form a periodic ring, as the wavenumbers k = 2 pi p / (N a)
-assume: couplings use the minimum-image distances between the actual atom
-positions z_n -+ R/2.  ``nearest-neighbor-cells`` mode keeps pairs up to
-adjacent cells (the three distances a, a + R, a - R), ``full-dipole-sum``
-keeps every pair.
 """
 
 from __future__ import annotations
@@ -33,43 +28,44 @@ from .errors import DomainError, SectorSizeError
 from .lattice import (SuperLatticeConfig, allowed_wavenumbers, dipole_coupling,
                       exciton_levels, symmetric_band)
 
-_MAX_DIM = 10_000            # a dense float64 sector of 800 MB
 #: Memory the pair route may take: its tables and the blocks solved at once.
 _MAX_PAIR_BYTES = 512e6
 COUPLING_MODES = ("nearest-neighbor-cells", "full-dipole-sum")
 
 #: Dark-level degeneracy window used by the band report, in units of |J|.
 DARK_WINDOW_OVER_J = 1e-3
+_BETA_MINUS_ALPHA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _atom_couplings(cfg: SuperLatticeConfig, n_cells: int, coupling_mode: str,
-                    rows: int | None = None) -> np.ndarray:
-    """Dipole couplings between atoms around the ring, zero on the diagonal
-    and for pairs out of range: the symmetric 2N x 2N matrix, or its first
-    ``rows`` rows."""
-    atom = np.arange(2 * n_cells)
-    cell = atom // 2
-    pos = cell * cfg.a + (atom % 2 - 0.5) * cfg.R
-    d = np.abs(pos[:rows, None] - pos)
+def _cell_couplings(cfg: SuperLatticeConfig, n_cells: int,
+                    coupling_mode: str) -> np.ndarray:
+    """C[m, alpha, beta], the (N, 2, 2) couplings from atom alpha of cell 0
+    to atom beta of cell m: zero for the atom itself and, in
+    ``nearest-neighbor-cells`` mode, for cells beyond the adjacent ones.
+    Callers check the ring and the mode.  Offsets are taken signed, m - N
+    past N/2, so C[-m, beta, alpha] rounds like C[m, alpha, beta]."""
+    m = (np.arange(n_cells) + n_cells // 2) % n_cells - n_cells // 2
+    d = np.abs(m[:, None, None] * cfg.a + _BETA_MINUS_ALPHA * cfg.R)
     d = np.minimum(d, n_cells * cfg.a - d)           # minimum images
-    np.fill_diagonal(d, np.inf)
+    d[0, [0, 1], [0, 1]] = np.inf
     coupling = dipole_coupling(d, cfg)
     if coupling_mode == "nearest-neighbor-cells":
-        dcell = np.abs(cell[:rows, None] - cell)
-        coupling[np.minimum(dcell, n_cells - dcell) > 1] = 0.0
+        coupling[2:n_cells - 1] = 0.0                # the cells |m| >= 2
     return coupling
 
 
-def build_sector(cfg: SuperLatticeConfig, n_cells: int,
+def bloch_levels(cfg: SuperLatticeConfig, n_cells: int,
                  coupling_mode: str = "nearest-neighbor-cells") -> np.ndarray:
-    """Dense one-excitation Hamiltonian h1 = E_A + the dipole couplings, one
-    row per atom (atom (cell n, alpha) is 2n + alpha)."""
+    """The 2N one-excitation levels of the N-cell ring, ascending, in offsets
+    from E_A.  The ring is block circulant, so its 2x2 Bloch blocks are the
+    FFT of C[m] over m; each block [[A, B], [B*, D]] has the levels
+    (A + D)/2 -+ hypot((A - D)/2, |B|)."""
     _check_ring(n_cells, coupling_mode)
-    dim = 2 * n_cells
-    if dim > _MAX_DIM:
-        raise SectorSizeError(f"sector dimension {dim} exceeds {_MAX_DIM}: "
-                              f"{dim * dim * 8 / 1e6:.1f} MB as a dense matrix")
-    return cfg.E_A * np.eye(dim) + _atom_couplings(cfg, n_cells, coupling_mode)
+    block = np.fft.fft(_cell_couplings(cfg, n_cells, coupling_mode), axis=0)
+    mean = 0.5 * (block[:, 0, 0].real + block[:, 1, 1].real)
+    split = np.hypot(0.5 * (block[:, 0, 0].real - block[:, 1, 1].real),
+                     np.abs(block[:, 0, 1]))
+    return np.sort(np.concatenate((mean - split, mean + split)))
 
 
 def _check_ring(n_cells: int, coupling_mode: str) -> None:
@@ -85,10 +81,10 @@ class _PairBlocks(NamedTuple):
     pair sector with hops of up to ``reach`` cells, which depend on N and
     the reach alone.
 
-    With ``values`` the couplings of atoms 0 and 1,
-    ``_atom_couplings(cfg, N, mode, 2).ravel()``, followed by 2 V_dyn and a
-    pad, the stack of blocks p = 0..N//2 is the (p, size, size) array whose
-    flat element ``index[p, t]`` sums ``values[coupling[t]] * weight[p, t]``
+    With ``values`` the couplings of atoms 0 and 1, ``_cell_couplings``
+    flattened in (alpha, m, beta) order, followed by 2 V_dyn and a pad, the
+    stack of blocks p = 0..N//2 is the (p, size, size) array whose flat
+    element ``index[p, t]`` sums ``values[coupling[t]] * weight[p, t]``
     over the terms t.  For even N the last two rows are the pairs that are
     their own exchange mirrors, which exist at even p only: at odd p the
     pad decouples them, and ``keep`` drops their two eigenvalues from the
@@ -116,14 +112,13 @@ def _pair_blocks(n_cells: int, reach: int) -> _PairBlocks:
     alpha of cell 0 with atom beta of cell r.  At K = 2 pi p / N the lift
     h1 (x) 1 + 1 (x) h1 takes it to (alpha', beta, r - m) with
     C[m, alpha, alpha'] e^{iKm}, and to (alpha, beta', r + m) with
-    C[m, beta, beta'], where C[m, alpha, beta] = h1[alpha, 2m + beta] in
-    offsets from E_A.  Exchange X takes it to e^{iKr} (beta, alpha, -r),
-    its mirror.  The smaller key of the two is the representative o, with
-    |S o> = (|o> + X|o>) / sqrt(2); the double occupation (alpha, alpha, 0)
-    is no representative.  For even N, (alpha, alpha, N/2) is its own
-    mirror with X = (-1)^p: |S o> = |o> at even p and none at odd p.  H
-    commutes with X, so <S o'|H|S o> = sqrt(2) <S o'|H|o>, once for a
-    self-mirror o.
+    C[m, beta, beta'], C being ``_cell_couplings``.  Exchange X takes it to
+    e^{iKr} (beta, alpha, -r), its mirror.  The smaller key of the two is
+    the representative o, with |S o> = (|o> + X|o>) / sqrt(2); the double
+    occupation (alpha, alpha, 0) is no representative.  For even N,
+    (alpha, alpha, N/2) is its own mirror with X = (-1)^p: |S o> = |o> at
+    even p and none at odd p.  H commutes with X, so
+    <S o'|H|S o> = sqrt(2) <S o'|H|o>, once for a self-mirror o.
 
     Inversion, atom (n, alpha) -> (-n, 1 - alpha), times complex conjugation
     is an antiunitary Theta that commutes with H, keeps K and squares to 1.
@@ -261,7 +256,7 @@ def _pair_spectrum(cfg: SuperLatticeConfig, n_cells: int, V_dyn: float,
             f" over the {_MAX_PAIR_BYTES / 1e6:.0f} MB budget")
     t = _pair_blocks(n_cells, reach)
     # every coupling, as the tables read only those within reach
-    rows = _atom_couplings(cfg, n_cells, "full-dipole-sum", 2).ravel()
+    rows = _cell_couplings(cfg, n_cells, "full-dipole-sum").transpose(1, 0, 2).ravel()
     spectrum = np.empty((3,) + t.keep.shape)
     spectrum[2] = t.count
     chunk = int((_MAX_PAIR_BYTES - tables) // per_block)
@@ -276,15 +271,16 @@ def _pair_spectrum(cfg: SuperLatticeConfig, n_cells: int, V_dyn: float,
 class BandReport:
     """Exact single-excitation spectrum against the analytic levels.
 
-    ``max_deviation`` is the largest gap between the sorted exact
-    eigenvalues and the a >> R levels {E_a x N} + {E_s(k)}.  It is the
+    ``eigenvalues`` and ``analytic`` are absolute energies, ascending;
+    ``max_deviation``, the largest gap between them, is taken in offsets
+    from E_A, the Bloch levels against -J0 and J0 + 4 J cos(ka).  It is the
     residual of the a -+ R inter-cell distances, 12 (R/a)^2 |J| to leading
-    order.  ``dark_count`` counts eigenvalues within ``dark_window``
-    (``DARK_WINDOW_OVER_J * |J|``) of the flat E_a; this is not the number
-    of antisymmetric states, which is always N.  A difference of ~1.4 eV
-    eigenvalues, ``deviation_over_J`` carries about 5 of the 17 digits the
-    CSV prints (1.200297e-3 to 1.200310e-3 over odd N = 3..101 at the
-    preset); Bloch bands in offsets from E_A are the route to more.
+    order.  Offsets of order J0 ~ 1e6 |J| round by about 1e-16 J0, so
+    ``deviation_over_J`` carries about 6 of the 17 digits the CSV prints
+    (1.2002999e-3 to 1.2003005e-3 over odd N = 3..101 at the preset;
+    1.20030006e-3 in 40-digit arithmetic).  ``dark_count`` counts levels
+    within ``dark_window`` (``DARK_WINDOW_OVER_J * |J|``) of the flat E_a;
+    this is not the number of antisymmetric states, which is always N.
     """
 
     n_cells: int
@@ -301,7 +297,8 @@ class BandReport:
 def validate_band(cfg: SuperLatticeConfig, n_cells: int) -> BandReport:
     """Compare the single-excitation spectrum at R = a/100 with the
     analytic {E_a x N} + {E_s(k)} level set.  The ring may be any odd
-    n_cells >= 3 (``SuperLatticeConfig`` rejects others) under the dense cap.
+    n_cells >= 3 (``SuperLatticeConfig`` rejects others); its Bloch levels
+    take O(N log N) time.
 
     The small R suppresses the splitting of the inter-cell distances
     a -+ R that the single-hopping band ignores; the report quantifies
@@ -313,21 +310,19 @@ def validate_band(cfg: SuperLatticeConfig, n_cells: int) -> BandReport:
     antisymmetric states.
     """
     small = replace(cfg, R=cfg.a / 100.0, N=n_cells)
-    w, _ = np.linalg.eigh(build_sector(small, n_cells))
-
-    lv = exciton_levels(small)
-    analytic = np.sort(np.concatenate([
-        np.full(n_cells, lv.E_a),
-        symmetric_band(allowed_wavenumbers(small), small)]))
-    max_dev = float(np.max(np.abs(w - analytic)))
-
+    lv, ks = exciton_levels(small), allowed_wavenumbers(small)
+    w = bloch_levels(small, n_cells)
+    expected = np.sort(np.append(np.full(n_cells, -lv.J0),
+                                 lv.J0 + 4.0 * lv.J * np.cos(ks * small.a)))
+    max_dev = float(np.max(np.abs(w - expected)))
     window = DARK_WINDOW_OVER_J * abs(lv.J)
-    dark_count = int(np.sum(np.abs(w - lv.E_a) <= window))
     return BandReport(
-        n_cells=n_cells, R_used=small.R, J=lv.J, eigenvalues=w,
-        analytic=analytic, max_deviation=max_dev,
+        n_cells=n_cells, R_used=small.R, J=lv.J, eigenvalues=small.E_A + w,
+        analytic=np.sort(np.append(np.full(n_cells, lv.E_a),
+                                   symmetric_band(ks, small))),
+        max_deviation=max_dev,
         deviation_over_J=max_dev / abs(lv.J) if lv.J != 0.0 else 0.0,
-        dark_count=dark_count, dark_window=window)
+        dark_count=int(np.sum(np.abs(w + lv.J0) <= window)), dark_window=window)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bogolon import (SuperLatticeConfig, allowed_wavenumbers, build_sector,
+from bogolon import (SuperLatticeConfig, allowed_wavenumbers, bloch_levels,
                      dipole_coupling, exciton_levels, oracle, symmetric_band,
                      validate_band, validate_blocking)
 from bogolon.errors import DomainError, SectorSizeError
@@ -83,68 +83,108 @@ def _hard_core_pairs(h1, shift):
     return h
 
 
+def _dense_couplings(cfg, n_cells, coupling_mode="nearest-neighbor-cells"):
+    """The dense one-excitation matrix in offsets from E_A, one row per atom
+    (atom (cell n, alpha) is 2n + alpha): the dipole couplings between the
+    absolute positions n a + (alpha - 1/2) R at their minimum images around
+    the ring, zero on the diagonal and for pairs out of range."""
+    atom = np.arange(2 * n_cells)
+    cell = atom // 2
+    pos = cell * cfg.a + (atom % 2 - 0.5) * cfg.R
+    d = np.abs(pos[:, None] - pos)
+    d = np.minimum(d, n_cells * cfg.a - d)
+    np.fill_diagonal(d, np.inf)
+    coupling = dipole_coupling(d, cfg)
+    if coupling_mode == "nearest-neighbor-cells":
+        dcell = np.abs(cell[:, None] - cell)
+        coupling[np.minimum(dcell, n_cells - dcell) > 1] = 0.0
+    return coupling
+
+
+def _dense_sector(cfg, n_cells, coupling_mode="nearest-neighbor-cells"):
+    """The dense one-excitation Hamiltonian h1 = E_A + the couplings."""
+    return cfg.E_A * np.eye(2 * n_cells) + _dense_couplings(cfg, n_cells, coupling_mode)
+
+
 def _pair_sector(cfg, n_cells, coupling_mode="nearest-neighbor-cells", V_dyn=0.0):
     """The dense two-excitation sector, the reference of the momentum
     blocks: h1 lifted to the pairs of distinct atoms, with 2 V_dyn on the
     pairs filling a cell."""
-    return _hard_core_pairs(build_sector(cfg, n_cells, coupling_mode), 2.0 * V_dyn)
+    return _hard_core_pairs(_dense_sector(cfg, n_cells, coupling_mode), 2.0 * V_dyn)
 
 
 @pytest.fixture()
 def no_couplings(monkeypatch):
-    """Fail on any build of the atom couplings, for sectors that need none."""
+    """Fail on any build of the coupling table, for rings that need none."""
     def fail(*args):
-        raise AssertionError("atom couplings built")
+        raise AssertionError("coupling table built")
 
-    monkeypatch.setattr(oracle, "_atom_couplings", fail)
+    monkeypatch.setattr(oracle, "_cell_couplings", fail)
 
 
 def test_sector_dimensions(small_cfg):
     for n_cells, n_exc, dim in ((1, 1, 2), (2, 2, 6), (3, 1, 6), (7, 2, 91),
                                 (12, 2, 276)):
-        h = (build_sector(small_cfg, n_cells) if n_exc == 1
+        h = (_dense_sector(small_cfg, n_cells) if n_exc == 1
              else _pair_sector(small_cfg, n_cells))
         assert isinstance(h, np.ndarray)
         assert h.shape == (dim, dim) == (math.comb(2 * n_cells, n_exc),) * 2
         assert np.array_equal(h, h.T)
+        if n_exc == 1:
+            assert bloch_levels(small_cfg, n_cells).shape == (dim,)
 
 
-def test_sector_rejects_large_or_invalid_sectors(small_cfg, no_couplings):
-    with pytest.raises(SectorSizeError) as excinfo:
-        build_sector(small_cfg, 5001)           # 10002 atoms
-    assert str(excinfo.value) == ("sector dimension 10002 exceeds 10000: "
-                                  "800.3 MB as a dense matrix")
+def test_sectors_reject_invalid_rings(small_cfg, no_couplings):
     for n_cells in (0, -1):
-        with pytest.raises(DomainError):
-            build_sector(small_cfg, n_cells)
         with pytest.raises(DomainError):
             validate_blocking(small_cfg, n_cells, 1e-3)
     for v_dyn in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
             validate_blocking(small_cfg, 6, v_dyn)
+    with pytest.raises(DomainError):
+        oracle._pair_spectrum(small_cfg, 6, 1e-3, coupling_mode="everything")
+
+
+def test_bloch_levels_rejects_bad_modes_and_rings(small_cfg, no_couplings):
+    with pytest.raises(DomainError):
+        bloch_levels(small_cfg, 3, coupling_mode="everything")
+    for n_cells in (0, -1):
+        for mode in oracle.COUPLING_MODES:
+            with pytest.raises(DomainError):
+                bloch_levels(small_cfg, n_cells, mode)
 
 
 def test_single_cell_sector_matrix(small_cfg):
-    h = build_sector(small_cfg, 1)
+    h = _dense_sector(small_cfg, 1)
     lv = exciton_levels(small_cfg)
     expected = np.array([[small_cfg.E_A, lv.J0], [lv.J0, small_cfg.E_A]])
     assert np.allclose(h, expected, rtol=1e-15, atol=0.0)
+    for mode in oracle.COUPLING_MODES:
+        assert np.array_equal(oracle._cell_couplings(small_cfg, 1, mode),
+                              [[[0.0, lv.J0], [lv.J0, 0.0]]])
 
 
 def test_three_cell_elements_by_hand(small_cfg):
-    # atom i sits at (i//2)*a + (i%2 - 1/2)*R; single-excitation rows are
-    # the atoms, so row/column index equals the atom index
-    h = build_sector(small_cfg, 3, "nearest-neighbor-cells")
+    # C[m, alpha, beta] couples atom alpha of cell 0, at (alpha - 1/2) R, to
+    # atom beta of cell m, at m a + (beta - 1/2) R; cell 2 is cell -1
     a, r = small_cfg.a, small_cfg.R
-    assert h[0, 1] == pytest.approx(dipole_coupling(r, small_cfg), rel=1e-15)
-    assert h[0, 2] == pytest.approx(dipole_coupling(a, small_cfg), rel=1e-15)
-    assert h[0, 3] == pytest.approx(dipole_coupling(a + r, small_cfg), rel=1e-15)
-    assert h[1, 2] == pytest.approx(dipole_coupling(a - r, small_cfg), rel=1e-15)
-    # cells 0 and 2 are adjacent around the three-cell ring
-    assert h[0, 4] == pytest.approx(dipole_coupling(a, small_cfg), rel=1e-15)
-    assert h[1, 4] == pytest.approx(dipole_coupling(a + r, small_cfg), rel=1e-15)
-    assert np.allclose(h, h.T, rtol=0, atol=0)
-    assert np.allclose(np.diag(h), small_cfg.E_A, rtol=1e-16)
+    distances = {(0, 0, 1): r, (0, 1, 0): r,
+                 (1, 0, 0): a, (1, 0, 1): a + r, (1, 1, 0): a - r, (1, 1, 1): a,
+                 (2, 0, 0): a, (2, 0, 1): a - r, (2, 1, 0): a + r, (2, 1, 1): a}
+    for mode in oracle.COUPLING_MODES:       # every cell is adjacent at N = 3
+        c = oracle._cell_couplings(small_cfg, 3, mode)
+        assert c.shape == (3, 2, 2)
+        for m, alpha, beta in np.ndindex(c.shape):
+            want = (dipole_coupling(distances[m, alpha, beta], small_cfg)
+                    if (m, alpha, beta) in distances else 0.0)
+            assert c[m, alpha, beta] == pytest.approx(want, rel=1e-15), (m, alpha, beta)
+    # the offsets +-2, cells 2 and 3, are out of reach on a five-cell ring
+    c = oracle._cell_couplings(small_cfg, 5, "nearest-neighbor-cells")
+    assert np.all(c[2:4] == 0.0) and np.all(c[4] == c[1].T)
+    full = oracle._cell_couplings(small_cfg, 5, "full-dipole-sum")
+    assert full[2, 0, 1] == pytest.approx(dipole_coupling(2 * a + r, small_cfg),
+                                          rel=1e-15)
+    assert np.array_equal(full[:2], c[:2])
 
 
 def test_double_excitation_shift_on_diagonal(small_cfg):
@@ -194,7 +234,7 @@ def test_array_sector_equals_bitmask_loop(small_cfg):
     for n_cells in range(1, 9):
         for n_exc in (1, 2):
             for mode in oracle.COUPLING_MODES:
-                h = (build_sector(small_cfg, n_cells, mode) if n_exc == 1
+                h = (_dense_sector(small_cfg, n_cells, mode) if n_exc == 1
                      else _pair_sector(small_cfg, n_cells, mode, V_dyn=1e-3))
                 assert np.array_equal(h, _sector_loop(
                     small_cfg, n_cells, n_exc, mode, 1e-3))
@@ -213,7 +253,7 @@ def test_sector_matches_loop_and_jacobi_on_random_lattices(theta, r_over_a, v_dy
     cfg = SuperLatticeConfig(E_A=1.5, a=1000.0, R=1000.0 * r_over_a, mu=2.5,
                              theta=theta, N=5)
     for n_exc in (1, 2):
-        h = (build_sector(cfg, n_cells, mode) if n_exc == 1
+        h = (_dense_sector(cfg, n_cells, mode) if n_exc == 1
              else _pair_sector(cfg, n_cells, mode, V_dyn=v_dyn))
         np.testing.assert_allclose(
             h, _sector_loop(cfg, n_cells, n_exc, mode, v_dyn), rtol=1e-15, atol=0)
@@ -247,10 +287,40 @@ def test_hard_core_pairs_is_projected_kronecker_lift(data, n, shift):
 
 
 def test_single_cell_spectrum_gives_split_doublet(small_cfg):
-    w, _ = np.linalg.eigh(build_sector(small_cfg, 1))
+    w = bloch_levels(small_cfg, 1)
     lv = exciton_levels(small_cfg)
-    assert w[0] == pytest.approx(lv.E_a, rel=1e-14)   # J0 > 0 at 80 deg
-    assert w[1] == pytest.approx(lv.E_s, rel=1e-14)
+    assert w[0] == pytest.approx(-lv.J0, rel=1e-14)   # J0 > 0 at 80 deg
+    assert w[1] == pytest.approx(lv.J0, rel=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2),
+       r_over_a=st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+       n_cells=st.integers(1, 21),
+       mode=st.sampled_from(oracle.COUPLING_MODES))
+def test_bloch_levels_match_dense_matrix(theta, r_over_a, n_cells, mode):
+    # the 2x2 Bloch blocks against a dense solve of the matrix built from
+    # absolute positions, both in offsets from E_A
+    cfg = SuperLatticeConfig(E_A=1.5, a=1000.0, R=1000.0 * r_over_a, mu=2.5,
+                             theta=theta, N=5)
+    coupling = _dense_couplings(cfg, n_cells, mode)
+    table = oracle._cell_couplings(cfg, n_cells, mode)
+    if n_cells % 2:     # no cell sits half way round: C[-m] = C[m]^T bit for bit
+        assert np.array_equal(table, table[-np.arange(n_cells)].transpose(0, 2, 1))
+    w = bloch_levels(cfg, n_cells, mode)
+    assert w.shape == (2 * n_cells,) and np.all(np.diff(w) >= 0.0)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(coupling))) <= (
+        1e-10 * np.max(np.abs(coupling)))
+
+
+def test_pair_rows_are_the_dense_matrix_rows(small_cfg, cfg):
+    # the rows the pair route reads, atoms 0 and 1 to every atom, keep the
+    # bits of the dense matrix's first two rows at the preset geometry
+    for lattice in (small_cfg, cfg):
+        for n_cells in range(1, 202):
+            rows = oracle._cell_couplings(lattice, n_cells, "full-dipole-sum")
+            assert np.array_equal(rows.transpose(1, 0, 2).ravel(), _dense_couplings(
+                lattice, n_cells, "full-dipole-sum")[:2].ravel()), n_cells
 
 
 def test_jacobi_on_diagonal_matrix():
@@ -296,7 +366,7 @@ def test_diagonalize_residual_and_trace(small_cfg):
 
 
 def test_spectrum_invariant_under_cell_relabeling(small_cfg):
-    h = build_sector(small_cfg, 3)
+    h = _dense_sector(small_cfg, 3)
     # mirror the lattice: cell n -> 2 - n with the in-cell pair swapped
     perm = [2 * (2 - (i // 2)) + (1 - i % 2) for i in range(6)]
     p = np.zeros((6, 6))
@@ -334,6 +404,15 @@ def test_band_report_flat_at_magic_angle(small_cfg):
                        atol=1e-12 * magic.E_A, rtol=0)
 
 
+def test_band_report_makes_no_dense_solve(small_cfg, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("dense solve")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    assert validate_band(small_cfg, 101).eigenvalues.shape == (202,)
+
+
 def test_band_report_requires_small_odd_cells(small_cfg):
     for bad in (1, 2, 4):
         with pytest.raises(DomainError):
@@ -362,8 +441,8 @@ def test_full_sum_error_shrinks_with_pitch(small_cfg):
     deviations = []
     for a in (1000.0, 2000.0, 4000.0):
         c = replace(small_cfg, a=a)
-        w_nn, _ = np.linalg.eigh(build_sector(c, 5, "nearest-neighbor-cells"))
-        w_full, _ = np.linalg.eigh(build_sector(c, 5, "full-dipole-sum"))
+        w_nn = bloch_levels(c, 5, "nearest-neighbor-cells")
+        w_full = bloch_levels(c, 5, "full-dipole-sum")
         deviations.append(np.max(np.abs(w_nn - w_full)))
     assert deviations[0] > deviations[1] > deviations[2]
 
@@ -397,8 +476,7 @@ def _dense_blocking(cfg, n_cells, v_dyn, eigh=np.linalg.eigh):
     in offsets from 2 E_A.  Eigenvalues closer than 1e-12 of the largest
     offset form one level, which is in the cluster when the mean of its
     states' on-cell weights is over one half by more than 1e-6."""
-    coupling = oracle._atom_couplings(cfg, n_cells, "nearest-neighbor-cells")
-    h = _hard_core_pairs(coupling, 2.0 * v_dyn)
+    h = _hard_core_pairs(_dense_couplings(cfg, n_cells), 2.0 * v_dyn)
     hi, lo = np.tril_indices(2 * n_cells, -1)
     w, vecs = eigh(h)
     weights = np.sum(vecs[hi // 2 == lo // 2, :] ** 2, axis=0)
@@ -445,7 +523,7 @@ def test_momentum_blocks_match_dense_sector(theta, r_over_a, v_dyn, n_cells, mod
     # absolute 2 E_A + 2 V_dyn diagonal alone rounds by half an ulp of 3 eV
     cfg = SuperLatticeConfig(E_A=1.5, a=1000.0, R=1000.0 * r_over_a, mu=2.5,
                              theta=theta, N=5)
-    coupling = oracle._atom_couplings(cfg, n_cells, mode)
+    coupling = _dense_couplings(cfg, n_cells, mode)
     w, weights, count = oracle._pair_spectrum(cfg, n_cells, v_dyn, mode)
     count = count.astype(int)
     dense = np.linalg.eigvalsh(_hard_core_pairs(coupling, 2.0 * v_dyn))
@@ -513,7 +591,3 @@ def test_single_cell_blocking_matches_dense(small_cfg):
     assert report.cluster_centroid == pytest.approx(2 * small_cfg.E_A + 2e-3, rel=1e-15)
     assert report.min_gap == 0.0 and not report.separated
 
-
-def test_build_sector_rejects_bad_modes(small_cfg):
-    with pytest.raises(DomainError):
-        build_sector(small_cfg, 3, coupling_mode="everything")

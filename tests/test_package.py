@@ -13,7 +13,7 @@ EXPORTS = {
     "lattice": ["MAGIC_ANGLE", "ExcitonLevels", "SuperLatticeConfig",
                 "allowed_wavenumbers", "antisymmetric_energy", "dipole_coupling",
                 "exciton_levels", "intercell_couplings", "symmetric_band"],
-    "oracle": ["BandReport", "BlockingReport", "build_sector", "validate_band",
+    "oracle": ["BandReport", "BlockingReport", "bloch_levels", "validate_band",
                "validate_blocking"],
     "polariton": ["HopfieldMode", "find_resonance_k", "hopfield",
                   "verify_diagonalization"],
