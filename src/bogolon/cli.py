@@ -35,6 +35,10 @@ from .pumpprobe import (DriveConfig, pump_occupation, spectrum, steady_state,
 from .waveguide import WaveguideConfig, photon_dispersion, resonant_q0
 
 SWEEP_VARIABLES = ("theta", "k", "E_drive")
+#: The section, class and key of the config value each sweep variable sets.
+_SWEPT = {"theta": ("lattice", SuperLatticeConfig, "theta_deg"),
+          "k": ("drive", DriveConfig, "k_pump"),
+          "E_drive": ("drive", DriveConfig, "E_drive")}
 _MAX_SWEEP = 10_000_000
 #: Grid points evaluated per block of column expressions; bounds the
 #: temporaries of a sweep at any count up to _MAX_SWEEP.
@@ -212,10 +216,15 @@ def build_run_config(data: dict, preset: bool = False) -> RunConfig:
         pump = pump_occupation(drive, *operating_point(cfg, wg, drive.k_pump))
         drive = replace(drive, F_pump=pump.f_pump_magnitude)
 
+    sweep = data.get("sweep")
+    if sweep is not None:
+        sweep = _parse_section(SweepSpec, "sweep", _section(data, "sweep"))
+        section, cls, key = _SWEPT[sweep.variable]
+        for end in ("min", "max"):      # checked as that value in the config
+            _checked(f"sweep.{end}", _parse_section, cls, section, {
+                **(lat if section == "lattice" else drv), key: getattr(sweep, end)})
     return RunConfig(
-        lattice=cfg, waveguide=wg, drive=drive,
-        sweep=(None if data.get("sweep") is None else
-               _parse_section(SweepSpec, "sweep", _section(data, "sweep"))),
+        lattice=cfg, waveguide=wg, drive=drive, sweep=sweep,
         evolve=_parse_section(EvolveSpec, "evolve", _section(data, "evolve")),
         oracle=oracle)
 

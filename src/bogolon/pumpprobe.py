@@ -31,9 +31,8 @@ x = (A, B+, conj(B-), 1) the equations are one affine generator M, and a
 step is x -> P(hM) x with P the RK4 polynomial.  The pump does not couple
 to the pair, so P(hM) is a scalar pump map and a 2x2 pair map, each with
 its forcing column S(hG) h f, S(z) = (P(z) - 1) / z, built in Python
-complex scalars; squaring raises it to the sampling stride, and the
-samples within each block are one stacked product of the stride map's
-first powers with the state before the block.  That keeps RK4's
+complex scalars; squaring raises it to the sampling stride S, and each
+further square S^f maps samples 0..f-1 to f..2f-1.  That keeps RK4's
 truncation error; exp(Mt) would not, and would equal the closed forms by
 construction.  Its step, end time and sampling default to rules on the
 rotating frame it solves, and the trajectory reports the values used.
@@ -65,11 +64,8 @@ _OCCUPATION_TOL = 1e-12
 _NEWTON_MAX_STEPS = 100
 #: Most samples after t = 0 that one :func:`time_evolve` call returns.
 _MAX_SAMPLES = 1_000_000
-#: Samples per block of :func:`time_evolve`, and blocks per stacked product.
-_BLOCK = 32
-#: The amplitude each term of a stacked map reads, as indices into
-#: (A, B+, conj(B-), 0): the pump reads A, the pair reads both its members.
-_TERMS = np.array([[0, 3], [1, 2], [1, 2]])
+#: Samples one numpy pass of :func:`time_evolve`'s sampler maps at a time.
+_CHUNK = 65_536
 #: Record type of :func:`spectrum`.
 _SPECTRUM_DTYPE = np.dtype((np.record, [("E_offset", float), ("I_minus_scaled", float),
                                         ("I_plus_scaled", float)]))
@@ -354,12 +350,9 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
     Python complex scalars and kept as the increment P - 1.  One ladder of
     squarings raises the step to the stride ``sample_every`` and to the
     steps left after the last full stride, which the final sample takes.
-    Samples come in blocks of ``_BLOCK``: the last sample of a block
-    follows from the one before the block by the stride map's ``_BLOCK``-th
-    power, in Python; the others are its lower powers applied to that
-    state, ``_BLOCK`` blocks to one stacked product of float64 parts in a
-    fixed order (no BLAS, no fused multiply-add), so no sample costs a
-    numpy call of its own.
+    The stride map S gives sample 1, and each further square S^f maps
+    samples 0..f-1 to f..2f-1 in one pass over float64 parts in a fixed
+    order (no BLAS, no fused multiply-add): sample j is popcount(j) maps deep.
     Time is measured in hbar/eV.  The step must resolve the fastest rate
     of the frame (the largest of the detunings, V_mf and the dampings),
     dt < 0.1 / rate, and there must be fewer than 2**63 steps, else
@@ -419,29 +412,15 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
 
     stride = min(sample_every, n_steps)
     n_samples, rest = divmod(n_steps, stride)
-    stride_map, rest_map = _ladder(step, (stride, rest))
-    # S^j = S^hi o S^(j - hi), hi the largest power of two below j: log2(j)
-    # products deep, not j - 1, which where the pair generator is (nearly)
-    # defective magnifies their rounding less
-    block = min(n_samples, _BLOCK)
-    powers = [stride_map]
-    while len(powers) < block:
-        hi = 1 << (len(powers).bit_length() - 1)
-        powers.append(_compose(powers[hi - 1], powers[len(powers) - hi]))
-    # every block-th sample follows from the one before by S^block; the
-    # samples between them are one stacked product per _BLOCK blocks
-    n_blocks = -(-n_samples // block)
-    starts = [(0j, 0j, 0j)]
-    for _ in range(n_blocks):
-        starts.append(_map(powers[-1], starts[-1]))
-    x = np.empty((3, n_blocks * block + 2), dtype=complex)
-    x[:, :-1:block] = np.array(starts).T
-    if block > 1:
-        inner = x[:, 1:-1].reshape(3, n_blocks, block)[:, :, :-1]
-        stacked = _stack(powers[:-1])
-        for k in range(0, n_blocks, _BLOCK):
-            _apply(stacked, starts[k:min(k + _BLOCK, n_blocks)], inner[:, k:k + _BLOCK])
-    x = x[:, :n_samples + 1 + (rest > 0)]
+    power, rest_map = _ladder(step, (stride, rest))
+    # sample f + j is S^f sample j: popcount(j) maps deep, not j, which
+    # magnifies rounding less where the pair generator is (nearly) defective
+    x = np.zeros((3, n_samples + 1 + (rest > 0)), dtype=complex)
+    x[:, 1] = _map(power, (0j, 0j, 0j))
+    for f in (1 << k for k in range(1, n_samples.bit_length())):
+        power = _compose(power, power)
+        n = min(f, n_samples + 1 - f)
+        _apply(power, x[:, :n], x[:, f:f + n])
     marks = np.arange(n_samples + 1) * stride
     if rest:
         x[:, -1] = _map(rest_map, x[:, -2].tolist())
@@ -491,27 +470,19 @@ def _ladder(step, exponents):
         square = _compose(square, square)
 
 
-def _stack(maps):
-    """Real and imaginary parts of the maps' coefficients, shape (3, 2, 1, n),
-    one row per amplitude and one column per term it reads (the pump's
-    second is 0), and of their forcing columns, shape (3, 1, n)."""
-    m = np.array(maps, dtype=complex).T
-    coef = np.zeros((3, 2, 1, len(maps)), dtype=complex)
-    coef[0, 0, 0], coef[1:, :, 0] = m[0], m[1:5].reshape(2, 2, -1)
-    col = m[5:, None]
-    return tuple(np.ascontiguousarray(c) for c in (coef.real, coef.imag,
-                                                   col.real, col.imag))
-
-
-def _apply(stacked, starts, out):
-    """out[:, k, j] = map j applied to starts[k], in float64 parts and the
-    order of _map: numpy's complex product may fuse a multiply-add, which
-    rounds differently on CPUs that have one."""
-    cr, ci, fr, fi = stacked
-    x = np.array(starts, dtype=complex).T
-    terms = np.vstack([x, np.zeros((1, len(starts)))])[_TERMS, :, None]
-    sr, si = terms.real, terms.imag
-    for o, t, f, x0 in ((out.real, cr * sr - ci * si, fr, x.real),
-                        (out.imag, cr * si + ci * sr, fi, x.imag)):
-        np.add(np.add(t[:, 0], t[:, 1], out=o), f, out=o)
-        np.add(o, x0[:, :, None], out=o)
+def _apply(u, x, out):
+    """out[:, j] = _map(u, x[:, j]) bit for bit, _CHUNK columns at a time, in
+    float64 parts: each product c z as CPython forms it, the sums in _map's
+    order; numpy's complex product may fuse a multiply-add on some CPUs."""
+    a, p, q, r, s, fa, f0, f1 = u
+    for lo in range(0, x.shape[1], _CHUNK):
+        cols = slice(lo, lo + _CHUNK)
+        amp, y0, y1 = x[:, cols]
+        for o, y, terms, f in ((out[0, cols], amp, [(a, amp)], fa),
+                               (out[1, cols], y0, [(p, y0), (q, y1)], f0),
+                               (out[2, cols], y1, [(r, y0), (s, y1)], f1)):
+            re, im = (sum(t[1:], t[0]) for t in zip(*(
+                (c.real * z.real - c.imag * z.imag, c.real * z.imag + c.imag * z.real)
+                for c, z in terms)))
+            o.real = y.real + (re + f.real)
+            o.imag = y.imag + (im + f.imag)

@@ -481,6 +481,24 @@ def test_plot_script_flag(tmp_path):
     assert "plot" in script and "using 1:2" in script
 
 
+@pytest.mark.parametrize("command, sweep, config", [
+    ("spectrum", "E_drive:0:1e-3:3", {"drive": {"E_drive": 0}}),
+    ("spectrum", "E_drive:-1e-3:1.5:3", {"drive": {"E_drive": -1e-3}}),
+    ("levels", "theta:80:100:3", {"lattice": {"theta_deg": 100}}),
+    ("levels", "theta:-1:80:3", {"lattice": {"theta_deg": -1}})])
+def test_sweep_endpoints_exit_like_the_same_config_value(tmp_path, capsys, command,
+                                                         sweep, config):
+    # a sweep endpoint the config check rejects exits 2 before any row
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--preset", "paper", "--config", str(path),
+                 "--out", str(tmp_path / "a.csv")]) == 2
+    assert main([command, "--preset", "paper", "--sweep", sweep,
+                 "--out", str(tmp_path / "b.csv")]) == 2
+    assert "config error: bad sweep.m" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_exit_code_config_errors(tmp_path):
     assert main(["levels", "--out", str(tmp_path / "x.csv")]) == 2
     bad = tmp_path / "bad.json"

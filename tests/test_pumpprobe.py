@@ -722,14 +722,19 @@ def _damped_drive(cfg, detuning, damping, forces, n_pump):
                   F_probe_minus=complex(*forces[4:]), n_pump=n_pump)
 
 
-def _routes(cfg, detuning, damping, forces, n_pump, steps, sample_every):
-    """Step-matrix and loop trajectories of one damped drive, dt = 0.05/scale."""
+def _routes(cfg, detuning, damping, forces, n_pump, steps, sample_every,
+            binary=False):
+    """Step-matrix and loop trajectories of one damped drive, dt = 0.05/scale,
+    or with ``binary`` the power of two below it, so that t_end / dt is
+    exactly ``steps``."""
     mode, ip = _mode(), _ip()
     drive = _damped_drive(cfg, detuning, damping, forces, n_pump)
     ss = steady_state(drive, mode, ip, cfg)
     scale = max(abs(ss.E_a_tilde - drive.E_drive),
                 abs(ss.E_pol_tilde - drive.E_drive), ss.V_mf, *damping)
     dt = 0.05 / scale
+    if binary:
+        dt = 2.0 ** math.floor(math.log2(dt))
     traj = time_evolve(drive, mode, ip, cfg, t_end=steps * dt, dt=dt,
                        sample_every=sample_every)
     return traj, _rk4_loop(drive, mode, ip, cfg, steps * dt, dt, sample_every)
@@ -819,10 +824,10 @@ def test_time_evolve_never_reads_the_closed_forms(setup, monkeypatch):
         assert np.array_equal(got, want)
 
 
-def test_time_evolve_blocks_are_separate_float_products():
-    # a stacked product equals each map applied to each block's first state
-    # with one rounding per float multiply and add, in _map's order, bit for
-    # bit: no fused multiply-add
+def test_time_evolve_apply_is_map_bit_for_bit():
+    # one map over many states equals _map on each state, and both equal
+    # one rounding per float multiply and add in _map's order, bit for bit:
+    # no fused multiply-add
     rng = np.random.default_rng(28)
 
     def draw(n):
@@ -832,31 +837,47 @@ def test_time_evolve_blocks_are_separate_float_products():
     def mul(u, w):
         return complex(u.real * w.real - u.imag * w.imag,
                        u.real * w.imag + u.imag * w.real)
-    maps, starts = [draw(8) for _ in range(6)], [draw(3) for _ in range(4)]
-    out = np.empty((3, len(starts), len(maps)), dtype=complex)
-    pumpprobe._apply(pumpprobe._stack(maps), starts, out)
-    for k, (a0, y0, y1) in enumerate(starts):
-        for j, (a, p, q, r, s, fa, f0, f1) in enumerate(maps):
-            assert out[0, k, j] == a0 + (mul(a, a0) + fa)
-            assert out[1, k, j] == y0 + (mul(p, y0) + mul(q, y1) + f0)
-            assert out[2, k, j] == y1 + (mul(r, y0) + mul(s, y1) + f1)
+    for _ in range(6):
+        u, states = draw(8), [draw(3) for _ in range(40)]
+        x = np.array(states).T
+        out = np.empty_like(x)
+        pumpprobe._apply(u, x, out)
+        a, p, q, r, s, fa, f0, f1 = u
+        for j, (a0, y0, y1) in enumerate(states):
+            got = tuple(out[:, j].tolist())
+            assert got == pumpprobe._map(u, (a0, y0, y1))
+            assert got == (a0 + (mul(a, a0) + fa), y0 + (mul(p, y0) + mul(q, y1) + f0),
+                           y1 + (mul(r, y0) + mul(s, y1) + f1))
+
+
+@pytest.mark.parametrize("sample_every, rest", [(1, 0), (3, 0), (3, 2)])
+@pytest.mark.parametrize("n_samples", [1, 2, 3, 4, 5, 7, 9, 31, 33, 1023, 1025])
+def test_time_evolve_doubling_matches_rk4_loop(cfg, n_samples, sample_every, rest):
+    # the doubling pass fills samples f..2f-1 from 0..f-1: counts at and
+    # beside each power of two, with and without a remainder step
+    steps = n_samples * sample_every + rest
+    traj, (times, ref) = _routes(cfg, 2e-5, (1e-6, 2e-6, 1e-6), _EP_FORCES, 0.7,
+                                 float(steps), sample_every, binary=True)
+    assert len(traj.times) == n_samples + 1 + (rest > 0)
+    assert np.array_equal(traj.times, times)
+    for amp, expected in zip((traj.A, traj.B_plus, traj.B_minus), ref):
+        assert np.max(np.abs(amp - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("sample_every", [1, 7])
-def test_time_evolve_samples_across_block_edges(cfg, monkeypatch, sample_every):
-    # blocks of 5 samples, the last one partial, and at sample_every 7 a
-    # remainder step: the same trace to rounding
+def test_time_evolve_chunks_are_bitwise_one_pass(cfg, monkeypatch, sample_every):
+    # chunks of 5 columns, the last one partial, and at sample_every 7 a
+    # remainder step: the one-pass trace bit for bit, and the loop's to 1e-12
     args = (cfg, 2e-5, (1e-6, 2e-6, 1e-6), _EP_FORCES, 0.7, 2003.0, sample_every)
     whole, _ = _routes(*args)
-    monkeypatch.setattr(pumpprobe, "_BLOCK", 5)
-    blocked, (times, ref) = _routes(*args)
-    assert np.array_equal(blocked.times, times)
-    assert np.array_equal(blocked.times, whole.times)
-    for amp, same, expected in zip((blocked.A, blocked.B_plus, blocked.B_minus),
-                                   (whole.A, whole.B_plus, whole.B_minus), ref):
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(amp - expected)) <= 1e-12 * scale
-        assert np.max(np.abs(amp - same)) <= 1e-13 * scale
+    monkeypatch.setattr(pumpprobe, "_CHUNK", 5)
+    chunked, (times, ref) = _routes(*args)
+    assert len(chunked.times) > 5 * 50
+    assert np.array_equal(chunked.times, times)
+    for field in ("times", "A", "B_plus", "B_minus"):
+        assert np.array_equal(getattr(chunked, field), getattr(whole, field))
+    for amp, expected in zip((chunked.A, chunked.B_plus, chunked.B_minus), ref):
+        assert np.max(np.abs(amp - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_drive_config_invariants():
