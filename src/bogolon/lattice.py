@@ -111,8 +111,15 @@ def _check_finite(config) -> None:
 
 # Helpers of the broadcasting formulas; scalars skip numpy's per-call cost.
 
+#: The numpy scalars scalar calls return most, and their Python types.
+_SCALAR_TYPES = {np.float64: float, np.complex128: complex}
+
+
 def _unwrap(x):
     """Python scalar for a 0-d numpy result, so scalar calls return floats."""
+    cast = _SCALAR_TYPES.get(type(x))
+    if cast is not None:   # the bits of .item(), at a third of its cost
+        return cast(x)
     return x.item() if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0 else x
 
 

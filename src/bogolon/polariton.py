@@ -33,11 +33,6 @@ from .waveguide import WaveguideConfig, _bright_coupling, photon_dispersion
 _SCAN_POINTS = 1000
 #: Energy tolerance of the resonance bisection (eV).
 _ENERGY_TOL = 1e-12
-#: Bisection levels evaluated per array call by the resonance finder.
-_BLOCK_DEPTH = 6
-_BLOCK = 2 ** _BLOCK_DEPTH
-#: Index stride of each bisection level in a block, coarsest first.
-_LEVEL_STEPS = tuple(_BLOCK >> level for level in range(_BLOCK_DEPTH))
 
 
 @dataclass(frozen=True)
@@ -110,11 +105,15 @@ def find_resonance_k(target: float, wg: WaveguideConfig,
 
     Scans [0, pi/a] on a coarse grid for sign changes of E(k) - target,
     then bisects each bracket to |E(k) - target| < 1e-12 eV or 200 halvings.
-    One array call of E_lower gives the next ``_BLOCK_DEPTH`` levels of
-    midpoints, each 0.5 * (lo + hi) of its parent bracket, so k is bitwise
-    that of a one-point-per-call loop.  Raises ``NoSolutionError`` if the
-    target is outside the branch range and ``AmbiguousSolutionError``
-    (listing all roots) if the scan brackets more than one crossing.
+    The bisection walks an aimed path: one array call of E_lower gives the
+    midpoints, each 0.5 * (lo + hi) of its bracket, that it visits if
+    E - target follows the chord of the current bracket, down to the width
+    where the tolerance is due.  The walk reads them on their true signs and
+    re-aims from the bracket at the first midpoint off the path.  Every
+    point it reads is the loop's own midpoint, so k is bitwise that of a
+    one-point-per-call loop.  Raises ``NoSolutionError`` if the target is
+    outside the branch range and ``AmbiguousSolutionError`` (listing all
+    roots) if the scan brackets more than one crossing.
     """
     def offset(k):
         mean, _, d, _ = _branch_energies(k, wg, cfg)
@@ -132,27 +131,38 @@ def find_resonance_k(target: float, wg: WaveguideConfig,
             f"target {target} eV outside lower-branch range [{lo}, {hi}] eV")
 
     roots = list(hits)
-    grid = np.empty(_BLOCK + 1)
     for i in brackets:
-        lo, hi, f_lo, halvings = float(ks[i]), float(ks[i + 1]), vals[i], 0
-        while halvings < 200 and lo != hi:   # lo = hi: tolerance met
-            # lo, hi and the midpoints of the next levels between them,
-            # one strided pass per level, coarsest first.
-            grid[0], grid[-1] = lo, hi
-            for step in _LEVEL_STEPS:
-                grid[step // 2::step] = 0.5 * (grid[:-1:step] + grid[step::step])
-            f_grid = offset(grid[1:-1])
-            a, b = 0, _BLOCK
-            while b - a > 1 and halvings < 200:
-                m, halvings = (a + b) // 2, halvings + 1
-                fm = f_grid[m - 1]
-                if abs(fm) < _ENERGY_TOL:
-                    a = b = m
-                elif f_lo * fm <= 0.0:
-                    b = m
+        lo, hi, halvings = float(ks[i]), float(ks[i + 1]), 0
+        f_lo, f_hi = float(vals[i]), float(vals[i + 1])
+        # A midpoint on lo or hi is the root: the loop's bracket can then
+        # only keep it or collapse onto it.
+        while halvings < 200 and lo < 0.5 * (lo + hi) < hi:
+            # The midpoints the loop visits if E - target is the chord from
+            # (lo, f_lo) to (hi, f_hi), down to where the tolerance is due.
+            slope = abs(f_hi - f_lo) / (hi - lo)
+            a, b, path = lo, hi, []
+            while len(path) < 200 - halvings:
+                m = 0.5 * (a + b)
+                path.append(m)
+                if slope * (b - a) < 2.0 * _ENERGY_TOL:
+                    break
+                # the loop's rule on the chord at m, scaled by hi - lo > 0
+                if f_lo * (f_lo * (hi - m) + f_hi * (m - lo)) > 0.0:
+                    a = m
                 else:
-                    a, f_lo = m, fm
-            lo, hi = float(grid[a]), float(grid[b])
+                    b = m
+            # Walk them on their true signs up to the first one off the path.
+            for m, fm in zip(path, offset(np.array(path)).tolist()):
+                if m != 0.5 * (lo + hi):
+                    break
+                halvings += 1
+                if abs(fm) < _ENERGY_TOL:
+                    lo = hi = m
+                    break
+                if f_lo * fm <= 0.0:
+                    hi, f_hi = m, fm
+                else:
+                    lo, f_lo = m, fm
         roots.append(0.5 * (lo + hi))
 
     roots = sorted(set(roots))

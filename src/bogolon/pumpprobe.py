@@ -341,18 +341,19 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
                 sample_every: Optional[int] = None) -> Trajectory:
     """Integrate the rotating-frame amplitudes from rest with classical RK4.
 
-    One step of h = t_end / ceil(t_end / dt) is x -> P(hM) x on
-    x = (A, B+, conj(B-), 1), with M the affine generator and
-    P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  M is block diagonal but for its
-    forcing column f, so P(hM) = [[P(hG), S(hG) h f], [0, 1]] with
-    S(z) = 1 + z/2 + z^2/6 + z^3/24: a scalar map for A and a 2x2 map for
-    (B+, conj(B-)), each with its column, evaluated by Horner's rule in
-    Python complex scalars and kept as the increment P - 1.  One ladder of
-    squarings raises the step to the stride ``sample_every`` and to the
-    steps left after the last full stride, which the final sample takes.
-    The stride map S gives sample 1, and each further square S^f maps
-    samples 0..f-1 to f..2f-1 in one pass over float64 parts in a fixed
-    order (no BLAS, no fused multiply-add): sample j is popcount(j) maps deep.
+    One step of h = t_end / n is x -> P(hM) x on x = (A, B+, conj(B-), 1),
+    with n = ceil(t_end / dt), less one where (n - 1) dt already reaches
+    t_end, M the affine generator and P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
+    M is block diagonal but for its forcing column f, so
+    P(hM) = [[P(hG), S(hG) h f], [0, 1]] with S(z) = 1 + z/2 + z^2/6 + z^3/24:
+    a scalar map for A and a 2x2 map for (B+, conj(B-)), each with its
+    column, evaluated by Horner's rule in Python complex scalars and kept as
+    the increment P - 1.  One ladder of squarings raises the step to the
+    stride ``sample_every`` and to the steps left after the last full
+    stride, which the final sample takes.  The stride map S gives sample 1,
+    and each further square S^f maps samples 0..f-1 to f..2f-1 in one pass
+    over float64 parts in a fixed order (no BLAS, no fused multiply-add):
+    sample j is popcount(j) maps deep.
     Time is measured in hbar/eV.  The step must resolve the fastest rate
     of the frame (the largest of the detunings, V_mf and the dampings),
     dt < 0.1 / rate, and there must be fewer than 2**63 steps, else
@@ -381,7 +382,10 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
         raise StabilityError(
             f"{t_end / dt:.3g} steps to t_end; the int64 sample times hold "
             f"fewer than 2**63")
+    # t_end / dt may round up past a whole number of steps
     n_steps = max(1, math.ceil(t_end / dt))
+    if (n_steps - 1) * dt >= t_end:
+        n_steps -= 1
     if sample_every is None:
         sample_every = max(1, n_steps // 2000)
     if sample_every < 1:

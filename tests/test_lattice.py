@@ -210,3 +210,21 @@ def test_config_derives_its_levels_once(cfg, wg, monkeypatch):
     assert lv.J0 == dipole_coupling(other.R, other) != j0
     assert lv.J == dipole_coupling(other.a, other) != j
     assert antisymmetric_energy(other) == other.E_A - lv.J0
+
+
+@pytest.mark.parametrize("value, kind", [
+    (np.float64(-0.0), float), (np.float64(math.pi), float),
+    (np.float64(5e-324), float), (np.float64(math.inf), float),
+    (np.frombuffer(b"\x01\x00\x00\x00\x00\x00\xf8\x7f")[0], float),   # NaN payload
+    (np.complex128(1.5 - 0.0j), complex), (np.complex128(-0.0 + 2e-310j), complex),
+    (np.bool_(True), bool), (np.array(0.25), float), (np.array(1j), complex)])
+def test_unwrap_returns_python_scalars_with_the_same_bits(value, kind):
+    got = lattice._unwrap(value)
+    assert type(got) is kind
+    want = np.asarray(value)
+    assert np.asarray(got, dtype=want.dtype).tobytes() == want.tobytes()
+
+
+def test_unwrap_returns_arrays_as_they_are():
+    for value in (np.zeros(3), np.ones((2, 2), dtype=complex), np.zeros(0)):
+        assert lattice._unwrap(value) is value

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bogolon import (MAGIC_ANGLE, SuperLatticeConfig, WaveguideConfig,
                      antisymmetric_energy, coupling_bright, exciton_levels,
-                     find_resonance_k, hopfield, reference_setup,
+                     find_resonance_k, hopfield, polariton, reference_setup,
                      symmetric_band, verify_diagonalization)
 from bogolon.errors import (AmbiguousSolutionError, DegenerateModeError,
                             DomainError, ModelError, NoSolutionError)
@@ -274,11 +274,12 @@ def test_find_resonance_k_equals_bisect_loop(theta, r_over_a, kind, u):
     assert type(new) is type(ref)
 
 
-@pytest.mark.parametrize("halvings", [6, 7, 12, 13, 18, 19])
+@pytest.mark.parametrize("halvings", [1, 2, 6, 7, 12, 13, 18, 19, 24])
 def test_find_resonance_k_stops_on_both_sides_of_a_block_edge(wg, cfg,
                                                               halvings):
     # Target the energy at a seeded midpoint `halvings` levels down the
     # bisection tree of the dark-level bracket: the loop stops exactly there.
+    # 1 stops at the first midpoint of a path, 24 in a re-aimed path call.
     ks = np.linspace(0.0, math.pi / cfg.a, 1001)
     vals = hopfield(ks, wg, cfg).E_lower - antisymmetric_energy(cfg)
     i = int(np.flatnonzero(vals[:-1] * vals[1:] < 0.0)[0])
@@ -290,3 +291,17 @@ def test_find_resonance_k_stops_on_both_sides_of_a_block_edge(wg, cfg,
     target = hopfield(mid, wg, cfg).E_lower
     assert _bisect_loop(target, wg, cfg) == mid
     assert find_resonance_k(target, wg, cfg) == mid
+
+
+def test_find_resonance_k_makes_three_branch_calls_at_the_preset(wg, cfg,
+                                                                 monkeypatch):
+    # the coarse scan, then one aimed path and one re-aimed path
+    sizes = []
+
+    def counted(k, *args):
+        sizes.append(np.size(k))
+        return _branch_energies(k, *args)
+
+    monkeypatch.setattr(polariton, "_branch_energies", counted)
+    assert find_resonance_k(antisymmetric_energy(cfg), wg, cfg) == K_STAR_PRESET
+    assert len(sizes) == 3 and sizes[0] == 1001

@@ -698,6 +698,8 @@ def _rk4_loop(drive, mode, ip, cfg, t_end, dt, sample_every):
         return [x + c * kx for x, kx in zip(y, k)]
 
     n_steps = max(1, math.ceil(t_end / dt))
+    if (n_steps - 1) * dt >= t_end:   # t_end / dt rounded up past n_steps - 1
+        n_steps -= 1
     h = t_end / n_steps
     y = [0j, 0j, 0j]
     times, ys = [0.0], [y]
@@ -859,6 +861,19 @@ def test_time_evolve_doubling_matches_rk4_loop(cfg, n_samples, sample_every, res
     traj, (times, ref) = _routes(cfg, 2e-5, (1e-6, 2e-6, 1e-6), _EP_FORCES, 0.7,
                                  float(steps), sample_every, binary=True)
     assert len(traj.times) == n_samples + 1 + (rest > 0)
+    assert np.array_equal(traj.times, times)
+    for amp, expected in zip((traj.A, traj.B_plus, traj.B_minus), ref):
+        assert np.max(np.abs(amp - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_time_evolve_takes_whole_steps_when_t_end_is_a_multiple_of_dt(cfg):
+    # t_end = 5 dt at this dt, yet t_end / dt = 5.000000000000001 rounds up:
+    # five steps, not six, and six samples at sample_every 1
+    traj, (times, ref) = _routes(cfg, 2e-5, (1e-6, 2e-6, 1e-6), _EP_FORCES, 0.7,
+                                 5.0, 1)
+    assert traj.dt == 474.20333839144746 and traj.t_end == 5 * traj.dt
+    assert traj.t_end / traj.dt > 5.0
+    assert len(traj.times) == len(times) == 6
     assert np.array_equal(traj.times, times)
     for amp, expected in zip((traj.A, traj.B_plus, traj.B_minus), ref):
         assert np.max(np.abs(amp - expected)) <= 1e-12 * np.max(np.abs(expected))
