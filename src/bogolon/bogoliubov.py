@@ -46,8 +46,12 @@ def coefficients(E_a_tilde: float, V_mf: float,
     Raises ``SignRegimeError`` when the drive lies above the shifted dark
     level (real coefficients undefined there) and ``InstabilityError`` when
     |V| closes the pair gap.  The defining cancellation relation is checked
-    to 1e-12 relative as an internal consistency guard.
+    to 1e-12 relative as an internal consistency guard.  A non-finite
+    argument raises ``DomainError`` before the regime checks.
     """
+    for name, x in (("E_a_tilde", E_a_tilde), ("V_mf", V_mf), ("E_drive", E_drive)):
+        if not math.isfinite(x):
+            raise DomainError(f"{name} must be finite, got {x!r}")
     if V_mf < 0:
         raise DomainError("V_mf must be >= 0")
     gap = E_a_tilde - E_drive

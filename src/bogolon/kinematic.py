@@ -104,9 +104,13 @@ def double_excitation_excluded(cfg: SuperLatticeConfig, wg: WaveguideConfig,
 
     Channels tested: 2 E_s, 2 E_a, 2 E_A, and twice the lower-branch energy
     at the pump wavenumber.  Truthy iff all gaps exceed ``tolerance``.
+    A non-finite V_dyn, or a tolerance that is not finite and positive,
+    raises ``DomainError``.
     """
-    if tolerance <= 0:
-        raise DomainError("tolerance must be positive")
+    if not math.isfinite(V_dyn):
+        raise DomainError(f"V_dyn must be finite, got {V_dyn!r}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {tolerance!r}")
     lv = exciton_levels(cfg)
     e_pump = hopfield(k_pump, wg, cfg).E_lower
     e_e = 2.0 * cfg.E_A + 2.0 * V_dyn

@@ -43,7 +43,7 @@ g(N) = N ((d - s N)^2 + hG_pol^2) - |F_pump|^2 with d = E - E_pol and
 s = Delta X^4.  It has three roots, a bistable drive, only inside the
 window d^2 > 3 hG_pol^2 of optical bistability, which
 :func:`pump_occupation` tests at g's turning points before it takes Newton
-steps to the single root.
+steps to the single root, starting at the cubic's closed-form real root.
 """
 
 from __future__ import annotations
@@ -169,11 +169,13 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
     g(N-) > 0 > g(N+), which raises ``BistabilityError`` with
     ``bracket = (N-, N+)``.  Otherwise the single root comes from Newton
     steps on g to 1e-12 relative step, clipped to [0, bound] for an upper
-    bound with g(bound) >= 0; they start from the bound when the root lies
-    where g is convex (every d <= 0) and from 0 when it lies where g is
-    concave, so they approach it from one side.  An undriven mode stays
-    empty; an undamped drive on the unshifted bare resonance (h = d = s = 0)
-    has no finite occupation and raises ``BistabilityError``.
+    bound with g(bound) >= 0.  They start at the cubic's closed-form real
+    root, so one or two steps settle it away from the folds; where that is
+    not finite (s = 0, overflow, the exact cusp) they start from the bound
+    when the root lies where g is convex, from 0 where it is concave.
+    An undriven mode stays empty; an undamped drive on the unshifted bare
+    resonance (h = d = s = 0) has no finite occupation and raises
+    ``BistabilityError``, as do 100 steps that do not settle.
 
     Broadcasts over an array ``E_drive`` (default ``drive.E_drive``) and
     over array mode fields element by element, settled elements frozen; a
@@ -205,7 +207,9 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
 def _kerr_root(d, s, h2, f2):
     """Root of g(N) = N ((d - s N)^2 + h2) - f2 for each element of what the
     float64 scalars or arrays d, s, h2 broadcast to (f2 > 0), and the Newton
-    steps taken over elements; settled elements are frozen, not gathered."""
+    steps taken over elements.  Newton starts at the closed-form root (else
+    at 0 or the bound) and is clipped to [0, bound]; settled elements are
+    frozen, not gathered."""
     with np.errstate(all="ignore"):
         def g(n):
             r = d - s * n
@@ -233,9 +237,17 @@ def _kerr_root(d, s, h2, f2):
             raise BistabilityError(
                 "undamped drive exactly on the unshifted polariton resonance; "
                 "occupation diverges", bracket=(0.0, math.inf))
-        # g is concave below N_i and convex above it: Newton reaches a root
-        # below N_i from 0 and any other from the bound, without overshoot.
-        n = _where((n_i > 0.0) & (g(n_i) >= 0.0), 0.0, bound)
+        # Start at the real root N_i + t of t^3 + 3 p3 t + 2 hq = 0, the cubic
+        # about N_i, with the larger cube root u so t = u - p3 / u does not
+        # cancel.  Where it is not finite (s = 0, overflow, the cusp, three
+        # real roots), start from 0 for a root below N_i, where g is
+        # concave, else from the bound, where g is convex.
+        g_i, s2 = g(n_i), s * s
+        p3, hq = (3.0 * h2 - dd) / (9.0 * s2), g_i / (2.0 * s2)
+        u = np.cbrt(-hq - np.copysign(np.sqrt(hq * hq + p3 * p3 * p3), hq))
+        n = n_i + (u - p3 / u)
+        n = _where(np.isfinite(n), np.minimum(np.maximum(n, 0.0), bound),
+                   _where((n_i > 0.0) & (g_i >= 0.0), 0.0, bound))
         active, left, iterations = True, np.size(n), 0
         for _ in range(_NEWTON_MAX_STEPS):
             sn = s * n
@@ -265,13 +277,12 @@ def _rotating_frame(drive: DriveConfig, mode: HopfieldMode,
     return pump, e_a_t, v_mf, polariton_damping(mode, drive)
 
 
-def _stationary(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
-                cfg: SuperLatticeConfig, e) -> tuple[SteadyState, object]:
-    """The stationary solution at drive energy (or energies) e and the pair
-    determinant; where that vanishes, the intensities are infinite."""
-    pump, e_a_t, v, hg_pol = _rotating_frame(drive, mode, ip, cfg, e)
+def _pair(drive: DriveConfig, e, e_a_t, v):
+    """Dark-pair amplitudes, intensities and determinant at drive energy e
+    in the frame (E_a~, V_mf): (B+, B-, I+, I-, det).  Where the
+    determinant vanishes the intensities are infinite; call it with numpy's
+    divide and invalid warnings off."""
     hg_a = drive.hGamma_a
-    denom_pump = e - pump.E_pol_tilde + 1j * hg_pol
     # (E_a~ - E - i hG_a) B+ + V conj(B-) + F+ = 0 and the conjugated
     # partner equation; unknowns (B+, conj(B-)).  The determinant is real,
     # so the solve divides real and imaginary parts by it.
@@ -279,14 +290,24 @@ def _stationary(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
     det = (e_a_t - e) ** 2 + hg_a ** 2 - v ** 2
     num_plus = -drive.F_probe_plus * z_conj + v * drive.F_probe_minus.conjugate()
     num_minus = -z_conj * drive.F_probe_minus + v * drive.F_probe_plus.conjugate()
+    b_plus = np.divide(num_plus.real, det) + 1j * np.divide(num_plus.imag, det)
+    b_minus = np.divide(num_minus.real, det) + 1j * np.divide(num_minus.imag, det)
+    i_plus = _where(det == 0.0, math.inf, np.hypot(b_plus.real, b_plus.imag) ** 2)
+    i_minus = _where(det == 0.0, math.inf, np.hypot(b_minus.real, b_minus.imag) ** 2)
+    return b_plus, b_minus, i_plus, i_minus, det
+
+
+def _stationary(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
+                cfg: SuperLatticeConfig, e) -> tuple[SteadyState, object]:
+    """The stationary solution at drive energy (or energies) e and the pair
+    determinant; where that vanishes, the intensities are infinite."""
+    pump, e_a_t, v, hg_pol = _rotating_frame(drive, mode, ip, cfg, e)
+    denom_pump = e - pump.E_pol_tilde + 1j * hg_pol
     with np.errstate(divide="ignore", invalid="ignore"):
         a_amp = _where(denom_pump != 0, np.divide(drive.F_pump, denom_pump),
                        complex(math.inf))
-        b_plus = np.divide(num_plus.real, det) + 1j * np.divide(num_plus.imag, det)
-        b_minus = np.divide(num_minus.real, det) + 1j * np.divide(num_minus.imag, det)
-        i_plus = _where(det == 0.0, math.inf, np.hypot(b_plus.real, b_plus.imag) ** 2)
-        i_minus = _where(det == 0.0, math.inf, np.hypot(b_minus.real, b_minus.imag) ** 2)
-    rad = v ** 2 - hg_a ** 2
+        b_plus, b_minus, i_plus, i_minus, det = _pair(drive, e, e_a_t, v)
+    rad = v ** 2 - drive.hGamma_a ** 2
     split = _where(rad > 0, np.sqrt(abs(rad)), math.nan)
     return SteadyState(*map(_unwrap, (
         a_amp, pump.n_pump, b_plus, b_minus, i_plus, i_minus, e_a_t,
@@ -320,18 +341,22 @@ def spectrum(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
     Intensities are scaled by the total injected probe intensity
     |F+|^2 + |F-|^2; energies are reported as offsets from the bare dark
     level.  Grid points landing exactly on an undamped resonance are
-    reported as infinite rather than raised; a self-consistent pump that is
-    bistable at any grid point raises ``BistabilityError``.
+    reported as infinite rather than raised.  A self-consistent pump is
+    solved at every grid point in one Newton pass from the closed-form
+    root, and one that is bistable at any grid point raises
+    ``BistabilityError``.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or energies.size == 0:
         raise DomainError("energy grid must be a nonempty 1-D array")
-    ss, _ = _stationary(drive, mode, ip, cfg, energies)
+    _, e_a_t, v, _ = _rotating_frame(drive, mode, ip, cfg, energies)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, i_plus, i_minus, _ = _pair(drive, energies, e_a_t, v)
     norm = abs(drive.F_probe_plus) ** 2 + abs(drive.F_probe_minus) ** 2 or 1.0
     out = np.empty(energies.shape, dtype=_SPECTRUM_DTYPE)
     out["E_offset"] = energies - antisymmetric_energy(cfg)
-    out["I_minus_scaled"] = ss.I_minus / norm
-    out["I_plus_scaled"] = ss.I_plus / norm
+    out["I_minus_scaled"] = i_minus / norm
+    out["I_plus_scaled"] = i_plus / norm
     return out.view(np.recarray)
 
 

@@ -53,6 +53,17 @@ def test_sign_regime_rejected():
         coefficients(E_a_tilde=1.5, V_mf=-1e-5, E_drive=1.4)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["E_a_tilde", "V_mf", "E_drive"])
+def test_coefficients_reject_non_finite_arguments(name, bad):
+    # each would otherwise give NaN coefficients (or E0_bar = inf) with no
+    # error; the check comes before the sign and gap regimes
+    args = dict(E_a_tilde=1.5 + 2e-4, V_mf=1e-4, E_drive=1.5)
+    args[name] = bad
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        coefficients(**args)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(v=st.floats(1e-8, 1e-3), ratio=st.floats(1.0 + 1e-6, 50.0),
        e=st.floats(0.5, 3.0))

@@ -110,3 +110,18 @@ def test_double_excitation_rejects_bad_tolerance(wg, cfg, setup):
     with pytest.raises(DomainError):
         double_excitation_excluded(cfg, wg, V_dyn=1e-3, tolerance=0.0,
                                    k_pump=setup.drive.k_pump)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_double_excitation_rejects_non_finite_shift(wg, cfg, setup, bad):
+    # inf would report the state excluded, NaN not excluded with E_e = NaN
+    with pytest.raises(DomainError, match="V_dyn must be finite"):
+        double_excitation_excluded(cfg, wg, V_dyn=bad, tolerance=1e-5,
+                                   k_pump=setup.drive.k_pump)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_double_excitation_rejects_non_finite_tolerance(wg, cfg, setup, bad):
+    with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+        double_excitation_excluded(cfg, wg, V_dyn=1e-3, tolerance=bad,
+                                   k_pump=setup.drive.k_pump)

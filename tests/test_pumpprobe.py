@@ -266,7 +266,14 @@ def _compacting_kerr_root(d, s, h2, f2):
             raise BistabilityError(
                 "undamped drive exactly on the unshifted polariton resonance; "
                 "occupation diverges", bracket=(0.0, math.inf))
-        n = np.where((n_i > 0.0) & (g[2] >= 0.0), 0.0, bound)
+        # the closed-form real root of the cubic, clipped to [0, bound];
+        # where it is not finite, 0 for a root below N_i, else the bound
+        s2 = s * s
+        p3, hq = (3.0 * h2 - dd) / (9.0 * s2), g[2] / (2.0 * s2)
+        u = np.cbrt(-hq - np.copysign(np.sqrt(hq * hq + p3 * p3 * p3), hq))
+        n0 = n_i + (u - p3 / u)
+        n = np.where(np.isfinite(n0), np.clip(n0, 0.0, bound),
+                     np.where((n_i > 0.0) & (g[2] >= 0.0), 0.0, bound))
         idx = np.arange(d.size)
         n_out, iterations = np.empty(d.size), 0
         for _ in range(100):
@@ -323,16 +330,12 @@ def _assert_bitwise_as_compacting(drive, mode, ip, E_drive=None):
     return None
 
 
-@settings(max_examples=150, deadline=None)
-@given(pairs=st.lists(st.tuples(_kerr_drives(), _kerr_drives()),
-                      min_size=1, max_size=4))
-def test_pump_occupation_bitwise_equals_compacting_solver(pairs):
-    cases = [case for pair in pairs for case in pair]
-    for drive, mode, ip in cases:
-        _assert_bitwise_as_compacting(drive, mode, ip)
-    # One call for all: the cubic depends on c = d / h and f2 s / h^3 only,
-    # so each case moves to the first one's damping and pump by setting its
-    # detuning and Kerr constant s = Delta X2^2.
+def _one_call(cases):
+    """(drive, mode, energies, deltas) that pose every case in one call.
+
+    The cubic depends on c = d / h and f2 s / h^3 only, so each case moves
+    to the first one's damping and pump by setting its detuning and Kerr
+    constant s = Delta X2^2 (``_ip(delta=deltas, x2=0.5)``)."""
     drive, mode, _ = cases[0]
     h, f2 = polariton_damping(mode, drive), abs(drive.F_pump) ** 2
     energies, deltas = [], []
@@ -342,7 +345,17 @@ def test_pump_occupation_bitwise_equals_compacting_solver(pairs):
         c = (drive_i.E_drive - mode_i.E_lower) / h_i
         energies.append(mode.E_lower + c * h)
         deltas.append(4.0 * s_i * abs(drive_i.F_pump) ** 2 * (h / h_i) ** 3 / f2)
-    energies, deltas = np.array(energies), np.array(deltas)
+    return drive, mode, np.array(energies), np.array(deltas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(_kerr_drives(), _kerr_drives()),
+                      min_size=1, max_size=4))
+def test_pump_occupation_bitwise_equals_compacting_solver(pairs):
+    cases = [case for pair in pairs for case in pair]
+    for drive, mode, ip in cases:
+        _assert_bitwise_as_compacting(drive, mode, ip)
+    drive, mode, energies, deltas = _one_call(cases)
 
     def check(e, delta):
         return _assert_bitwise_as_compacting(drive, mode, _ip(delta=delta, x2=0.5), e)
@@ -362,7 +375,7 @@ def test_pump_occupation_step_cap_raises():
     # within 1e-8 of the cusp d = sqrt(3) h and 1e-6 of g(N_i) in |F|^2: the
     # Newton steps stay above 1e-12 relative for all 100 steps
     h = 1.4885718676066422e-08
-    drive = _drive(E_drive=1.4999000128914104, F_pump=5.078196789046701e-11,
+    drive = _drive(E_drive=1.4999000128914104, F_pump=5.078198328893605e-11,
                    hGamma_s=h, hGamma_ph=h, n_pump=None)
     mode, ip = _mode(0.5), _ip(delta=0.00098461914866043, x2=0.5)
     errors = []
@@ -374,7 +387,32 @@ def test_pump_occupation_step_cap_raises():
     assert errors[0] == errors[1]
     lo, hi = errors[0][1]
     assert lo < hi
-    assert (lo, hi) == (3.464794315527114e-05, 3.464794315532956e-05)
+    assert (lo, hi) == (3.510490665998621e-05, 3.5104906660043044e-05)
+    # a drive 1.4e-8 relative weaker, which capped from the former start,
+    # settles from the closed-form root inside that start's last bracket
+    sol = pump_occupation(replace(drive, F_pump=5.078196789046701e-11), mode, ip)
+    assert sol.n_pump == 3.464794315529549e-05
+    assert 3.464794315527114e-05 < sol.n_pump < 3.464794315532956e-05
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases=st.lists(_kerr_drives(), min_size=1, max_size=8))
+def test_pump_occupation_takes_at_most_two_steps_off_the_folds(cases):
+    # from the closed-form start one Newton step settles almost every
+    # element and two settle the rest, alone and in one call
+    settled = []
+    for drive, mode, ip in cases:
+        try:
+            sol = pump_occupation(drive, mode, ip)
+        except BistabilityError:
+            continue
+        assert 1 <= sol.iterations <= 2
+        settled.append((drive, mode, ip))
+    if settled:
+        drive, mode, energies, deltas = _one_call(settled)
+        sol = pump_occupation(drive, mode, _ip(delta=deltas, x2=0.5),
+                              E_drive=energies)
+        assert energies.size <= sol.iterations <= 2 * energies.size
 
 
 def test_pump_occupation_shapes_and_scalar_types():
@@ -817,8 +855,8 @@ def test_time_evolve_never_reads_the_closed_forms(setup, monkeypatch):
 
     def closed_form(*args, **kwargs):
         raise AssertionError("time_evolve read the stationary solution")
-    monkeypatch.setattr(pumpprobe, "_stationary", closed_form)
-    monkeypatch.setattr(pumpprobe, "steady_state", closed_form)
+    for name in ("_pair", "_stationary", "steady_state"):
+        monkeypatch.setattr(pumpprobe, name, closed_form)
     traj = time_evolve(drive, s.mode, s.ip, s.cfg, sample_every=7)
     assert len(traj.times) > 1 and np.isfinite(traj.B_plus).all()
     for got, want in zip((traj.A, traj.B_plus, traj.B_minus),
