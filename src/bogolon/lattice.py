@@ -65,14 +65,9 @@ class SuperLatticeConfig:
         if not 0 <= self.theta <= math.pi / 2:
             raise DomainError("theta must lie in [0, pi/2]")
         check_cell_count(self.N)
-        try:                        # float ** overflows by raising
-            with np.errstate(all="ignore"):
-                finite = math.isfinite(self.levels.J0 ** 2)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise DomainError(f"coupling J0 = J(R), J = J(a) or J0^2 overflows "
-                              f"at R = {self.R}, a = {self.a}, mu = {self.mu}")
+        with np.errstate(all="ignore"):
+            _finite(lambda: self.levels.J0 ** 2, "coupling J0 = J(R), J = J(a) or "
+                    f"J0^2 overflows at R = {self.R}, a = {self.a}, mu = {self.mu}")
 
     @property
     def M(self) -> int:
@@ -129,6 +124,27 @@ def _any(mask) -> bool:
 
 def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _finite(compute, message: str):
+    """compute(), or ``DomainError(message)`` where it overflows (a float
+    ``**`` raises; numpy gives inf, so array callers silence its warning)."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not (math.isfinite(value) if isinstance(value, float)
+            else np.isfinite(value).all()):
+        raise DomainError(message)
+    return value
+
+
+def _repulsion(delta, c):
+    """(D, rep) of the 2x2 block of bare levels E, E + 2 delta coupled by c:
+    D = hypot(delta, c), and the levels are min - rep and max + rep, with
+    rep = c^2 / (D + |delta|) (0 where D is), no difference of large numbers."""
+    d = np.hypot(delta, c)
+    return d, c ** 2 / (d + abs(delta) + (d == 0.0))    # 0, not 0/0, at D = 0
 
 
 def dipole_coupling(r, cfg: SuperLatticeConfig, *, theta=None):

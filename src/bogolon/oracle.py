@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SectorSizeError
-from .lattice import (SuperLatticeConfig, allowed_wavenumbers, dipole_coupling,
-                      exciton_levels, symmetric_band)
+from .lattice import (SuperLatticeConfig, _repulsion, allowed_wavenumbers,
+                      dipole_coupling, exciton_levels, symmetric_band)
 
 #: Memory the pair route may take: its tables and the blocks solved at once.
 _MAX_PAIR_BYTES = 512e6
@@ -57,15 +57,25 @@ def _cell_couplings(cfg: SuperLatticeConfig, n_cells: int,
 def bloch_levels(cfg: SuperLatticeConfig, n_cells: int,
                  coupling_mode: str = "nearest-neighbor-cells") -> np.ndarray:
     """The 2N one-excitation levels of the N-cell ring, ascending, in offsets
-    from E_A.  The ring is block circulant, so its 2x2 Bloch blocks are the
-    FFT of C[m] over m; each block [[A, B], [B*, D]] has the levels
-    (A + D)/2 -+ hypot((A - D)/2, |B|)."""
+    from E_A: the :func:`_bloch_offsets` put back on -J0 and J0."""
+    dark, bright = _bloch_offsets(cfg, n_cells, coupling_mode)
+    return np.sort(np.concatenate((dark - cfg.levels.J0, bright + cfg.levels.J0)))
+
+
+def _bloch_offsets(cfg: SuperLatticeConfig, n_cells: int, coupling_mode: str):
+    """Each Bloch block's two levels, p = 0..N-1, in offsets from -J0 (dark)
+    and J0 (bright).  The blocks [[A, B], [B*, D]] are the FFT of C[m] over m;
+    with B = J0 + b, their antisymmetric and symmetric bare levels
+    (A + D)/2 -+ Re b lie 2 (J0 + Re b) apart, coupled by |(A - D)/2 - i Im b|."""
     _check_ring(n_cells, coupling_mode)
-    block = np.fft.fft(_cell_couplings(cfg, n_cells, coupling_mode), axis=0)
-    mean = 0.5 * (block[:, 0, 0].real + block[:, 1, 1].real)
-    split = np.hypot(0.5 * (block[:, 0, 0].real - block[:, 1, 1].real),
-                     np.abs(block[:, 0, 1]))
-    return np.sort(np.concatenate((mean - split, mean + split)))
+    j0 = cfg.levels.J0
+    table = _cell_couplings(cfg, n_cells, coupling_mode)
+    table[0, 0, 1] -= j0                 # B reads C[m, 0, 1] only
+    block = np.fft.fft(table, axis=0)
+    a, d, b = block[:, 0, 0].real, block[:, 1, 1].real, block[:, 0, 1]
+    split = j0 + b.real
+    push = np.copysign(_repulsion(split, np.hypot(0.5 * (a - d), b.imag))[1], split)
+    return 0.5 * (a + d) - b.real - push, 0.5 * (a + d) + b.real + push
 
 
 def _check_ring(n_cells: int, coupling_mode: str) -> None:
@@ -272,15 +282,13 @@ class BandReport:
     """Exact single-excitation spectrum against the analytic levels.
 
     ``eigenvalues`` and ``analytic`` are absolute energies, ascending;
-    ``max_deviation``, the largest gap between them, is taken in offsets
-    from E_A, the Bloch levels against -J0 and J0 + 4 J cos(ka).  It is the
-    residual of the a -+ R inter-cell distances, 12 (R/a)^2 |J| to leading
-    order.  Offsets of order J0 ~ 1e6 |J| round by about 1e-16 J0, so
-    ``deviation_over_J`` carries about 6 of the 17 digits the CSV prints
-    (1.2002999e-3 to 1.2003005e-3 over odd N = 3..101 at the preset;
-    1.20030006e-3 in 40-digit arithmetic).  ``dark_count`` counts levels
-    within ``dark_window`` (``DARK_WINDOW_OVER_J * |J|``) of the flat E_a;
-    this is not the number of antisymmetric states, which is always N.
+    ``max_deviation``, the largest gap between them, is read from the Bloch
+    levels' offsets from -J0 and J0, against 0 and 4 J cos(ka), with no
+    J0-sized cancellation: ``deviation_over_J`` carries about 12 of the 17
+    digits the CSV prints (1.20030005600890e-3 to 1.20030005600923e-3 over
+    odd N = 3..101 at the preset, 1.20030005600890e-3 in 60 digits).
+    ``dark_count`` counts levels within ``dark_window`` (``DARK_WINDOW_OVER_J
+    * |J|``) of the flat E_a, not the N antisymmetric states.
     """
 
     n_cells: int
@@ -311,10 +319,10 @@ def validate_band(cfg: SuperLatticeConfig, n_cells: int) -> BandReport:
     """
     small = replace(cfg, R=cfg.a / 100.0, N=n_cells)
     lv, ks = exciton_levels(small), allowed_wavenumbers(small)
-    w = bloch_levels(small, n_cells)
-    expected = np.sort(np.append(np.full(n_cells, -lv.J0),
-                                 lv.J0 + 4.0 * lv.J * np.cos(ks * small.a)))
-    max_dev = float(np.max(np.abs(w - expected)))
+    dark, bright = _bloch_offsets(small, n_cells, "nearest-neighbor-cells")
+    max_dev = float(max(np.max(np.abs(dark)), np.max(np.abs(
+        np.sort(bright) - np.sort(4.0 * lv.J * np.cos(ks * small.a))))))
+    w = np.sort(np.concatenate((dark - lv.J0, bright + lv.J0)))   # as bloch_levels
     window = DARK_WINDOW_OVER_J * abs(lv.J)
     return BandReport(
         n_cells=n_cells, R_used=small.R, J=lv.J, eigenvalues=small.E_A + w,

@@ -5,9 +5,10 @@ At each wavenumber k the bright sector is the 2x2 Hamiltonian
     H(k) = [[E_s(k), f_k], [f_k, E_ph(k)]]
 
 in the (exciton, photon) basis, with f_k the bright coupling.  Its
-eigenmodes are the upper/lower branches
+eigenmodes, the upper/lower branches, are the bare levels pushed apart by
+rep = f^2 / (D + |delta|) = D - |delta|, D = sqrt(delta^2 + f^2):
 
-    E_pm(k) = (E_ph + E_s)/2 +- D_k,   D_k = sqrt(delta_k^2 + f_k^2),
+    E_+ = max(E_s, E_ph) + rep,   E_- = min(E_s, E_ph) - rep,
 
 with detuning delta_k = (E_ph(k) - E_s(k))/2 and real mixing amplitudes
 
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousSolutionError, DegenerateModeError, NoSolutionError
-from .lattice import SuperLatticeConfig, _any, _unwrap, _where, symmetric_band
+from .lattice import (SuperLatticeConfig, _any, _repulsion, _unwrap, _where,
+                      symmetric_band)
 from .waveguide import WaveguideConfig, _bright_coupling, photon_dispersion
 
 #: Points of the coarse bracket scan used by the resonance finder.
@@ -50,34 +52,32 @@ class HopfieldMode:
     D: float
 
 
-def _branch_energies(k, wg: WaveguideConfig, cfg: SuperLatticeConfig,
-                     theta=None):
-    """(mean, delta, D, f) of H(k): the branches are E_pm = mean +- D."""
+def _branch_energies(k, wg: WaveguideConfig, cfg: SuperLatticeConfig, theta=None):
+    """(E_upper, E_lower, delta, D, rep, f) of H(k)."""
     e_ph = photon_dispersion(k, wg)
     e_s = symmetric_band(k, cfg, theta=theta)
     f = _bright_coupling(k, e_ph, wg, cfg)
     delta = (e_ph - e_s) / 2.0
-    d = np.hypot(delta, f)
+    d, rep = _repulsion(delta, f)
     if _any(d == 0.0):
         raise DegenerateModeError(
             "coupling and detuning both vanish; mixing amplitudes undefined")
-    return (e_ph + e_s) / 2.0, delta, d, f
+    return np.maximum(e_s, e_ph) + rep, np.minimum(e_s, e_ph) - rep, delta, d, rep, f
 
 
 def hopfield(k, wg: WaveguideConfig, cfg: SuperLatticeConfig, *,
              theta=None) -> HopfieldMode:
     """Diagonalize the bright-exciton/photon pair at wavenumber k.  ``k`` and
     ``theta`` (rad, default ``cfg.theta``) may be arrays; fields broadcast."""
-    mean, delta, d, f = _branch_energies(k, wg, cfg, theta)
+    upper, lower, delta, d, rep, f = _branch_energies(k, wg, cfg, theta)
+    far = d + abs(delta)    # D -+ delta: rep on the nearer bare level's side
+    d_minus, d_plus = _where(delta > 0.0, rep, far), _where(delta < 0.0, rep, far)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Cancellation-free small differences: D -+ delta = f^2 / (D +- delta).
-        d_minus = _where(delta > 0.0, f ** 2 / (d + delta), d - delta)
-        d_plus = _where(delta < 0.0, f ** 2 / (d - delta), d + delta)
         # d_minus/d_plus vanish only when f = 0; the branch is then pure photon.
         y_up = _where(d_minus > 0.0, f / np.sqrt(2.0 * d * d_minus), 1.0)
         y_lo = _where(d_plus > 0.0, f / np.sqrt(2.0 * d * d_plus), 1.0)
     return HopfieldMode(*map(_unwrap, (
-        k, mean + d, mean - d, np.sqrt(d_minus / (2.0 * d)), y_up,
+        k, upper, lower, np.sqrt(d_minus / (2.0 * d)), y_up,
         -np.sqrt(d_plus / (2.0 * d)), y_lo, delta, d)))
 
 
@@ -105,30 +105,23 @@ def find_resonance_k(target: float, wg: WaveguideConfig,
 
     Scans [0, pi/a] on a coarse grid for sign changes of E(k) - target,
     then bisects each bracket to |E(k) - target| < 1e-12 eV or 200 halvings.
-    The bisection walks an aimed path: one array call of E_lower gives the
-    midpoints, each 0.5 * (lo + hi) of its bracket, that it visits if
-    E - target follows the chord of the current bracket, down to the width
-    where the tolerance is due.  The walk reads them on their true signs and
-    re-aims from the bracket at the first midpoint off the path.  Every
-    point it reads is the loop's own midpoint, so k is bitwise that of a
-    one-point-per-call loop.  Raises ``NoSolutionError`` if the target is
-    outside the branch range and ``AmbiguousSolutionError`` (listing all
+    The bisection reads, in one array call, the midpoints it visits if
+    E - target follows the chord of its bracket, walks them on their true
+    signs and re-aims at the first one off that path, so k is bitwise that
+    of a one-point-per-call loop.  Raises ``NoSolutionError`` if the target
+    is outside the branch range and ``AmbiguousSolutionError`` (listing all
     roots) if the scan brackets more than one crossing.
     """
-    def offset(k):
-        mean, _, d, _ = _branch_energies(k, wg, cfg)
-        return mean - d - target
-
     ks = np.linspace(0.0, math.pi / cfg.a, _SCAN_POINTS + 1)
-    vals = offset(ks)
+    e = _branch_energies(ks, wg, cfg)[1]
+    vals = e - target
 
     hits = [float(ks[i]) for i in np.flatnonzero(vals == 0.0)]
     brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
 
     if not hits and brackets.size == 0:
-        lo, hi = float(vals.min() + target), float(vals.max() + target)
-        raise NoSolutionError(
-            f"target {target} eV outside lower-branch range [{lo}, {hi}] eV")
+        raise NoSolutionError(f"target {target} eV outside lower-branch range "
+                              f"[{float(e.min())}, {float(e.max())}] eV")
 
     roots = list(hits)
     for i in brackets:
@@ -152,7 +145,8 @@ def find_resonance_k(target: float, wg: WaveguideConfig,
                 else:
                     b = m
             # Walk them on their true signs up to the first one off the path.
-            for m, fm in zip(path, offset(np.array(path)).tolist()):
+            e_path = _branch_energies(np.array(path), wg, cfg)[1]
+            for m, fm in zip(path, (e_path - target).tolist()):
                 if m != 0.5 * (lo + hi):
                     break
                 halvings += 1

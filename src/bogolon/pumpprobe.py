@@ -26,24 +26,14 @@ channel), which for real drives reduces to the familiar closed forms
 for a single probe F at k + q with no damping.  Time units are hbar/eV.
 The stationary formulas broadcast over drive energies and mode fields.
 
-:func:`time_evolve` checks them with classical RK4: on
-x = (A, B+, conj(B-), 1) the equations are one affine generator M, and a
-step is x -> P(hM) x with P the RK4 polynomial.  The pump does not couple
-to the pair, so P(hM) is a scalar pump map and a 2x2 pair map, each with
-its forcing column S(hG) h f, S(z) = (P(z) - 1) / z, built in Python
-complex scalars; squaring raises it to the sampling stride S, and each
-further square S^f maps samples 0..f-1 to f..2f-1.  That keeps RK4's
-truncation error; exp(Mt) would not, and would equal the closed forms by
-construction.  Its step, end time and sampling default to rules on the
-rotating frame it solves, and the trajectory reports the values used.
+:func:`time_evolve` checks them with classical RK4, as powers of the
+RK4 step map x -> P(hM) x of the affine generator M on
+x = (A, B+, conj(B-), 1).  That keeps RK4's truncation error; exp(Mt)
+would not, and would equal the closed forms by construction.
 
-Without a prescribed N, the pump equation fixes it self-consistently:
-N = |A|^2 is a root of the driven-Kerr cubic
-g(N) = N ((d - s N)^2 + hG_pol^2) - |F_pump|^2 with d = E - E_pol and
-s = Delta X^4.  It has three roots, a bistable drive, only inside the
-window d^2 > 3 hG_pol^2 of optical bistability, which
-:func:`pump_occupation` tests at g's turning points before it takes Newton
-steps to the single root, starting at the cubic's closed-form real root.
+Without a prescribed N, the pump equation fixes N = |A|^2 as a root of the
+driven-Kerr cubic, which has three, a bistable drive, only inside the
+window of optical bistability that :func:`pump_occupation` tests first.
 """
 
 from __future__ import annotations
@@ -56,8 +46,8 @@ import numpy as np
 
 from .errors import BistabilityError, DomainError, PoleError, StabilityError
 from .kinematic import InteractionParams
-from .lattice import (SuperLatticeConfig, _any, _check_finite, _unwrap, _where,
-                      antisymmetric_energy)
+from .lattice import (SuperLatticeConfig, _any, _check_finite, _finite, _unwrap,
+                      _where, antisymmetric_energy)
 from .polariton import HopfieldMode
 
 _OCCUPATION_TOL = 1e-12
@@ -169,19 +159,16 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
     g(N-) > 0 > g(N+), which raises ``BistabilityError`` with
     ``bracket = (N-, N+)``.  Otherwise the single root comes from Newton
     steps on g to 1e-12 relative step, clipped to [0, bound] for an upper
-    bound with g(bound) >= 0.  They start at the cubic's closed-form real
-    root, so one or two steps settle it away from the folds; where that is
-    not finite (s = 0, overflow, the exact cusp) they start from the bound
-    when the root lies where g is convex, from 0 where it is concave.
+    bound with g(bound) >= 0, from the cubic's closed-form real root.
     An undriven mode stays empty; an undamped drive on the unshifted bare
     resonance (h = d = s = 0) has no finite occupation and raises
-    ``BistabilityError``, as do 100 steps that do not settle.
+    ``BistabilityError``, as do 100 steps that do not settle; a pump
+    amplitude, given or sustaining, whose square overflows ``DomainError``.
 
     Broadcasts over an array ``E_drive`` (default ``drive.E_drive``) and
     over array mode fields element by element, settled elements frozen; a
     scalar drive stays on float64 scalars through the same numpy ufuncs.
-    ``iterations`` counts the Newton steps summed over elements; the first
-    bistable element in C order raises for the whole call.
+    The first bistable element in C order raises for the whole call.
     """
     e = drive.E_drive if E_drive is None else E_drive
     e_pol = mode.E_lower
@@ -191,11 +178,12 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
     if drive.n_pump is not None:
         n = drive.n_pump
         e_t = e_pol + shift * n
-        f_mag = np.sqrt(n * ((e - e_t) ** 2 + hg ** 2))
+        f_mag = _finite(lambda: np.sqrt(n * ((e - e_t) ** 2 + hg ** 2)),
+                        "the pump amplitude sustaining n_pump overflows")
         return PumpSolution(n_pump=n, E_pol_tilde=e_t,
                             f_pump_magnitude=_unwrap(f_mag), iterations=0)
 
-    f2 = abs(drive.F_pump) ** 2
+    f2 = _finite(lambda: abs(drive.F_pump) ** 2, "|F_pump|^2 overflows")
     d, s, h2 = (np.asarray(x, dtype=float)[()] for x in (e - e_pol, shift, hg ** 2))
     n, iterations = (_kerr_root(d, s, h2, f2) if f2 > 0.0
                      else (np.zeros_like(d + s + h2), 0))
@@ -280,14 +268,15 @@ def _rotating_frame(drive: DriveConfig, mode: HopfieldMode,
 def _pair(drive: DriveConfig, e, e_a_t, v):
     """Dark-pair amplitudes, intensities and determinant at drive energy e
     in the frame (E_a~, V_mf): (B+, B-, I+, I-, det).  Where the
-    determinant vanishes the intensities are infinite; call it with numpy's
-    divide and invalid warnings off."""
+    determinant vanishes the intensities are infinite, and where it
+    overflows it raises ``DomainError``; call it with numpy's warnings off."""
     hg_a = drive.hGamma_a
     # (E_a~ - E - i hG_a) B+ + V conj(B-) + F+ = 0 and the conjugated
     # partner equation; unknowns (B+, conj(B-)).  The determinant is real,
     # so the solve divides real and imaginary parts by it.
     z_conj = e_a_t - e + 1j * hg_a
-    det = (e_a_t - e) ** 2 + hg_a ** 2 - v ** 2
+    det = _finite(lambda: (e_a_t - e) ** 2 + hg_a ** 2 - v ** 2,
+                  "the pair determinant (E_a~ - E)^2 + hG_a^2 - V^2 overflows")
     num_plus = -drive.F_probe_plus * z_conj + v * drive.F_probe_minus.conjugate()
     num_minus = -z_conj * drive.F_probe_minus + v * drive.F_probe_plus.conjugate()
     b_plus = np.divide(num_plus.real, det) + 1j * np.divide(num_plus.imag, det)
@@ -297,37 +286,31 @@ def _pair(drive: DriveConfig, e, e_a_t, v):
     return b_plus, b_minus, i_plus, i_minus, det
 
 
-def _stationary(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
-                cfg: SuperLatticeConfig, e) -> tuple[SteadyState, object]:
-    """The stationary solution at drive energy (or energies) e and the pair
-    determinant; where that vanishes, the intensities are infinite."""
-    pump, e_a_t, v, hg_pol = _rotating_frame(drive, mode, ip, cfg, e)
-    denom_pump = e - pump.E_pol_tilde + 1j * hg_pol
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_amp = _where(denom_pump != 0, np.divide(drive.F_pump, denom_pump),
-                       complex(math.inf))
-        b_plus, b_minus, i_plus, i_minus, det = _pair(drive, e, e_a_t, v)
-    rad = v ** 2 - drive.hGamma_a ** 2
-    split = _where(rad > 0, np.sqrt(abs(rad)), math.nan)
-    return SteadyState(*map(_unwrap, (
-        a_amp, pump.n_pump, b_plus, b_minus, i_plus, i_minus, e_a_t,
-        pump.E_pol_tilde, v, e_a_t + split, e_a_t - split))), det
-
-
 def steady_state(drive: DriveConfig, mode: HopfieldMode,
                  ip: InteractionParams, cfg: SuperLatticeConfig) -> SteadyState:
     """Stationary solution of the driven three-amplitude system.
 
     The dark pair (B+, conj(B-)) satisfies a 2x2 linear system with real
     determinant (E_a~ - E)^2 + hG_a^2 - V^2; a vanishing determinant (drive
-    exactly at a resonance that damping does not lift) raises ``PoleError``.
-    A mode with array fields gives array fields; the pair resonances
-    E_res_+- are None (NaN elements in arrays) when damping exceeds V_mf.
+    exactly at a resonance that damping does not lift) raises ``PoleError``,
+    one that overflows ``DomainError``.  A mode with array fields gives array
+    fields; the pair resonances E_res_+- are None (NaN elements in arrays)
+    when damping exceeds V_mf.
     """
-    ss, det = _stationary(drive, mode, ip, cfg, drive.E_drive)
+    e = drive.E_drive
+    with np.errstate(all="ignore"):
+        pump, e_a_t, v, hg_pol = _rotating_frame(drive, mode, ip, cfg, e)
+        denom_pump = e - pump.E_pol_tilde + 1j * hg_pol
+        a_amp = _where(denom_pump != 0, np.divide(drive.F_pump, denom_pump),
+                       complex(math.inf))
+        b_plus, b_minus, i_plus, i_minus, det = _pair(drive, e, e_a_t, v)
     if _any(det == 0.0):
-        raise PoleError(
-            f"drive energy {drive.E_drive} eV sits exactly on a pair resonance")
+        raise PoleError(f"drive energy {e} eV sits exactly on a pair resonance")
+    rad = v ** 2 - drive.hGamma_a ** 2
+    split = _where(rad > 0, np.sqrt(abs(rad)), math.nan)
+    ss = SteadyState(*map(_unwrap, (
+        a_amp, pump.n_pump, b_plus, b_minus, i_plus, i_minus, e_a_t,
+        pump.E_pol_tilde, v, e_a_t + split, e_a_t - split)))
     if isinstance(ss.E_res_plus, float) and math.isnan(ss.E_res_plus):
         ss = replace(ss, E_res_plus=None, E_res_minus=None)
     return ss
@@ -349,8 +332,8 @@ def spectrum(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or energies.size == 0:
         raise DomainError("energy grid must be a nonempty 1-D array")
-    _, e_a_t, v, _ = _rotating_frame(drive, mode, ip, cfg, energies)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        _, e_a_t, v, _ = _rotating_frame(drive, mode, ip, cfg, energies)
         _, _, i_plus, i_minus, _ = _pair(drive, energies, e_a_t, v)
     norm = abs(drive.F_probe_plus) ** 2 + abs(drive.F_probe_minus) ** 2 or 1.0
     out = np.empty(energies.shape, dtype=_SPECTRUM_DTYPE)
@@ -378,11 +361,10 @@ def time_evolve(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
     stride, which the final sample takes.  The stride map S gives sample 1,
     and each further square S^f maps samples 0..f-1 to f..2f-1 in one pass
     over float64 parts in a fixed order (no BLAS, no fused multiply-add):
-    sample j is popcount(j) maps deep.
-    Time is measured in hbar/eV.  The step must resolve the fastest rate
-    of the frame (the largest of the detunings, V_mf and the dampings),
-    dt < 0.1 / rate, and there must be fewer than 2**63 steps, else
-    ``StabilityError``.
+    sample j is popcount(j) maps deep.  The step must resolve the fastest
+    rate of the frame (the largest of the detunings, V_mf and the
+    dampings), dt < 0.1 / rate, and there must be fewer than 2**63 steps,
+    else ``StabilityError``.
 
     Unset settings follow the frame: dt = 0.05 / rate; t_end = 25 over the
     slowest nonzero damping, where the final state sits on

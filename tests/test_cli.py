@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -647,6 +648,38 @@ def test_exit_code_numerical_domain(tmp_path):
         rc = main([command, "--preset", "paper", "--config", str(config),
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 3, (command, settings)
+
+
+def test_tiny_cell_dispersion_reports_the_true_branch_range(tmp_path, capsys):
+    # R = 1e-6 A puts J0 near 1e20 eV: the lower branch is the photon band,
+    # far above the dark level, and the message gives its range, not the
+    # rounding of E - E_a + E_a at the size of E_a
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lattice": {"R": 1e-6}}))
+    assert main(["dispersion", "--preset", "paper", "--config", str(config),
+                 "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    lo, hi = map(float, re.search(r"range \[(\S+), (\S+)\] eV", err).groups())
+    wg = reference_setup().wg
+    assert lo == pytest.approx(1.5, abs=1e-6) and lo <= photon_dispersion(0.0, wg)
+    assert hi == pytest.approx(4.633, abs=1e-3)
+    assert hi <= photon_dispersion(math.pi / 1000.0, wg)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "evolve"])
+@pytest.mark.parametrize("drive,quantity", [
+    ({"hGamma_a": 1e160}, "pair determinant"),
+    ({"n_pump": 1e300}, "pump amplitude"),
+    ({"E_drive": 1e300}, "pump amplitude"),
+    ({"n_pump": None, "F_pump": 1e160}, "|F_pump|^2")])
+def test_overflowing_drive_is_a_numerical_domain_error(tmp_path, capsys, command,
+                                                       drive, quantity):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"drive": drive}))
+    assert main([command, "--preset", "paper", "--config", str(config),
+                 "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical-domain error" in err and quantity in err and "overflows" in err
 
 
 def test_self_consistent_spectrum_exit_codes(tmp_path, capsys):

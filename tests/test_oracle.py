@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, getcontext, localcontext
 from itertools import combinations
 
 import numpy as np
@@ -311,6 +312,102 @@ def test_bloch_levels_match_dense_matrix(theta, r_over_a, n_cells, mode):
     assert w.shape == (2 * n_cells,) and np.all(np.diff(w) >= 0.0)
     assert np.max(np.abs(w - np.linalg.eigvalsh(coupling))) <= (
         1e-10 * np.max(np.abs(coupling)))
+
+
+def _pi():
+    """pi to the current precision (the ``decimal`` module docs' recipe)."""
+    getcontext().prec += 2
+    three = Decimal(3)
+    lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    getcontext().prec -= 2
+    return +s
+
+
+def _cos_sin(x):
+    """cos x and sin x to the current precision (the docs' Taylor recipes)."""
+    getcontext().prec += 2
+    out = []
+    for i, s, fact, num in ((0, Decimal(1), 1, 1), (1, x, 1, x)):
+        lasts, sign = 0, 1
+        while s != lasts:
+            lasts = s
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign *= -1
+            s += num / fact * sign
+        out.append(s)
+    getcontext().prec -= 2
+    return +out[0], +out[1]
+
+
+def _decimal_bloch_offsets(cfg, n_cells, mode):
+    """The dark and bright level of each Bloch block p = 0..N-1, as offsets
+    from -J0 and J0, from the float coupling table in 60-digit arithmetic:
+    each block's DFT sums and its eigenvalues (A + D)/2 -+ hypot((A - D)/2,
+    |B|), the one nearer -J0 taken as dark."""
+    table = oracle._cell_couplings(cfg, n_cells, mode)
+    terms = [(m, [[Decimal(x) for x in row] for row in table[m]])
+             for m in range(n_cells) if np.any(table[m] != 0.0)]
+    j0 = Decimal(cfg.levels.J0)
+    dark, bright = [], []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        two_pi = 2 * _pi()
+        turn = [_cos_sin(two_pi * j / n_cells) for j in range(n_cells)]
+        for p in range(n_cells):
+            a = d = b_re = b_im = Decimal(0)
+            for m, c in terms:
+                cos, sin = turn[p * m % n_cells]
+                a += c[0][0] * cos
+                d += c[1][1] * cos
+                b_re += c[0][1] * cos
+                b_im -= c[0][1] * sin
+            split = (((a - d) / 2) ** 2 + b_re ** 2 + b_im ** 2).sqrt()
+            low, high = sorted(((a + d) / 2 - split, (a + d) / 2 + split),
+                               key=lambda w: abs(w + j0))
+            dark.append(low + j0)
+            bright.append(high - j0)
+    return dark, bright
+
+
+def test_bloch_dark_levels_match_decimal_reference():
+    # the dark levels plus J0, no difference of J0-sized numbers, agree with
+    # 60-digit arithmetic on the same table to 1e-14 |J|; the bright ones
+    # minus J0 to the same bound
+    for r_over_a in (0.1, 0.01):
+        for mode in oracle.COUPLING_MODES:
+            for n_cells in range(3, 102, 2):
+                cfg = SuperLatticeConfig(E_A=1.5, a=1000.0, R=1000.0 * r_over_a,
+                                         mu=2.5, theta=math.radians(80.0), N=n_cells)
+                tol = Decimal(1e-14 * abs(cfg.levels.J))
+                got = oracle._bloch_offsets(cfg, n_cells, mode)
+                for mine, ref in zip(got, _decimal_bloch_offsets(cfg, n_cells, mode)):
+                    worst = max(abs(Decimal(x) - y) for x, y in zip(mine.tolist(), ref))
+                    assert worst <= tol, (r_over_a, mode, n_cells, worst / tol)
+
+
+def test_band_deviation_matches_decimal_reference(small_cfg):
+    # deviation_over_J, read from the offsets, keeps 10 digits of the
+    # 60-digit deviation on the same table
+    for n_cells in (3, 5, 7, 21, 101):
+        report = validate_band(small_cfg, n_cells)
+        small = replace(small_cfg, R=report.R_used, N=n_cells)
+        dark, bright = _decimal_bloch_offsets(small, n_cells, "nearest-neighbor-cells")
+        j = Decimal(report.J)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            two_pi = 2 * _pi()
+            band = [4 * j * _cos_sin(two_pi * p / n_cells)[0] for p in range(n_cells)]
+            ref = max(max(abs(x) for x in dark), max(
+                abs(x - y) for x, y in zip(sorted(bright), sorted(band)))) / abs(j)
+        assert abs(Decimal(report.deviation_over_J) / ref - 1) < Decimal(1e-10)
 
 
 def test_pair_rows_are_the_dense_matrix_rows(small_cfg, cfg):

@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bogolon import (MAGIC_ANGLE, SuperLatticeConfig, WaveguideConfig,
@@ -13,7 +14,7 @@ from bogolon import (MAGIC_ANGLE, SuperLatticeConfig, WaveguideConfig,
 from bogolon.errors import (AmbiguousSolutionError, DegenerateModeError,
                             DomainError, ModelError, NoSolutionError)
 from bogolon.polariton import _branch_energies
-from bogolon.waveguide import resonant_q0
+from bogolon.waveguide import photon_dispersion, resonant_q0
 
 K_STAR_REFERENCE = 1.4e-5       # quoted operating wavenumber
 K_STAR_PRESET = 1.3817490737859908e-05   # frozen find_resonance_k result
@@ -193,8 +194,12 @@ def test_hopfield_array_normalized_and_orthogonal(k_over_zone, theta, E_A, a,
         assert np.all(np.abs(mode.X_lower ** 2 + mode.Y_lower ** 2 - 1.0) < 1e-12)
         assert np.all(np.abs(mode.X_upper * mode.X_lower
                              + mode.Y_upper * mode.Y_lower) < 1e-12)
-        mean, _, d, _ = _branch_energies(k, wg, cfg, theta)
-        assert np.array_equal(mode.E_lower, mean - d)
+        # the bare levels pushed apart by f^2 / (D + |delta|), bit for bit
+        e_s, e_ph = symmetric_band(k, cfg, theta=theta), photon_dispersion(k, wg)
+        f, delta = coupling_bright(k, wg, cfg), (e_ph - e_s) / 2.0
+        rep = f ** 2 / (np.hypot(delta, f) + abs(delta))
+        assert np.array_equal(mode.E_lower, np.minimum(e_s, e_ph) - rep)
+        assert np.array_equal(mode.E_upper, np.maximum(e_s, e_ph) + rep)
 
 
 def _bisect_loop(target, wg, cfg):
@@ -272,6 +277,32 @@ def test_find_resonance_k_equals_bisect_loop(theta, r_over_a, kind, u):
         ref = _outcome(_bisect_loop, target, wg, cfg)
     assert new == ref
     assert type(new) is type(ref)
+
+
+def _decimal_lower(k, wg, cfg):
+    """The lower eigenvalue of the float 2x2 H(k) in 80-digit arithmetic."""
+    e_s, e_ph, f = map(Decimal, (symmetric_band(k, cfg), photon_dispersion(k, wg),
+                                 coupling_bright(k, wg, cfg)))
+    with localcontext() as ctx:
+        ctx.prec = 80
+        return (e_s + e_ph) / 2 - (((e_ph - e_s) / 2) ** 2 + f * f).sqrt()
+
+
+@settings(max_examples=60, deadline=None)
+@example(theta=1.309, r_over_a=1.95e-7, target=4.3106)
+@example(theta=1.050, r_over_a=2.94e-5, target=1.81132)
+@given(theta=st.floats(1.0, math.pi / 2),
+       r_over_a=st.floats(-12.0, -3.0).map(lambda e: 10.0 ** e),
+       target=st.floats(1.501, 4.6))
+def test_find_resonance_k_meets_its_tolerance_on_tiny_cells(theta, r_over_a, target):
+    # J0 from 11 eV up to 1e29 eV puts the bright exciton far above the
+    # photon band, so the lower branch is the photon, E from just over 1.5 to
+    # 4.63 eV, beside a level of size J0: the crossing still meets 1e-12 eV
+    # against the exact lower eigenvalue of the same float matrix
+    setup = reference_setup()
+    cfg = replace(setup.cfg, theta=theta, R=r_over_a * setup.cfg.a)
+    k = find_resonance_k(target, setup.wg, cfg)
+    assert abs(_decimal_lower(k, setup.wg, cfg) - Decimal(target)) <= Decimal(1e-12)
 
 
 @pytest.mark.parametrize("halvings", [1, 2, 6, 7, 12, 13, 18, 19, 24])

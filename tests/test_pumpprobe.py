@@ -508,6 +508,26 @@ def test_steady_state_pole_on_undamped_resonance(cfg):
         steady_state(drive, mode, ip, cfg)
 
 
+@pytest.mark.parametrize("change,quantity", [
+    (dict(hGamma_a=1e160), "pair determinant"),
+    (dict(E_drive=1e300), "pump amplitude"),
+    (dict(n_pump=1e300), "pump amplitude"),
+    (dict(n_pump=None, F_pump=1e160), "|F_pump|^2")])
+def test_overflowing_drive_raises_domain_error(setup, change, quantity):
+    # an accepted drive whose squares overflow a float64 names the quantity;
+    # a Python-float ** would raise a bare OverflowError
+    drive = replace(setup.drive, **change)
+    calls = [lambda: steady_state(drive, setup.mode, setup.ip, setup.cfg),
+             lambda: spectrum(drive, setup.mode, setup.ip, setup.cfg,
+                              np.array([drive.E_drive]))]
+    if "hGamma_a" not in change:
+        calls.append(lambda: pump_occupation(drive, setup.mode, setup.ip))
+    for call in calls:
+        with pytest.raises(DomainError, match="overflows") as err:
+            call()
+        assert quantity in str(err.value)
+
+
 def test_steady_state_resonance_energies(cfg):
     mode, ip = _mode(), _ip()
     e_a = antisymmetric_energy(cfg)
@@ -855,7 +875,7 @@ def test_time_evolve_never_reads_the_closed_forms(setup, monkeypatch):
 
     def closed_form(*args, **kwargs):
         raise AssertionError("time_evolve read the stationary solution")
-    for name in ("_pair", "_stationary", "steady_state"):
+    for name in ("_pair", "steady_state"):
         monkeypatch.setattr(pumpprobe, name, closed_form)
     traj = time_evolve(drive, s.mode, s.ip, s.cfg, sample_every=7)
     assert len(traj.times) > 1 and np.isfinite(traj.B_plus).all()
@@ -1012,7 +1032,7 @@ def test_spectrum_self_consistent_equals_prescribed_at_solved_occupation(cfg):
                                   dict(F_pump=1e-3, n_pump=None)])
 @pytest.mark.parametrize("hGamma_a", [1e-7, 0.0])
 def test_spectrum_columns_equal_scalar_steady_state(cfg, pump, hGamma_a):
-    # a grid of drive energies takes the array path of _stationary, one
+    # a grid of drive energies takes the array path of _pair, one
     # Python-float energy the scalar path through _where and _unwrap
     mode, ip = _red_detuned_mode(), _ip()
     e_a = antisymmetric_energy(cfg)
