@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .constants import CONSTANTS
 from .errors import DomainError
 from .lattice import SuperLatticeConfig, exciton_levels
-from .polariton import hopfield
+from .polariton import _lower_branch
 from .waveguide import WaveguideConfig
 
 
@@ -112,7 +112,7 @@ def double_excitation_excluded(cfg: SuperLatticeConfig, wg: WaveguideConfig,
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise DomainError(f"tolerance must be finite and positive, got {tolerance!r}")
     lv = exciton_levels(cfg)
-    e_pump = hopfield(k_pump, wg, cfg).E_lower
+    e_pump = _lower_branch(k_pump, wg, cfg)
     e_e = 2.0 * cfg.E_A + 2.0 * V_dyn
     channels = {
         "2E_s": 2.0 * lv.E_s,

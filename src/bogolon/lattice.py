@@ -193,6 +193,11 @@ def symmetric_band(k, cfg: SuperLatticeConfig, *, theta=None):
     must lie in the first Brillouin zone |k| <= pi/a."""
     if _any(abs(k) > math.pi / cfg.a * (1.0 + 1e-12)):
         raise DomainError(f"k = {np.max(np.abs(k))} outside the first Brillouin zone")
+    return _band(k, cfg, theta)
+
+
+def _band(k, cfg: SuperLatticeConfig, theta=None):
+    """symmetric_band without the zone check, for k known to lie in it."""
     lv = exciton_levels(cfg, theta=theta)
     return _unwrap(cfg.E_A + lv.J0 + 4.0 * lv.J * np.cos(k * cfg.a))
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousSolutionError, DegenerateModeError, NoSolutionError
-from .lattice import (SuperLatticeConfig, _any, _repulsion, _unwrap, _where,
-                      symmetric_band)
+from .lattice import (SuperLatticeConfig, _any, _band, _repulsion, _unwrap,
+                      _where, symmetric_band)
 from .waveguide import WaveguideConfig, _bright_coupling, photon_dispersion
 
 #: Points of the coarse bracket scan used by the resonance finder.
@@ -52,24 +52,31 @@ class HopfieldMode:
     D: float
 
 
-def _branch_energies(k, wg: WaveguideConfig, cfg: SuperLatticeConfig, theta=None):
-    """(E_upper, E_lower, delta, D, rep, f) of H(k)."""
+def _block(k, e_s, wg: WaveguideConfig, cfg: SuperLatticeConfig):
+    """(E_lower, E_ph, delta, D, rep, f) of H(k), given E_s = symmetric_band."""
     e_ph = photon_dispersion(k, wg)
-    e_s = symmetric_band(k, cfg, theta=theta)
     f = _bright_coupling(k, e_ph, wg, cfg)
     delta = (e_ph - e_s) / 2.0
     d, rep = _repulsion(delta, f)
     if _any(d == 0.0):
         raise DegenerateModeError(
             "coupling and detuning both vanish; mixing amplitudes undefined")
-    return np.maximum(e_s, e_ph) + rep, np.minimum(e_s, e_ph) - rep, delta, d, rep, f
+    return np.minimum(e_s, e_ph) - rep, e_ph, delta, d, rep, f
+
+
+def _lower_branch(k, wg: WaveguideConfig, cfg: SuperLatticeConfig, *, in_zone=False):
+    """``hopfield(k, wg, cfg).E_lower`` alone, bit for bit; ``in_zone=True``
+    skips the zone check for k known to lie in [0, pi/a]."""
+    e_s = (_band if in_zone else symmetric_band)(k, cfg)
+    return _unwrap(_block(k, e_s, wg, cfg)[0])
 
 
 def hopfield(k, wg: WaveguideConfig, cfg: SuperLatticeConfig, *,
              theta=None) -> HopfieldMode:
     """Diagonalize the bright-exciton/photon pair at wavenumber k.  ``k`` and
     ``theta`` (rad, default ``cfg.theta``) may be arrays; fields broadcast."""
-    upper, lower, delta, d, rep, f = _branch_energies(k, wg, cfg, theta)
+    e_s = symmetric_band(k, cfg, theta=theta)
+    lower, e_ph, delta, d, rep, f = _block(k, e_s, wg, cfg)
     far = d + abs(delta)    # D -+ delta: rep on the nearer bare level's side
     d_minus, d_plus = _where(delta > 0.0, rep, far), _where(delta < 0.0, rep, far)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -77,7 +84,7 @@ def hopfield(k, wg: WaveguideConfig, cfg: SuperLatticeConfig, *,
         y_up = _where(d_minus > 0.0, f / np.sqrt(2.0 * d * d_minus), 1.0)
         y_lo = _where(d_plus > 0.0, f / np.sqrt(2.0 * d * d_plus), 1.0)
     return HopfieldMode(*map(_unwrap, (
-        k, upper, lower, np.sqrt(d_minus / (2.0 * d)), y_up,
+        k, np.maximum(e_s, e_ph) + rep, lower, np.sqrt(d_minus / (2.0 * d)), y_up,
         -np.sqrt(d_plus / (2.0 * d)), y_lo, delta, d)))
 
 
@@ -113,7 +120,7 @@ def find_resonance_k(target: float, wg: WaveguideConfig,
     roots) if the scan brackets more than one crossing.
     """
     ks = np.linspace(0.0, math.pi / cfg.a, _SCAN_POINTS + 1)
-    e = _branch_energies(ks, wg, cfg)[1]
+    e = _lower_branch(ks, wg, cfg, in_zone=True)
     vals = e - target
 
     hits = [float(ks[i]) for i in np.flatnonzero(vals == 0.0)]
@@ -145,7 +152,7 @@ def find_resonance_k(target: float, wg: WaveguideConfig,
                 else:
                     b = m
             # Walk them on their true signs up to the first one off the path.
-            e_path = _branch_energies(np.array(path), wg, cfg)[1]
+            e_path = _lower_branch(np.array(path), wg, cfg, in_zone=True)
             for m, fm in zip(path, (e_path - target).tolist()):
                 if m != 0.5 * (lo + hi):
                     break

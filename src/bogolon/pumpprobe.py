@@ -52,6 +52,7 @@ from .polariton import HopfieldMode
 
 _OCCUPATION_TOL = 1e-12
 _NEWTON_MAX_STEPS = 100
+_SQUARE_OVERFLOWS = "the square (E - E_pol)^2 in the occupation cubic overflows"
 #: Most samples after t = 0 that one :func:`time_evolve` call returns.
 _MAX_SAMPLES = 1_000_000
 #: Samples one numpy pass of :func:`time_evolve`'s sampler maps at a time.
@@ -163,7 +164,8 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
     An undriven mode stays empty; an undamped drive on the unshifted bare
     resonance (h = d = s = 0) has no finite occupation and raises
     ``BistabilityError``, as do 100 steps that do not settle; a pump
-    amplitude, given or sustaining, whose square overflows ``DomainError``.
+    amplitude, given or sustaining, or a d whose square overflows
+    ``DomainError``.
 
     Broadcasts over an array ``E_drive`` (default ``drive.E_drive``) and
     over array mode fields element by element, settled elements frozen; a
@@ -206,22 +208,27 @@ def _kerr_root(d, s, h2, f2):
         # are none) and at its inflection N_i = 2d / (3s).
         dd, s3 = d * d, 3.0 * s
         n_i, spread = 2.0 * d / s3, np.sqrt(dd - 3.0 * h2) / s3
-        n_minus, n_plus = n_i - spread, n_i + spread
-        bistable = (n_minus > 0.0) & (g(n_minus) > 0.0) & (g(n_plus) < 0.0)
-        if _any(bistable):
-            i = np.argmax(bistable)     # the first in C order
-            d_i, n_lo, n_hi = (float(np.broadcast_to(x, np.shape(bistable)).flat[i])
-                               for x in (d, n_minus, n_plus))
-            raise BistabilityError(
-                f"bistable drive at E - E_pol = {d_i!r} eV: three "
-                f"occupations solve the Lorentzian, turning points N = {n_lo!r}, "
-                f"{n_hi!r}", bracket=(n_lo, n_hi))
+        n_minus = n_i - spread
+        # for s > 0, N- > 0 needs d > sqrt(3) h: red drives have no fold
+        fold = n_minus > 0.0
+        if _any(fold):
+            n_plus = n_i + spread
+            bistable = fold & (g(n_minus) > 0.0) & (g(n_plus) < 0.0)
+            if _any(bistable):
+                i = np.argmax(bistable)     # the first in C order
+                d_i, n_lo, n_hi = (float(np.broadcast_to(x, np.shape(bistable)).flat[i])
+                                   for x in (d, n_minus, n_plus))
+                raise BistabilityError(
+                    f"bistable drive at E - E_pol = {d_i!r} eV: three occupations "
+                    f"solve the Lorentzian, turning points N = {n_lo!r}, {n_hi!r}",
+                    bracket=(n_lo, n_hi))
         # Every root lies below bound, and g(bound) >= 0: N h2 <= f2, and
         # N (d^2 + h2) <= f2 when s d <= 0; past max(d/s, 0) + c, with
         # s^2 c^3 = f2, s N - d >= s c, so g >= s^2 c^3 - f2 = 0.
         bound = np.fmin(f2 / (h2 + _where(s * d <= 0.0, dd, 0.0)),
                         np.fmax(1.5 * n_i, 0.0) + np.cbrt(f2 / (s * s)))
         if _any(~np.isfinite(bound)):
+            _finite(lambda: dd, _SQUARE_OVERFLOWS)
             raise BistabilityError(
                 "undamped drive exactly on the unshifted polariton resonance; "
                 "occupation diverges", bracket=(0.0, math.inf))
@@ -250,6 +257,7 @@ def _kerr_root(d, s, h2, f2):
             left = int(np.count_nonzero(active))
             if not left:
                 return n, iterations
+    _finite(lambda: dd, _SQUARE_OVERFLOWS)     # Newton ran on inf and NaN
     raise BistabilityError(
         f"occupation Newton steps did not settle in {_NEWTON_MAX_STEPS}: the "
         "drive sits within rounding of a turning point",

@@ -682,6 +682,19 @@ def test_overflowing_drive_is_a_numerical_domain_error(tmp_path, capsys, command
     assert "numerical-domain error" in err and quantity in err and "overflows" in err
 
 
+def test_evolve_at_an_overflowing_detuning_is_a_numerical_domain_error(tmp_path,
+                                                                      capsys):
+    # the Kerr solve names the square that overflowed, not a turning point
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(
+        {"drive": {"n_pump": None, "F_pump": 1e-5, "E_drive": 1e300}}))
+    assert main(["evolve", "--preset", "paper", "--config", str(config),
+                 "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical-domain error" in err
+    assert "(E - E_pol)^2 in the occupation cubic overflows" in err
+
+
 def test_self_consistent_spectrum_exit_codes(tmp_path, capsys):
     setup = reference_setup()
     e_a = antisymmetric_energy(setup.cfg)

@@ -4,7 +4,8 @@ from dataclasses import replace
 import pytest
 
 from bogolon import (WaveguideConfig, double_excitation_excluded,
-                     effective_mass, exciton_levels, interaction_params)
+                     effective_mass, exciton_levels, hopfield,
+                     interaction_params)
 from bogolon.constants import CONSTANTS
 from bogolon.errors import DomainError
 from bogolon.waveguide import resonant_q0
@@ -125,3 +126,22 @@ def test_double_excitation_rejects_non_finite_tolerance(wg, cfg, setup, bad):
     with pytest.raises(DomainError, match="tolerance must be finite and positive"):
         double_excitation_excluded(cfg, wg, V_dyn=1e-3, tolerance=bad,
                                    k_pump=setup.drive.k_pump)
+
+
+@pytest.mark.parametrize("k_over_zone", [0.0, 1e-3, 0.5, 1.0, -0.25])
+def test_double_excitation_pump_channel_is_the_lower_branch(wg, cfg, setup,
+                                                            k_over_zone):
+    k_pump = setup.drive.k_pump + k_over_zone * math.pi / cfg.a
+    k_pump = max(-math.pi / cfg.a, min(k_pump, math.pi / cfg.a))
+    report = double_excitation_excluded(cfg, wg, V_dyn=1e-3, tolerance=1e-5,
+                                        k_pump=k_pump)
+    energy = report.channels["2E_lower(k_pump)"][0]
+    want = 2.0 * hopfield(k_pump, wg, cfg).E_lower
+    assert type(energy) is float and energy.hex() == want.hex()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_double_excitation_rejects_pump_outside_the_zone(wg, cfg, sign):
+    with pytest.raises(DomainError, match="Brillouin zone"):
+        double_excitation_excluded(cfg, wg, V_dyn=1e-3, tolerance=1e-5,
+                                   k_pump=sign * 1.01 * math.pi / cfg.a)

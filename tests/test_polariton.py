@@ -13,7 +13,7 @@ from bogolon import (MAGIC_ANGLE, SuperLatticeConfig, WaveguideConfig,
                      symmetric_band, verify_diagonalization)
 from bogolon.errors import (AmbiguousSolutionError, DegenerateModeError,
                             DomainError, ModelError, NoSolutionError)
-from bogolon.polariton import _branch_energies
+from bogolon.polariton import _lower_branch
 from bogolon.waveguide import photon_dispersion, resonant_q0
 
 K_STAR_REFERENCE = 1.4e-5       # quoted operating wavenumber
@@ -76,8 +76,10 @@ def test_degenerate_mode_raises(cfg, E_A):
     assert symmetric_band(0.0, magic) == E_A
     flat = WaveguideConfig(epsilon=1.0, q0=resonant_q0(1.0, E_A), u_b=1e-300,
                            S_bar=1e308)
-    with pytest.raises(DegenerateModeError):
-        hopfield(0.0, flat, magic)
+    for call in (hopfield, _lower_branch,
+                 lambda *args: _lower_branch(*args, in_zone=True)):
+        with pytest.raises(DegenerateModeError):
+            call(0.0, flat, magic)
 
 
 def test_operating_point_fraction(wg, cfg, setup):
@@ -200,6 +202,28 @@ def test_hopfield_array_normalized_and_orthogonal(k_over_zone, theta, E_A, a,
         rep = f ** 2 / (np.hypot(delta, f) + abs(delta))
         assert np.array_equal(mode.E_lower, np.minimum(e_s, e_ph) - rep)
         assert np.array_equal(mode.E_upper, np.maximum(e_s, e_ph) + rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_over_zone=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
+       theta=st.floats(0.0, math.pi / 2), E_A=st.floats(0.5, 3.0),
+       a=st.floats(100.0, 5000.0), r_over_a=st.floats(0.01, 0.99),
+       mu=st.floats(0.1, 10.0), epsilon=st.floats(1.0, 12.0),
+       u_b=st.floats(0.01, 1.0), detune=st.floats(0.5, 2.0))
+def test_lower_branch_equals_hopfield_bitwise(k_over_zone, theta, E_A, a,
+                                              r_over_a, mu, epsilon, u_b, detune):
+    # the lower branch alone, with and without the zone check, is hopfield's
+    cfg = SuperLatticeConfig(E_A=E_A, a=a, R=r_over_a * a, mu=mu, theta=theta,
+                             N=101)
+    wg = WaveguideConfig(epsilon=epsilon, q0=detune * resonant_q0(epsilon, E_A),
+                         u_b=u_b, S_bar=math.pi * a ** 2)
+    ks = np.array(k_over_zone) * math.pi / a
+    for k in (ks, float(ks[0])):
+        want = hopfield(k, wg, cfg).E_lower
+        for in_zone in (False, True):
+            got = _lower_branch(k, wg, cfg, in_zone=in_zone)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
 
 
 def _bisect_loop(target, wg, cfg):
@@ -329,10 +353,10 @@ def test_find_resonance_k_makes_three_branch_calls_at_the_preset(wg, cfg,
     # the coarse scan, then one aimed path and one re-aimed path
     sizes = []
 
-    def counted(k, *args):
+    def counted(k, *args, **kwargs):
         sizes.append(np.size(k))
-        return _branch_energies(k, *args)
+        return _lower_branch(k, *args, **kwargs)
 
-    monkeypatch.setattr(polariton, "_branch_energies", counted)
+    monkeypatch.setattr(polariton, "_lower_branch", counted)
     assert find_resonance_k(antisymmetric_energy(cfg), wg, cfg) == K_STAR_PRESET
     assert len(sizes) == 3 and sizes[0] == 1001

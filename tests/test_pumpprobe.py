@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bogolon import (DriveConfig, antisymmetric_energy, interaction_params,
@@ -175,6 +175,14 @@ _FOLD_MARGIN = 0.01
 _CUSP_MARGIN = 0.1
 
 
+def _kerr_case(s, h, c, F_pump=0.0):
+    """(drive, mode, ip) with s = Delta X^4, h = hG_pol and d = E - E_pol = c h."""
+    mode, ip = _mode(0.5), _ip(delta=4.0 * s, x2=0.5)   # s = Delta X2^2
+    drive = _drive(E_drive=mode.E_lower + c * h, hGamma_s=2.0 * h,
+                   hGamma_ph=2.0 * h, n_pump=None, F_pump=F_pump)
+    return drive, mode, ip
+
+
 @st.composite
 def _kerr_drives(draw):
     """(drive, mode, ip) with s = Delta X^4 in [1e-6, 1e-3] eV, h = hG_pol in
@@ -187,9 +195,7 @@ def _kerr_drives(draw):
     h = 10.0 ** draw(st.floats(-10.0, -6.0))
     c = draw(st.floats(-20.0, 200.0).filter(
         lambda c: abs(c - math.sqrt(3.0)) >= _CUSP_MARGIN))
-    mode, ip = _mode(0.5), _ip(delta=4.0 * s, x2=0.5)   # s = Delta X2^2
-    drive = _drive(E_drive=mode.E_lower + c * h, hGamma_s=2.0 * h,
-                   hGamma_ph=2.0 * h, n_pump=None)
+    drive, mode, ip = _kerr_case(s, h, c)
     d, h = drive.E_drive - mode.E_lower, polariton_damping(mode, drive)
     s = ip.Delta * ip.X2 ** 2
 
@@ -351,6 +357,16 @@ def _one_call(cases):
 @settings(max_examples=150, deadline=None)
 @given(pairs=st.lists(st.tuples(_kerr_drives(), _kerr_drives()),
                       min_size=1, max_size=4))
+# every drive red-detuned, so no element has a fold to test
+@example(pairs=[
+    (_kerr_case(1e-4, 1e-8, -5.0, 1e-6), _kerr_case(1e-5, 1e-7, -0.5, 1e-5)),
+    (_kerr_case(1e-3, 1e-9, -20.0, 1e-7), _kerr_case(1e-4, 1e-8, -1.0, 1e-7))])
+# red beside blue: single roots above and below the bistable window of
+# d = 50 h, and one drive inside it
+@example(pairs=[
+    (_kerr_case(1e-4, 1e-8, -5.0, 1e-6), _kerr_case(1e-4, 1e-8, 50.0, 1e-7)),
+    (_kerr_case(1e-3, 1e-9, -20.0, 1e-7), _kerr_case(1e-4, 1e-8, 50.0, 3e-9)),
+    (_kerr_case(1e-4, 1e-8, 50.0, 1e-10), _kerr_case(1e-5, 1e-7, -0.5, 1e-5))])
 def test_pump_occupation_bitwise_equals_compacting_solver(pairs):
     cases = [case for pair in pairs for case in pair]
     for drive, mode, ip in cases:
@@ -512,7 +528,8 @@ def test_steady_state_pole_on_undamped_resonance(cfg):
     (dict(hGamma_a=1e160), "pair determinant"),
     (dict(E_drive=1e300), "pump amplitude"),
     (dict(n_pump=1e300), "pump amplitude"),
-    (dict(n_pump=None, F_pump=1e160), "|F_pump|^2")])
+    (dict(n_pump=None, F_pump=1e160), "|F_pump|^2"),
+    (dict(n_pump=None, F_pump=1e-5, E_drive=1e300), "(E - E_pol)^2")])
 def test_overflowing_drive_raises_domain_error(setup, change, quantity):
     # an accepted drive whose squares overflow a float64 names the quantity;
     # a Python-float ** would raise a bare OverflowError
@@ -526,6 +543,27 @@ def test_overflowing_drive_raises_domain_error(setup, change, quantity):
         with pytest.raises(DomainError, match="overflows") as err:
             call()
         assert quantity in str(err.value)
+
+
+def test_overflowing_detuning_square_raises_domain_error(setup):
+    # d^2 = inf sends Newton onto inf and NaN, or (undamped, with a Kerr
+    # constant small enough that 2d / 3s overflows) the bound to inf; either
+    # error path names the square, also beside an element that settles
+    drive = replace(setup.drive, n_pump=None, F_pump=1e-5, E_drive=1e300)
+    grid = np.array([[setup.drive.E_drive - 1e-6], [1e300]])
+    undamped = _drive(hGamma_s=0.0, hGamma_ph=0.0, n_pump=None, F_pump=1e-5)
+    weak = (_mode(0.5), _ip(delta=4e-12, x2=0.5))
+    calls = [lambda: pump_occupation(drive, setup.mode, setup.ip, E_drive=grid),
+             lambda: time_evolve(drive, setup.mode, setup.ip, setup.cfg,
+                                 t_end=1.0, dt=1.0),
+             lambda: pump_occupation(undamped, *weak, E_drive=1e300),
+             lambda: pump_occupation(undamped, *weak,
+                                     E_drive=np.array([1.4998, 1e300]))]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"\(E - E_pol\)\^2 .* overflows"):
+            call()
+    assert pump_occupation(drive, setup.mode, setup.ip, E_drive=grid[0]).iterations
+    assert pump_occupation(undamped, *weak, E_drive=1.4998).iterations
 
 
 def test_steady_state_resonance_energies(cfg):
