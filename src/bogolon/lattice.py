@@ -105,6 +105,7 @@ def _check_finite(config) -> None:
 
 
 # Helpers of the broadcasting formulas; scalars skip numpy's per-call cost.
+# A square is x * x, numpy's array square; a scalar's ``**`` rounds by libm's pow.
 
 #: The numpy scalars scalar calls return most, and their Python types.
 _SCALAR_TYPES = {np.float64: float, np.complex128: complex}
@@ -127,8 +128,8 @@ def _where(cond, a, b):
 
 
 def _finite(compute, message: str):
-    """compute(), or ``DomainError(message)`` where it overflows (a float
-    ``**`` raises; numpy gives inf, so array callers silence its warning)."""
+    """compute(), or ``DomainError(message)`` where it is not finite (a
+    product gives inf, a float ``**`` raises; array callers silence numpy)."""
     try:
         value = compute()
     except OverflowError:
@@ -144,7 +145,7 @@ def _repulsion(delta, c):
     D = hypot(delta, c), and the levels are min - rep and max + rep, with
     rep = c^2 / (D + |delta|) (0 where D is), no difference of large numbers."""
     d = np.hypot(delta, c)
-    return d, c ** 2 / (d + abs(delta) + (d == 0.0))    # 0, not 0/0, at D = 0
+    return d, c * c / (d + abs(delta) + (d == 0.0))    # 0, not 0/0, at D = 0
 
 
 def dipole_coupling(r, cfg: SuperLatticeConfig, *, theta=None):
@@ -159,7 +160,8 @@ def dipole_coupling(r, cfg: SuperLatticeConfig, *, theta=None):
         theta = cfg.theta
     elif not np.all((np.asarray(theta) >= 0.0) & (np.asarray(theta) <= math.pi / 2)):
         raise DomainError("theta must lie in [0, pi/2]")
-    angular = 1.0 - 3.0 * np.cos(theta) ** 2
+    c = np.cos(theta)
+    angular = 1.0 - 3.0 * (c * c)
     return _unwrap(CONSTANTS.coulomb_mu2_prefactor * cfg.mu ** 2 * angular / r ** 3)
 
 

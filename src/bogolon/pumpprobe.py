@@ -140,8 +140,8 @@ class Trajectory:
 
 def polariton_damping(mode: HopfieldMode, drive: DriveConfig) -> float:
     """Lower-branch damping hG_pol = (X^2 hG_s + Y^2 hG_ph) / 2."""
-    return 0.5 * (mode.X_lower ** 2 * drive.hGamma_s
-                  + mode.Y_lower ** 2 * drive.hGamma_ph)
+    x, y = mode.X_lower, mode.Y_lower
+    return 0.5 * (x * x * drive.hGamma_s + y * y * drive.hGamma_ph)
 
 
 def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
@@ -164,7 +164,7 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
     An undriven mode stays empty; an undamped drive on the unshifted bare
     resonance (h = d = s = 0) has no finite occupation and raises
     ``BistabilityError``, as do 100 steps that do not settle; a pump
-    amplitude, given or sustaining, or a d whose square overflows
+    amplitude, given or sustaining, or a d or h whose square overflows
     ``DomainError``.
 
     Broadcasts over an array ``E_drive`` (default ``drive.E_drive``) and
@@ -180,23 +180,23 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
     if drive.n_pump is not None:
         n = drive.n_pump
         e_t = e_pol + shift * n
-        f_mag = _finite(lambda: np.sqrt(n * ((e - e_t) ** 2 + hg ** 2)),
+        f_mag = _finite(lambda: np.sqrt(n * ((e - e_t) * (e - e_t) + hg * hg)),
                         "the pump amplitude sustaining n_pump overflows")
         return PumpSolution(n_pump=n, E_pol_tilde=e_t,
                             f_pump_magnitude=_unwrap(f_mag), iterations=0)
 
-    f2 = _finite(lambda: abs(drive.F_pump) ** 2, "|F_pump|^2 overflows")
-    d, s, h2 = (np.asarray(x, dtype=float)[()] for x in (e - e_pol, shift, hg ** 2))
-    n, iterations = (_kerr_root(d, s, h2, f2) if f2 > 0.0
-                     else (np.zeros_like(d + s + h2), 0))
+    f = abs(drive.F_pump)
+    f2 = _finite(lambda: f * f, "|F_pump|^2 overflows")
+    d, s, h = (np.asarray(x, dtype=float)[()] for x in (e - e_pol, shift, hg))
+    n, iterations = (_kerr_root(d, s, h, f2) if f2 > 0.0
+                     else (np.zeros_like(d + s + h), 0))
     n = _unwrap(n)
-    return PumpSolution(n, _unwrap(e_pol + shift * n), abs(drive.F_pump),
-                        iterations)
+    return PumpSolution(n, _unwrap(e_pol + shift * n), f, iterations)
 
 
-def _kerr_root(d, s, h2, f2):
-    """Root of g(N) = N ((d - s N)^2 + h2) - f2 for each element of what the
-    float64 scalars or arrays d, s, h2 broadcast to (f2 > 0), and the Newton
+def _kerr_root(d, s, h, f2):
+    """Root of g(N) = N ((d - s N)^2 + h^2) - f2 for each element of what the
+    float64 scalars or arrays d, s, h broadcast to (f2 > 0), and the Newton
     steps taken over elements.  Newton starts at the closed-form root (else
     at 0 or the bound) and is clipped to [0, bound]; settled elements are
     frozen, not gathered."""
@@ -204,6 +204,7 @@ def _kerr_root(d, s, h2, f2):
         def g(n):
             r = d - s * n
             return n * (r * r + h2) - f2
+        h2 = _finite(lambda: h * h, "the damping square hG_pol^2 overflows")
         # g at its turning points N-, N+ (NaN for d^2 < 3 h2, where there
         # are none) and at its inflection N_i = 2d / (3s).
         dd, s3 = d * d, 3.0 * s
@@ -275,23 +276,27 @@ def _rotating_frame(drive: DriveConfig, mode: HopfieldMode,
 
 def _pair(drive: DriveConfig, e, e_a_t, v):
     """Dark-pair amplitudes, intensities and determinant at drive energy e
-    in the frame (E_a~, V_mf): (B+, B-, I+, I-, det).  Where the
-    determinant vanishes the intensities are infinite, and where it
-    overflows it raises ``DomainError``; call it with numpy's warnings off."""
-    hg_a = drive.hGamma_a
+    in the frame (E_a~, V_mf): (B+, I+, B-, I-, det).  The intensities are
+    infinite where the determinant vanishes; where it, or I+ + I- off it,
+    overflows, ``DomainError``.  Call it with numpy's warnings off."""
+    x, hg_a = e_a_t - e, drive.hGamma_a
     # (E_a~ - E - i hG_a) B+ + V conj(B-) + F+ = 0 and the conjugated
-    # partner equation; unknowns (B+, conj(B-)).  The determinant is real,
-    # so the solve divides real and imaginary parts by it.
-    z_conj = e_a_t - e + 1j * hg_a
-    det = _finite(lambda: (e_a_t - e) ** 2 + hg_a ** 2 - v ** 2,
+    # partner equation; unknowns (B+, conj(B-)), real determinant.  So B =
+    # (V conj(G) - F (x + i hG_a)) / det for (F, G) = (F+, F-), (F-, F+), in
+    # float64 parts: numpy's complex product may fuse a multiply-add.
+    det = _finite(lambda: x * x + hg_a * hg_a - v * v,
                   "the pair determinant (E_a~ - E)^2 + hG_a^2 - V^2 overflows")
-    num_plus = -drive.F_probe_plus * z_conj + v * drive.F_probe_minus.conjugate()
-    num_minus = -z_conj * drive.F_probe_minus + v * drive.F_probe_plus.conjugate()
-    b_plus = np.divide(num_plus.real, det) + 1j * np.divide(num_plus.imag, det)
-    b_minus = np.divide(num_minus.real, det) + 1j * np.divide(num_minus.imag, det)
-    i_plus = _where(det == 0.0, math.inf, np.hypot(b_plus.real, b_plus.imag) ** 2)
-    i_minus = _where(det == 0.0, math.inf, np.hypot(b_minus.real, b_minus.imag) ** 2)
-    return b_plus, b_minus, i_plus, i_minus, det
+    pole, out = det == 0.0, []
+    for f, g in ((drive.F_probe_plus, drive.F_probe_minus),
+                 (drive.F_probe_minus, drive.F_probe_plus)):
+        b = np.empty_like(det, dtype=complex)     # det has every input's shape
+        np.divide(v * g.real - (f.real * x - f.imag * hg_a), det, out=b.real)
+        np.divide(v * -g.imag - (f.real * hg_a + f.imag * x), det, out=b.imag)
+        r = np.hypot(b.real, b.imag)
+        out += [b, _where(pole, math.inf, r * r)]
+    _finite(lambda: _where(pole, 0.0, out[1] + out[3]),
+            "the pair intensity |B+|^2 + |B-|^2 overflows")
+    return (*out, det)
 
 
 def steady_state(drive: DriveConfig, mode: HopfieldMode,
@@ -301,9 +306,9 @@ def steady_state(drive: DriveConfig, mode: HopfieldMode,
     The dark pair (B+, conj(B-)) satisfies a 2x2 linear system with real
     determinant (E_a~ - E)^2 + hG_a^2 - V^2; a vanishing determinant (drive
     exactly at a resonance that damping does not lift) raises ``PoleError``,
-    one that overflows ``DomainError``.  A mode with array fields gives array
-    fields; the pair resonances E_res_+- are None (NaN elements in arrays)
-    when damping exceeds V_mf.
+    one that overflows, or a pair intensity that does, ``DomainError``.  A
+    mode with array fields gives array fields; the pair resonances E_res_+-
+    are None (NaN elements in arrays) when damping exceeds V_mf.
     """
     e = drive.E_drive
     with np.errstate(all="ignore"):
@@ -311,10 +316,10 @@ def steady_state(drive: DriveConfig, mode: HopfieldMode,
         denom_pump = e - pump.E_pol_tilde + 1j * hg_pol
         a_amp = _where(denom_pump != 0, np.divide(drive.F_pump, denom_pump),
                        complex(math.inf))
-        b_plus, b_minus, i_plus, i_minus, det = _pair(drive, e, e_a_t, v)
+        b_plus, i_plus, b_minus, i_minus, det = _pair(drive, e, e_a_t, v)
     if _any(det == 0.0):
         raise PoleError(f"drive energy {e} eV sits exactly on a pair resonance")
-    rad = v ** 2 - drive.hGamma_a ** 2
+    rad = v * v - drive.hGamma_a * drive.hGamma_a
     split = _where(rad > 0, np.sqrt(abs(rad)), math.nan)
     ss = SteadyState(*map(_unwrap, (
         a_amp, pump.n_pump, b_plus, b_minus, i_plus, i_minus, e_a_t,
@@ -331,19 +336,21 @@ def spectrum(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
 
     Intensities are scaled by the total injected probe intensity
     |F+|^2 + |F-|^2; energies are reported as offsets from the bare dark
-    level.  Grid points landing exactly on an undamped resonance are
-    reported as infinite rather than raised.  A self-consistent pump is
-    solved at every grid point in one Newton pass from the closed-form
-    root, and one that is bistable at any grid point raises
+    level.  Grid points exactly on an undamped resonance are infinite, an
+    overflowing probe or pair intensity raises ``DomainError``.  A
+    self-consistent pump is solved at every grid point in one Newton pass
+    from the closed-form root, and one bistable at any grid point raises
     ``BistabilityError``.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or energies.size == 0:
         raise DomainError("energy grid must be a nonempty 1-D array")
+    fp, fm = abs(drive.F_probe_plus), abs(drive.F_probe_minus)
+    norm = _finite(lambda: fp * fp + fm * fm,
+                   "the probe intensity |F+|^2 + |F-|^2 overflows") or 1.0
     with np.errstate(all="ignore"):
         _, e_a_t, v, _ = _rotating_frame(drive, mode, ip, cfg, energies)
-        _, _, i_plus, i_minus, _ = _pair(drive, energies, e_a_t, v)
-    norm = abs(drive.F_probe_plus) ** 2 + abs(drive.F_probe_minus) ** 2 or 1.0
+        _, i_plus, _, i_minus, _ = _pair(drive, energies, e_a_t, v)
     out = np.empty(energies.shape, dtype=_SPECTRUM_DTYPE)
     out["E_offset"] = energies - antisymmetric_energy(cfg)
     out["I_minus_scaled"] = i_minus / norm

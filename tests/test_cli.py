@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -196,6 +197,34 @@ def test_main_writes_rendered_bytes_at_preset(tmp_path, preset_datasets, command
     out = tmp_path / f"{command}.csv"
     assert main([command, "--preset", "paper", "--out", str(out)]) == 0
     assert out.read_bytes() == dataset.render().encode()
+
+
+# The sha256 of CSVs whose every bit a scalar recomputation in Python floats
+# reproduces.  Not pinned: evolve (numpy's complex abs is unaudited), oracle
+# (LAPACK and the FFT) and a self-consistent spectrum (np.cbrt starts the
+# Kerr Newton); their bits may still follow the CPU.  A change that moves
+# pinned bytes on purpose updates the digest here.
+@pytest.mark.parametrize("argv,config,digest", [
+    (["levels"], None,
+     "1bf0bbceeab3d8393c2588398b49ed698f65a90d173f3a7116f0cefa747414f4"),
+    (["dispersion"], None,
+     "7b741388ff0220a031df772af0f13e15e8d0c4a52d870386b6040f7ee17e6e5a"),
+    (["fractions"], None,
+     "15155d7dffb42bd463c5b04e6487bf6187198c264620c211ee0d80d65f4041f0"),
+    (["spectrum"], None,
+     "76fa619f2b0f403ddf923e30a7a3dcfc89c15e5993891eda06043707a549474c"),
+    # CI's lat70.csv: a lattice whose pump crossing the resolver finds
+    (["dispersion", "--sweep", "k:0:1e-4:11"], {"lattice": {"theta_deg": 70, "R": 150}},
+     "d3c19dc24c19ec622b6079b5a439e256249fb20197e20b16268d0a1bd18e321e")],
+    ids=["levels", "dispersion", "fractions", "spectrum", "lat70"])
+def test_csv_bytes_match_the_manifest(tmp_path, argv, config, digest):
+    extra = []
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        extra = ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--preset", "paper", *extra, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_main_writes_rendered_bytes_across_writer_blocks(tmp_path):
@@ -680,6 +709,24 @@ def test_overflowing_drive_is_a_numerical_domain_error(tmp_path, capsys, command
                  "--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
     assert "numerical-domain error" in err and quantity in err and "overflows" in err
+
+
+@pytest.mark.parametrize("command,drive,quantity", [
+    ("evolve", {"n_pump": None, "F_pump": 1e-5, "hGamma_s": 1e160}, "hG_pol^2"),
+    ("spectrum", {"n_pump": None, "F_pump": 1e-5, "hGamma_s": 1e160}, "hG_pol^2"),
+    ("spectrum", {"F_probe_plus": 1e200}, "probe intensity |F+|^2 + |F-|^2"),
+    # the probe norm enters no evolve column: the steady intensity names it
+    ("evolve", {"F_probe_plus": 1e200}, "pair intensity |B+|^2 + |B-|^2")])
+def test_overflowing_damping_or_probe_is_a_numerical_domain_error(
+        tmp_path, capsys, command, drive, quantity):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"drive": drive}))
+    out = tmp_path / "x.csv"
+    assert main([command, "--preset", "paper", "--config", str(config),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical-domain error" in err and quantity in err and "overflows" in err
+    assert not out.exists()
 
 
 def test_evolve_at_an_overflowing_detuning_is_a_numerical_domain_error(tmp_path,

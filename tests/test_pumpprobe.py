@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bogolon import (DriveConfig, antisymmetric_energy, interaction_params,
-                     polariton_damping, pump_occupation, pumpprobe, spectrum,
-                     steady_state, time_evolve)
+from bogolon import (DriveConfig, antisymmetric_energy, hopfield,
+                     interaction_params, polariton_damping, pump_occupation,
+                     pumpprobe, spectrum, steady_state, time_evolve)
+from bogolon.cli import build_run_config
 from bogolon.errors import (BistabilityError, DomainError, PoleError,
                             StabilityError)
 from bogolon.kinematic import InteractionParams
-from bogolon.polariton import HopfieldMode
+from bogolon.polariton import HopfieldMode, _lower_branch
 
 
 def _mode(x2_lower: float = 0.56, e_lower: float = 1.4999) -> HopfieldMode:
@@ -310,8 +311,9 @@ def _compacting_pump_occupation(drive, mode, ip, E_drive=None):
     e_pol, hg, shift = mode.E_lower, polariton_damping(mode, drive), 2.0 * ip.pol_pol
     shape = np.broadcast(e, e_pol, hg, shift).shape
     d, s, h2 = (np.broadcast_to(x, shape).ravel()
-                for x in (e - e_pol, shift, hg ** 2))
-    n, iterations = _compacting_kerr_root(d, s, h2, abs(drive.F_pump) ** 2)
+                for x in (e - e_pol, shift, hg * hg))
+    n, iterations = _compacting_kerr_root(d, s, h2,
+                                          abs(drive.F_pump) * abs(drive.F_pump))
     n = pumpprobe._unwrap(n.reshape(shape))
     return n, pumpprobe._unwrap(e_pol + shift * n), iterations
 
@@ -543,6 +545,48 @@ def test_overflowing_drive_raises_domain_error(setup, change, quantity):
         with pytest.raises(DomainError, match="overflows") as err:
             call()
         assert quantity in str(err.value)
+
+
+def test_overflowing_polariton_damping_raises_domain_error(setup):
+    # hG_pol^2 overflows the occupation cubic, for a scalar mode, an array
+    # mode and an array of drive energies
+    drive = replace(setup.drive, n_pump=None, F_pump=1e-5, hGamma_s=1e160)
+    k = setup.drive.k_pump
+    modes = hopfield(np.array([k, 0.5 * k]), setup.wg, setup.cfg)
+    grid = np.array([drive.E_drive, drive.E_drive - 1e-4])
+    calls = [lambda: pump_occupation(drive, setup.mode, setup.ip),
+             lambda: pump_occupation(drive, modes, setup.ip),
+             lambda: pump_occupation(drive, setup.mode, setup.ip, E_drive=grid),
+             lambda: steady_state(drive, setup.mode, setup.ip, setup.cfg),
+             lambda: spectrum(drive, setup.mode, setup.ip, setup.cfg, grid)]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"hG_pol\^2 overflows"):
+            call()
+
+
+def test_overflowing_probe_or_pair_intensity_raises_domain_error(setup):
+    s = setup
+    huge = replace(s.drive, F_probe_plus=1e200)
+    # |F-|^2 = 1e308 is finite, but B+- = F- O(V) / det are not squarable
+    big = replace(s.drive, F_probe_plus=0.0, F_probe_minus=1e154)
+    grid = [big.E_drive, big.E_drive + 1e-5]
+    for call, quantity in [
+            (lambda: spectrum(huge, s.mode, s.ip, s.cfg, [huge.E_drive]),
+             "the probe intensity |F+|^2 + |F-|^2 overflows"),
+            (lambda: steady_state(huge, s.mode, s.ip, s.cfg),
+             "the pair intensity |B+|^2 + |B-|^2 overflows"),
+            (lambda: spectrum(big, s.mode, s.ip, s.cfg, grid),
+             "the pair intensity |B+|^2 + |B-|^2 overflows"),
+            (lambda: steady_state(big, s.mode, s.ip, s.cfg),
+             "the pair intensity |B+|^2 + |B-|^2 overflows")]:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == quantity
+    # an exact pole keeps its infinite cells beside finite ones
+    drive = _drive(hGamma_a=0.0, n_pump=0.0, F_probe_plus=1e140)
+    e_a = antisymmetric_energy(s.cfg)
+    points = spectrum(drive, _mode(), _ip(), s.cfg, [e_a - 1e-6, e_a])
+    assert np.isfinite(points[0].I_plus_scaled) and np.isinf(points[1].I_plus_scaled)
 
 
 def test_overflowing_detuning_square_raises_domain_error(setup):
@@ -1030,9 +1074,8 @@ def test_pump_occupation_array_fixed_point_elementwise():
     # the loop over scalar calls is the reference
     scalar = [pump_occupation(replace(drive, E_drive=float(e)), mode, ip)
               for e in energies]
-    assert sol.n_pump == pytest.approx([s.n_pump for s in scalar], rel=1e-14)
-    assert sol.E_pol_tilde == pytest.approx([s.E_pol_tilde for s in scalar],
-                                            rel=1e-14)
+    assert sol.n_pump.tolist() == [s.n_pump for s in scalar]
+    assert sol.E_pol_tilde.tolist() == [s.E_pol_tilde for s in scalar]
     assert isinstance(sol.iterations, int)
     assert sol.iterations == sum(s.iterations for s in scalar)
 
@@ -1062,8 +1105,8 @@ def test_spectrum_self_consistent_equals_prescribed_at_solved_occupation(cfg):
         (q,) = spectrum(replace(drive, n_pump=float(n_e)), mode, ip, cfg,
                         [float(e)])
         assert p.E_offset == q.E_offset
-        assert p.I_minus_scaled == pytest.approx(q.I_minus_scaled, rel=1e-12)
-        assert p.I_plus_scaled == pytest.approx(q.I_plus_scaled, rel=1e-12)
+        assert p.I_minus_scaled == q.I_minus_scaled
+        assert p.I_plus_scaled == q.I_plus_scaled
 
 
 @pytest.mark.parametrize("pump", [dict(n_pump=1.0),
@@ -1079,13 +1122,58 @@ def test_spectrum_columns_equal_scalar_steady_state(cfg, pump, hGamma_a):
     spec = spectrum(drive, mode, ip, cfg, grid)
     offset, i_minus, i_plus = spec.E_offset, spec.I_minus_scaled, spec.I_plus_scaled
     assert np.all(np.isfinite(i_minus)) and np.all(np.isfinite(i_plus))
-    norm = abs(drive.F_probe_plus) ** 2
+    norm = abs(drive.F_probe_plus) * abs(drive.F_probe_plus)
     for i, e in enumerate(grid.tolist()):
         ss = steady_state(replace(drive, E_drive=e), mode, ip, cfg)
         assert type(ss.I_plus) is float and type(ss.N_pump) is float
         assert offset[i] == e - e_a
-        assert i_minus[i] == pytest.approx(ss.I_minus / norm, rel=1e-14)
-        assert i_plus[i] == pytest.approx(ss.I_plus / norm, rel=1e-14)
+        assert i_minus[i] == ss.I_minus / norm
+        assert i_plus[i] == ss.I_plus / norm
+
+
+_MODE_FIELDS = ("E_upper", "E_lower", "X_upper", "Y_upper", "X_lower", "Y_lower",
+                "delta", "D")
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta_deg=st.floats(60.0, 89.0), R=st.floats(120.0, 250.0),
+       log_f_pump=st.floats(-5.0, -4.0),
+       log_dampings=st.tuples(*[st.floats(-9.0, -6.0)] * 3),
+       probes=st.tuples(*[st.floats(-2.0, 2.0)] * 4), span=st.floats(0.5, 4.0))
+def test_scalar_calls_equal_array_elements_bit_for_bit(theta_deg, R, log_f_pump,
+                                                       log_dampings, probes, span):
+    # scan-like operating points with complex probes and a self-consistent
+    # pump on the red side of the pumped mode, where it has one occupation
+    g_ph, g_s, g_a = (10.0 ** x for x in log_dampings)
+    p = [1e-9 * x for x in probes]
+    run = build_run_config({
+        "lattice": {"theta_deg": theta_deg, "R": R},
+        "drive": {"F_pump": 10.0 ** log_f_pump, "hGamma_ph": g_ph, "hGamma_s": g_s,
+                  "hGamma_a": g_a, "n_pump": None, "F_probe_plus": p[:2],
+                  "F_probe_minus": p[2:]}}, preset=True)
+    cfg, wg, drive = run.lattice, run.waveguide, run.drive
+    ks = np.concatenate([drive.k_pump * np.linspace(0.5, 1.5, 9),
+                         np.linspace(0.0, math.pi / cfg.a, 7)])
+    modes, lower = hopfield(ks, wg, cfg), _lower_branch(ks, wg, cfg)
+    for i, k in enumerate(ks.tolist()):
+        one = hopfield(k, wg, cfg)
+        assert ([getattr(modes, f)[i] for f in _MODE_FIELDS]
+                == [getattr(one, f) for f in _MODE_FIELDS])
+        assert lower[i] == _lower_branch(k, wg, cfg)
+    mode = hopfield(drive.k_pump, wg, cfg)
+    ip = interaction_params(wg, cfg, mode.X_lower * mode.X_lower)
+    energies = mode.E_lower - span * ip.Delta_tilde * np.linspace(0.0, 1.0, 13)
+    pump = pump_occupation(drive, mode, ip, E_drive=energies)
+    spec = spectrum(drive, mode, ip, cfg, energies)
+    fp, fm = abs(drive.F_probe_plus), abs(drive.F_probe_minus)
+    norm = fp * fp + fm * fm or 1.0
+    for i, e in enumerate(energies.tolist()):
+        at = replace(drive, E_drive=e)
+        one = pump_occupation(at, mode, ip)
+        assert (pump.n_pump[i], pump.E_pol_tilde[i]) == (one.n_pump, one.E_pol_tilde)
+        ss = steady_state(at, mode, ip, cfg)
+        assert spec.I_plus_scaled[i] == ss.I_plus / norm
+        assert spec.I_minus_scaled[i] == ss.I_minus / norm
 
 
 def test_spectrum_exact_pole_is_infinite_between_finite_neighbours(cfg):
