@@ -26,15 +26,14 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ModelError
-from .lattice import (SuperLatticeConfig, antisymmetric_energy,
+from .lattice import (SuperLatticeConfig, _finite, antisymmetric_energy,
                       check_cell_count, exciton_levels, symmetric_band)
 from .polariton import find_resonance_k, hopfield
 from .presets import PAPER, operating_point, reference_setup
-from .pumpprobe import (DriveConfig, pump_occupation, spectrum, steady_state,
-                        time_evolve)
+from .pumpprobe import (DriveConfig, _intensity, pump_occupation, spectrum,
+                        steady_state, time_evolve)
 from .waveguide import WaveguideConfig, photon_dispersion, resonant_q0
 
-SWEEP_VARIABLES = ("theta", "k", "E_drive")
 #: The section, class and key of the config value each sweep variable sets.
 _SWEPT = {"theta": ("lattice", SuperLatticeConfig, "theta_deg"),
           "k": ("drive", DriveConfig, "k_pump"),
@@ -59,8 +58,8 @@ class SweepSpec:
     count: int
 
     def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise ConfigError(f"sweep variable must be one of {SWEEP_VARIABLES}")
+        if self.variable not in _SWEPT:
+            raise ConfigError(f"sweep variable must be one of {tuple(_SWEPT)}")
         if not 2 <= self.count <= _MAX_SWEEP:
             raise ConfigError(f"sweep count must lie in [2, {_MAX_SWEEP}]")
         if not self.max > self.min:
@@ -293,33 +292,38 @@ def _sweep(run: RunConfig, variable: Optional[str] = None,
     return run.sweep
 
 
-def _rows(grid: np.ndarray, columns) -> np.ndarray:
-    """The float64 rows of ``columns(grid)``, a tuple of column arrays
-    (scalars broadcast), computed on _CHUNK grid points at a time."""
+def _table(command: str, run: RunConfig, default: SweepSpec, columns,
+           meta: list) -> Dataset:
+    """The dataset of ``columns(grid)`` over the run's sweep of
+    ``default.variable``, else ``default``: named columns, a dict of arrays
+    (scalars broadcast) or a record array, filled into float64 rows _CHUNK
+    grid points at a time.  Its ``#`` lines are the common ones, then
+    ``meta``."""
+    grid = _sweep(run, default.variable, default).grid()
     for lo in range(0, grid.size, _CHUNK):
-        block = np.broadcast_arrays(*columns(grid[lo:lo + _CHUNK]))
+        block = columns(grid[lo:lo + _CHUNK])
         if lo == 0:
-            rows = np.empty((grid.size, len(block)))
-        np.stack(block, axis=1, out=rows[lo:lo + _CHUNK])
-    return rows
+            names = list(block.dtype.names if isinstance(block, np.ndarray) else block)
+            rows = np.empty((grid.size, len(names)))
+        np.stack(np.broadcast_arrays(*(block[name] for name in names)), axis=1,
+                 out=rows[lo:lo + _CHUNK])
+    return Dataset(command, _common_meta(run) + meta, names, rows)
 
 
 def cmd_levels(run: RunConfig) -> Dataset:
     """Branch and bare level energies (offsets from E_A) vs angle at k = 0."""
     cfg, wg = run.lattice, run.waveguide
-    sweep = _sweep(run, "theta", SweepSpec("theta", 0.0, 90.0, 1001))
 
     def columns(theta_deg):
         theta = np.radians(theta_deg)
         mode = hopfield(0.0, wg, cfg, theta=theta)
         lv = exciton_levels(cfg, theta=theta)
-        return (theta_deg, mode.E_upper - cfg.E_A, mode.E_lower - cfg.E_A,
-                lv.E_s - cfg.E_A, lv.E_a - cfg.E_A)
+        return {"theta_deg": theta_deg, "E_plus": mode.E_upper - cfg.E_A,
+                "E_minus": mode.E_lower - cfg.E_A, "E_s": lv.E_s - cfg.E_A,
+                "E_a": lv.E_a - cfg.E_A}
 
-    meta = _common_meta(run) + [("note", "energies as offsets from E_A at k=0")]
-    return Dataset("levels", meta,
-                   ["theta_deg", "E_plus", "E_minus", "E_s", "E_a"],
-                   _rows(sweep.grid(), columns))
+    return _table("levels", run, SweepSpec("theta", 0.0, 90.0, 1001), columns,
+                  [("note", "energies as offsets from E_A at k=0")])
 
 
 def _default_k_sweep(wg: WaveguideConfig) -> SweepSpec:
@@ -330,38 +334,31 @@ def _default_k_sweep(wg: WaveguideConfig) -> SweepSpec:
 def cmd_dispersion(run: RunConfig) -> Dataset:
     """Branch, photon and bare level energies (offsets from E_A) vs k."""
     cfg, wg = run.lattice, run.waveguide
-    sweep = _sweep(run, "k", _default_k_sweep(wg))
     e_a = exciton_levels(cfg).E_a
 
     def columns(k):
         mode = hopfield(k, wg, cfg)
-        return (k, mode.E_upper - cfg.E_A, mode.E_lower - cfg.E_A,
-                photon_dispersion(k, wg) - cfg.E_A,
-                symmetric_band(k, cfg) - cfg.E_A, e_a - cfg.E_A)
+        return {"k": k, "E_plus": mode.E_upper - cfg.E_A,
+                "E_minus": mode.E_lower - cfg.E_A,
+                "E_ph": photon_dispersion(k, wg) - cfg.E_A,
+                "E_s": symmetric_band(k, cfg) - cfg.E_A, "E_a": e_a - cfg.E_A}
 
-    meta = _common_meta(run) + [
+    return _table("dispersion", run, _default_k_sweep(wg), columns, [
         ("derived.k_star", run.drive.k_pump),
-        ("note", "energies as offsets from E_A"),
-    ]
-    return Dataset("dispersion", meta,
-                   ["k", "E_plus", "E_minus", "E_ph", "E_s", "E_a"],
-                   _rows(sweep.grid(), columns))
+        ("note", "energies as offsets from E_A")])
 
 
 def cmd_fractions(run: RunConfig) -> Dataset:
     """Excitation and photon fractions of both branches vs k."""
     cfg, wg = run.lattice, run.waveguide
-    sweep = _sweep(run, "k", _default_k_sweep(wg))
 
     def columns(k):
         mode = hopfield(k, wg, cfg)
-        return (k, mode.X_upper ** 2, mode.Y_upper ** 2,
-                mode.X_lower ** 2, mode.Y_lower ** 2)
+        return {"k": k, "X2_upper": mode.X_upper ** 2, "Y2_upper": mode.Y_upper ** 2,
+                "X2_lower": mode.X_lower ** 2, "Y2_lower": mode.Y_lower ** 2}
 
-    meta = _common_meta(run) + [("derived.k_star", run.drive.k_pump)]
-    return Dataset("fractions", meta,
-                   ["k", "X2_upper", "Y2_upper", "X2_lower", "Y2_lower"],
-                   _rows(sweep.grid(), columns))
+    return _table("fractions", run, _default_k_sweep(wg), columns,
+                  [("derived.k_star", run.drive.k_pump)])
 
 
 def cmd_spectrum(run: RunConfig) -> Dataset:
@@ -371,19 +368,11 @@ def cmd_spectrum(run: RunConfig) -> Dataset:
     e_a = antisymmetric_energy(cfg)
     n_for_span = run.drive.n_pump if run.drive.n_pump is not None else 1.0
     span = 4.0 * ip.Delta_tilde * max(n_for_span, 1e-3)
-    sweep = _sweep(run, "E_drive", SweepSpec("E_drive", e_a, e_a + span, 10001))
-
-    def columns(e):
-        spec = spectrum(run.drive, mode, ip, cfg, e)
-        return spec.E_offset, spec.I_minus_scaled, spec.I_plus_scaled
-
-    meta = _common_meta(run) + [
-        ("derived.Delta", ip.Delta), ("derived.Delta_tilde", ip.Delta_tilde),
-        ("derived.X2", ip.X2),
-    ]
-    return Dataset("spectrum", meta,
-                   ["E_offset", "I_minus_scaled", "I_plus_scaled"],
-                   _rows(sweep.grid(), columns))
+    # the columns are spectrum's record fields
+    return _table("spectrum", run, SweepSpec("E_drive", e_a, e_a + span, 10001),
+                  lambda e: spectrum(run.drive, mode, ip, cfg, e), [
+                      ("derived.Delta", ip.Delta),
+                      ("derived.Delta_tilde", ip.Delta_tilde), ("derived.X2", ip.X2)])
 
 
 def cmd_evolve(run: RunConfig) -> Dataset:
@@ -395,8 +384,12 @@ def cmd_evolve(run: RunConfig) -> Dataset:
     ss = steady_state(drive, mode, ip, cfg)
     traj = time_evolve(drive, mode, ip, cfg, spec.t_end, spec.dt,
                        spec.sample_every)
-    rows = np.column_stack([traj.times] + [
-        np.abs(x) ** 2 for x in (traj.A, traj.B_plus, traj.B_minus)])
+    with np.errstate(all="ignore"):
+        columns = {"t": traj.times, "A2": _intensity(traj.A),
+                   "B_plus2": _intensity(traj.B_plus),
+                   "B_minus2": _intensity(traj.B_minus)}
+    rows = _finite(lambda: np.column_stack(tuple(columns.values())),
+                   "the trace intensity |A|^2, |B+|^2 or |B-|^2 overflows")
     # a requested sampling differs from the one used only where capped
     capped = spec.sample_every not in (None, traj.sample_every)
     used = EvolveSpec(dt=traj.dt, t_end=traj.t_end, sample_every=traj.sample_every)
@@ -404,7 +397,7 @@ def cmd_evolve(run: RunConfig) -> Dataset:
         ("evolve.capped", capped), ("steady.I_plus", ss.I_plus),
         ("steady.I_minus", ss.I_minus), ("steady.N_pump", ss.N_pump),
     ]
-    return Dataset("evolve", meta, ["t", "A2", "B_plus2", "B_minus2"], rows)
+    return Dataset("evolve", meta, list(columns), rows)
 
 
 def cmd_oracle(run: RunConfig) -> Dataset:

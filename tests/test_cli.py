@@ -18,7 +18,7 @@ from bogolon import (PAPER, antisymmetric_energy, cli, oracle, photon_dispersion
                      pump_occupation, pumpprobe, reference_setup, time_evolve)
 from bogolon.cli import (Dataset, EvolveSpec, _fmt, _settings,
                          build_run_config, main)
-from bogolon.errors import ModelError
+from bogolon.errors import DomainError, ModelError
 from bogolon.floatcsv import _BLOCK, csv_lines
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -200,10 +200,9 @@ def test_main_writes_rendered_bytes_at_preset(tmp_path, preset_datasets, command
 
 
 # The sha256 of CSVs whose every bit a scalar recomputation in Python floats
-# reproduces.  Not pinned: evolve (numpy's complex abs is unaudited), oracle
-# (LAPACK and the FFT) and a self-consistent spectrum (np.cbrt starts the
-# Kerr Newton); their bits may still follow the CPU.  A change that moves
-# pinned bytes on purpose updates the digest here.
+# reproduces.  Not pinned: oracle (LAPACK and the FFT) and a self-consistent
+# spectrum (np.cbrt starts the Kerr Newton); their bits may still follow the
+# CPU.  A change that moves pinned bytes on purpose updates the digest here.
 @pytest.mark.parametrize("argv,config,digest", [
     (["levels"], None,
      "1bf0bbceeab3d8393c2588398b49ed698f65a90d173f3a7116f0cefa747414f4"),
@@ -213,10 +212,13 @@ def test_main_writes_rendered_bytes_at_preset(tmp_path, preset_datasets, command
      "15155d7dffb42bd463c5b04e6487bf6187198c264620c211ee0d80d65f4041f0"),
     (["spectrum"], None,
      "76fa619f2b0f403ddf923e30a7a3dcfc89c15e5993891eda06043707a549474c"),
+    # Python complex scalars, float64 parts and np.hypot squared
+    (["evolve"], None,
+     "a1321e55e8a8e2933106699cb198fa56c5b0aafff57f9b63de94e063d42f4aa8"),
     # CI's lat70.csv: a lattice whose pump crossing the resolver finds
     (["dispersion", "--sweep", "k:0:1e-4:11"], {"lattice": {"theta_deg": 70, "R": 150}},
      "d3c19dc24c19ec622b6079b5a439e256249fb20197e20b16268d0a1bd18e321e")],
-    ids=["levels", "dispersion", "fractions", "spectrum", "lat70"])
+    ids=["levels", "dispersion", "fractions", "spectrum", "evolve", "lat70"])
 def test_csv_bytes_match_the_manifest(tmp_path, argv, config, digest):
     extra = []
     if config is not None:
@@ -459,6 +461,46 @@ def test_evolve_explicit_budget_overflow_is_numerical_error(tmp_path):
     assert rows[-1, 0] == 2.0 ** 63 - 1024 and np.all(np.isfinite(rows))
     for t_end in (2.0 ** 63, 1e20, 1e308):
         assert run({"t_end": t_end, "dt": 1.0}) == 3
+
+
+def test_evolve_overflowing_trace_intensity_raises_domain_error():
+    # the steady pair's intensity is finite, but the trace's |B+|^2 on the
+    # way there is not: a named DomainError, not an inf cell
+    run = build_run_config({"drive": {"F_probe_plus": 1e150}}, preset=True)
+    with pytest.raises(DomainError) as err:
+        cli.cmd_evolve(run)
+    assert str(err.value) == "the trace intensity |A|^2, |B+|^2 or |B-|^2 overflows"
+
+
+def test_evolve_intensities_are_scalar_hypot_squared(preset_datasets):
+    # each cell is the scalar np.hypot of its amplitude's parts, squared as
+    # a product: the array loop has the scalar call's bits
+    s = reference_setup()
+    traj = time_evolve(s.drive, s.mode, s.ip, s.cfg)
+    rows = preset_datasets["evolve"].rows
+    for j, x in enumerate((traj.A, traj.B_plus, traj.B_minus), start=1):
+        r = [float(np.hypot(z.real, z.imag)) for z in x.tolist()]
+        assert rows[:, j].tolist() == [a * a for a in r]
+
+
+def test_spectrum_columns_are_the_record_fields(monkeypatch):
+    # a field added to spectrum's records is a CSV column, with no CLI edit
+    def extended(*args):
+        records = pumpprobe.spectrum(*args)
+        out = np.empty(records.shape, dtype=records.dtype.descr + [("extra", float)])
+        for name in records.dtype.names:
+            out[name] = records[name]
+        out["extra"] = np.arange(records.size) + 0.5
+        return out.view(np.recarray)
+
+    monkeypatch.setattr(cli, "spectrum", extended)
+    sweep = {"variable": "E_drive", "min": 1.4999, "max": 1.5, "count": 5}
+    dataset = cli.cmd_spectrum(build_run_config({"sweep": sweep}, preset=True))
+    assert dataset.columns == ["E_offset", "I_minus_scaled", "I_plus_scaled", "extra"]
+    assert dataset.rows.shape == (5, 4)
+    lines = dataset.render().splitlines()
+    body = lines[lines.index(",".join(dataset.columns)) + 1:]
+    assert [row.split(",")[-1] for row in body] == [repr(i + 0.5) for i in range(5)]
 
 
 def test_oracle_report(tmp_path):
@@ -716,7 +758,9 @@ def test_overflowing_drive_is_a_numerical_domain_error(tmp_path, capsys, command
     ("spectrum", {"n_pump": None, "F_pump": 1e-5, "hGamma_s": 1e160}, "hG_pol^2"),
     ("spectrum", {"F_probe_plus": 1e200}, "probe intensity |F+|^2 + |F-|^2"),
     # the probe norm enters no evolve column: the steady intensity names it
-    ("evolve", {"F_probe_plus": 1e200}, "pair intensity |B+|^2 + |B-|^2")])
+    ("evolve", {"F_probe_plus": 1e200}, "pair intensity |B+|^2 + |B-|^2"),
+    # a finite steady pair, but a trace intensity on the way there is not
+    ("evolve", {"F_probe_plus": 1e150}, "trace intensity |A|^2, |B+|^2 or |B-|^2")])
 def test_overflowing_damping_or_probe_is_a_numerical_domain_error(
         tmp_path, capsys, command, drive, quantity):
     config = tmp_path / "cfg.json"

@@ -564,6 +564,16 @@ def test_overflowing_polariton_damping_raises_domain_error(setup):
             call()
 
 
+def test_prescribed_pump_amplitude_overflow_raises_without_warning(setup):
+    # the sustaining amplitude of an array mode: its squares overflow
+    # silently (warnings are errors here) and name the amplitude
+    drive = replace(setup.drive, hGamma_s=1e160)
+    k = setup.drive.k_pump
+    modes = hopfield(np.array([k, 0.5 * k]), setup.wg, setup.cfg)
+    with pytest.raises(DomainError, match="pump amplitude sustaining n_pump overflows"):
+        pump_occupation(drive, modes, setup.ip)
+
+
 def test_overflowing_probe_or_pair_intensity_raises_domain_error(setup):
     s = setup
     huge = replace(s.drive, F_probe_plus=1e200)
