@@ -47,7 +47,8 @@ def coefficients(E_a_tilde: float, V_mf: float,
     level (real coefficients undefined there) and ``InstabilityError`` when
     |V| closes the pair gap.  The defining cancellation relation is checked
     to 1e-12 relative as an internal consistency guard.  A non-finite
-    argument raises ``DomainError`` before the regime checks.
+    argument, or a square (E_a~ - E)^2 or V^2 that overflows, raises
+    ``DomainError`` before the regime checks.
     """
     for name, x in (("E_a_tilde", E_a_tilde), ("V_mf", V_mf), ("E_drive", E_drive)):
         if not math.isfinite(x):
@@ -58,15 +59,19 @@ def coefficients(E_a_tilde: float, V_mf: float,
     if gap < 0:
         raise SignRegimeError(
             f"drive {E_drive} eV above shifted dark level {E_a_tilde} eV")
-    if gap ** 2 <= V_mf ** 2:
+    gap2, v2 = gap * gap, V_mf * V_mf
+    for name, square in (("(E_a~ - E)^2", gap2), ("V_mf^2", v2)):
+        if square == math.inf:
+            raise DomainError(f"the square {name} overflows")
+    if gap2 <= v2:
         raise InstabilityError(
             f"anomalous coupling {V_mf} eV closes the pair gap "
             f"(detuning {gap} eV)")
-    e0_bar = math.sqrt(gap ** 2 - V_mf ** 2)
+    e0_bar = math.sqrt(gap2 - v2)
     u = math.sqrt(0.5 * (gap / e0_bar + 1.0))
     v = math.sqrt(0.5 * (gap / e0_bar - 1.0))
 
-    lhs = 0.5 * V_mf * (u ** 2 + v ** 2)
+    lhs = 0.5 * V_mf * (u * u + v * v)
     rhs = gap * u * v
     if abs(lhs - rhs) > _IDENTITY_TOL * max(abs(lhs), abs(rhs), e0_bar):
         raise ArithmeticError("pair-cancellation relation violated "

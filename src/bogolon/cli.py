@@ -353,9 +353,10 @@ def cmd_fractions(run: RunConfig) -> Dataset:
     cfg, wg = run.lattice, run.waveguide
 
     def columns(k):
-        mode = hopfield(k, wg, cfg)
-        return {"k": k, "X2_upper": mode.X_upper ** 2, "Y2_upper": mode.Y_upper ** 2,
-                "X2_lower": mode.X_lower ** 2, "Y2_lower": mode.Y_lower ** 2}
+        m = hopfield(k, wg, cfg)
+        return {"k": k, "X2_upper": m.X_upper * m.X_upper,
+                "Y2_upper": m.Y_upper * m.Y_upper, "X2_lower": m.X_lower * m.X_lower,
+                "Y2_lower": m.Y_lower * m.Y_lower}
 
     return _table("fractions", run, _default_k_sweep(wg), columns,
                   [("derived.k_star", run.drive.k_pump)])
@@ -388,7 +389,7 @@ def cmd_evolve(run: RunConfig) -> Dataset:
         columns = {"t": traj.times, "A2": _intensity(traj.A),
                    "B_plus2": _intensity(traj.B_plus),
                    "B_minus2": _intensity(traj.B_minus)}
-    rows = _finite(lambda: np.column_stack(tuple(columns.values())),
+    rows = _finite(np.column_stack(tuple(columns.values())),
                    "the trace intensity |A|^2, |B+|^2 or |B-|^2 overflows")
     # a requested sampling differs from the one used only where capped
     capped = spec.sample_every not in (None, traj.sample_every)

@@ -16,7 +16,7 @@ class PhysicalConstants:
         hbar * c in eV*Angstrom.
     coulomb_mu2_prefactor
         e^2/(4 pi eps0) in eV*Angstrom, so that a dipole-dipole energy
-        mu^2/(4 pi eps0 r^3) is ``coulomb_mu2_prefactor * mu**2 / r**3``
+        mu^2/(4 pi eps0 r^3) is ``coulomb_mu2_prefactor * (mu * mu) / (r * r * r)``
         with mu in e*Angstrom and r in Angstrom.
     """
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .constants import CONSTANTS
 from .errors import DomainError
-from .lattice import SuperLatticeConfig, exciton_levels
+from .lattice import SuperLatticeConfig, _finite, exciton_levels
 from .polariton import _lower_branch
 from .waveguide import WaveguideConfig
 
@@ -53,7 +53,7 @@ class InteractionParams:
 
     @property
     def pol_pol(self) -> float:         # Delta X^4 / 2, pump self-interaction
-        return self.Delta * self.X2 ** 2 / 2.0
+        return self.Delta * (self.X2 * self.X2) / 2.0
 
     @property
     def pol_dark_pair(self) -> float:   # Delta X^2 / 2, two pump quanta <-> dark pair
@@ -79,7 +79,7 @@ def interaction_params(wg: WaveguideConfig, cfg: SuperLatticeConfig,
     if not 0.0 <= X2 <= 1.0:
         raise DomainError("X2 must lie in [0, 1]")
     m_c2 = effective_mass(wg)
-    U = 4.0 * math.pi * CONSTANTS.hbar_c ** 2 / (m_c2 * cfg.a ** 2)
+    U = 4.0 * math.pi * (CONSTANTS.hbar_c * CONSTANTS.hbar_c) / (m_c2 * (cfg.a * cfg.a))
     return InteractionParams(m_c2=m_c2, U=U, Delta=U / cfg.N, X2=X2)
 
 
@@ -104,8 +104,8 @@ def double_excitation_excluded(cfg: SuperLatticeConfig, wg: WaveguideConfig,
 
     Channels tested: 2 E_s, 2 E_a, 2 E_A, and twice the lower-branch energy
     at the pump wavenumber.  Truthy iff all gaps exceed ``tolerance``.
-    A non-finite V_dyn, or a tolerance that is not finite and positive,
-    raises ``DomainError``.
+    A non-finite V_dyn, or one whose E_e overflows, or a tolerance that is
+    not finite and positive, raises ``DomainError``.
     """
     if not math.isfinite(V_dyn):
         raise DomainError(f"V_dyn must be finite, got {V_dyn!r}")
@@ -113,7 +113,8 @@ def double_excitation_excluded(cfg: SuperLatticeConfig, wg: WaveguideConfig,
         raise DomainError(f"tolerance must be finite and positive, got {tolerance!r}")
     lv = exciton_levels(cfg)
     e_pump = _lower_branch(k_pump, wg, cfg)
-    e_e = 2.0 * cfg.E_A + 2.0 * V_dyn
+    e_e = _finite(2.0 * cfg.E_A + 2.0 * V_dyn,
+                  f"E_e = 2 E_A + 2 V_dyn overflows at V_dyn = {V_dyn!r}")
     channels = {
         "2E_s": 2.0 * lv.E_s,
         "2E_a": 2.0 * lv.E_a,

@@ -65,8 +65,9 @@ class SuperLatticeConfig:
         if not 0 <= self.theta <= math.pi / 2:
             raise DomainError("theta must lie in [0, pi/2]")
         check_cell_count(self.N)
+        _finite(self.a * self.a * self.a, f"the cube a^3 overflows at a = {self.a}")
         with np.errstate(all="ignore"):
-            _finite(lambda: self.levels.J0 ** 2, "coupling J0 = J(R), J = J(a) or "
+            _finite(self.levels.J0 * self.levels.J0, "coupling J0 = J(R), J = J(a) or "
                     f"J0^2 overflows at R = {self.R}, a = {self.a}, mu = {self.mu}")
 
     @property
@@ -105,7 +106,7 @@ def _check_finite(config) -> None:
 
 
 # Helpers of the broadcasting formulas; scalars skip numpy's per-call cost.
-# A square is x * x, numpy's array square; a scalar's ``**`` rounds by libm's pow.
+# Every power is a product, as numpy's array square is: a ``**`` rounds by libm's pow.
 
 #: The numpy scalars scalar calls return most, and their Python types.
 _SCALAR_TYPES = {np.float64: float, np.complex128: complex}
@@ -127,13 +128,9 @@ def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
-def _finite(compute, message: str):
-    """compute(), or ``DomainError(message)`` where it is not finite (a
-    product gives inf, a float ``**`` raises; array callers silence numpy)."""
-    try:
-        value = compute()
-    except OverflowError:
-        value = math.inf
+def _finite(value, message: str):
+    """value, or ``DomainError(message)`` where it is not finite (array
+    callers silence numpy's overflow warnings)."""
     if not (math.isfinite(value) if isinstance(value, float)
             else np.isfinite(value).all()):
         raise DomainError(message)
@@ -161,8 +158,8 @@ def dipole_coupling(r, cfg: SuperLatticeConfig, *, theta=None):
     elif not np.all((np.asarray(theta) >= 0.0) & (np.asarray(theta) <= math.pi / 2)):
         raise DomainError("theta must lie in [0, pi/2]")
     c = np.cos(theta)
-    angular = 1.0 - 3.0 * (c * c)
-    return _unwrap(CONSTANTS.coulomb_mu2_prefactor * cfg.mu ** 2 * angular / r ** 3)
+    j_r3 = CONSTANTS.coulomb_mu2_prefactor * (cfg.mu * cfg.mu) * (1.0 - 3.0 * (c * c))
+    return _unwrap(j_r3 / (r * r * r))
 
 
 def _levels(cfg: SuperLatticeConfig, theta) -> ExcitonLevels:

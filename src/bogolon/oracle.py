@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SectorSizeError
-from .lattice import (SuperLatticeConfig, _repulsion, allowed_wavenumbers,
+from .lattice import (SuperLatticeConfig, _finite, _repulsion, allowed_wavenumbers,
                       dipole_coupling, exciton_levels, symmetric_band)
 
 #: Memory the pair route may take: its tables and the blocks solved at once.
@@ -254,7 +254,8 @@ def _pair_spectrum(cfg: SuperLatticeConfig, n_cells: int, V_dyn: float,
     Returns the rows: each eigenvalue, its weight on the pairs filling one
     cell and its multiplicity.  Raises ``SectorSizeError`` before building
     anything if the tables and one block would take more than
-    ``_MAX_PAIR_BYTES``, and ``DomainError`` for a non-finite V_dyn."""
+    ``_MAX_PAIR_BYTES``, and ``DomainError`` for a V_dyn that is not finite
+    or whose 2 V_dyn or pad (see :func:`_fill_blocks`) overflows."""
     _check_ring(n_cells, coupling_mode)
     if not math.isfinite(V_dyn):
         raise DomainError(f"V_dyn must be finite, got {V_dyn!r}")
@@ -264,16 +265,18 @@ def _pair_spectrum(cfg: SuperLatticeConfig, n_cells: int, V_dyn: float,
         raise SectorSizeError(
             f"{n_cells}-cell pair blocks need about {(tables + per_block) / 1e6:.0f} MB,"
             f" over the {_MAX_PAIR_BYTES / 1e6:.0f} MB budget")
-    t = _pair_blocks(n_cells, reach)
     # every coupling, as the tables read only those within reach
     rows = _cell_couplings(cfg, n_cells, "full-dipole-sum").transpose(1, 0, 2).ravel()
+    _finite(4.0 * (float(np.abs(rows).sum()) + abs(V_dyn)),   # >= 2 |V_dyn|
+            f"2 V_dyn or the pad 4 (sum |C| + |V_dyn|) overflows at V_dyn = {V_dyn!r}")
+    t = _pair_blocks(n_cells, reach)
     spectrum = np.empty((3,) + t.keep.shape)
     spectrum[2] = t.count
     chunk = int((_MAX_PAIR_BYTES - tables) // per_block)
     for lo in range(0, len(t.keep), chunk):
         sel = slice(lo, lo + chunk)
         spectrum[0, sel], vecs = np.linalg.eigh(_fill_blocks(t, rows, V_dyn, sel))
-        spectrum[1, sel] = vecs[:, t.on_cell, :] ** 2
+        spectrum[1, sel] = vecs[:, t.on_cell, :] * vecs[:, t.on_cell, :]
     return spectrum[:, t.keep]
 
 

@@ -50,7 +50,7 @@ def operating_point(cfg: SuperLatticeConfig, wg: WaveguideConfig,
                     k_pump: float) -> tuple[HopfieldMode, InteractionParams]:
     """The pumped lower-branch mode at k_pump and its contact constants."""
     mode = hopfield(k_pump, wg, cfg)
-    return mode, interaction_params(wg, cfg, mode.X_lower ** 2)
+    return mode, interaction_params(wg, cfg, mode.X_lower * mode.X_lower)
 
 
 def reference_setup() -> RunSetup:

@@ -185,13 +185,13 @@ def pump_occupation(drive: DriveConfig, mode: HopfieldMode,
         # np.errstate costs a scalar call about 1.5 us
         with (nullcontext() if type(e) is type(e_t) is type(hg) is float
               else np.errstate(all="ignore")):
-            f_mag = _finite(lambda: np.sqrt(n * ((e - e_t) * (e - e_t) + hg * hg)),
+            f_mag = _finite(np.sqrt(n * ((e - e_t) * (e - e_t) + hg * hg)),
                             "the pump amplitude sustaining n_pump overflows")
         return PumpSolution(n_pump=n, E_pol_tilde=e_t,
                             f_pump_magnitude=_unwrap(f_mag), iterations=0)
 
     f = abs(drive.F_pump)
-    f2 = _finite(lambda: f * f, "|F_pump|^2 overflows")
+    f2 = _finite(f * f, "|F_pump|^2 overflows")
     d, s, h = (np.asarray(x, dtype=float)[()] for x in (e - e_pol, shift, hg))
     n, iterations = (_kerr_root(d, s, h, f2) if f2 > 0.0
                      else (np.zeros_like(d + s + h), 0))
@@ -209,7 +209,7 @@ def _kerr_root(d, s, h, f2):
         def g(n):
             r = d - s * n
             return n * (r * r + h2) - f2
-        h2 = _finite(lambda: h * h, "the damping square hG_pol^2 overflows")
+        h2 = _finite(h * h, "the damping square hG_pol^2 overflows")
         # g at its turning points N-, N+ (NaN for d^2 < 3 h2, where there
         # are none) and at its inflection N_i = 2d / (3s).
         dd, s3 = d * d, 3.0 * s
@@ -234,7 +234,7 @@ def _kerr_root(d, s, h, f2):
         bound = np.fmin(f2 / (h2 + _where(s * d <= 0.0, dd, 0.0)),
                         np.fmax(1.5 * n_i, 0.0) + np.cbrt(f2 / (s * s)))
         if _any(~np.isfinite(bound)):
-            _finite(lambda: dd, _SQUARE_OVERFLOWS)
+            _finite(dd, _SQUARE_OVERFLOWS)
             raise BistabilityError(
                 "undamped drive exactly on the unshifted polariton resonance; "
                 "occupation diverges", bracket=(0.0, math.inf))
@@ -263,7 +263,7 @@ def _kerr_root(d, s, h, f2):
             left = int(np.count_nonzero(active))
             if not left:
                 return n, iterations
-    _finite(lambda: dd, _SQUARE_OVERFLOWS)     # Newton ran on inf and NaN
+    _finite(dd, _SQUARE_OVERFLOWS)      # Newton ran on inf and NaN
     raise BistabilityError(
         f"occupation Newton steps did not settle in {_NEWTON_MAX_STEPS}: the "
         "drive sits within rounding of a turning point",
@@ -296,7 +296,7 @@ def _pair(drive: DriveConfig, e, e_a_t, v):
     # partner equation; unknowns (B+, conj(B-)), real determinant.  So B =
     # (V conj(G) - F (x + i hG_a)) / det for (F, G) = (F+, F-), (F-, F+), in
     # float64 parts: numpy's complex product may fuse a multiply-add.
-    det = _finite(lambda: x * x + hg_a * hg_a - v * v,
+    det = _finite(x * x + hg_a * hg_a - v * v,
                   "the pair determinant (E_a~ - E)^2 + hG_a^2 - V^2 overflows")
     pole, out = det == 0.0, []
     for f, g in ((drive.F_probe_plus, drive.F_probe_minus),
@@ -305,7 +305,7 @@ def _pair(drive: DriveConfig, e, e_a_t, v):
         np.divide(v * g.real - (f.real * x - f.imag * hg_a), det, out=b.real)
         np.divide(v * -g.imag - (f.real * hg_a + f.imag * x), det, out=b.imag)
         out += [b, _where(pole, math.inf, _intensity(b))]
-    _finite(lambda: _where(pole, 0.0, out[1] + out[3]),
+    _finite(_where(pole, 0.0, out[1] + out[3]),
             "the pair intensity |B+|^2 + |B-|^2 overflows")
     return (*out, det)
 
@@ -357,7 +357,7 @@ def spectrum(drive: DriveConfig, mode: HopfieldMode, ip: InteractionParams,
     if energies.ndim != 1 or energies.size == 0:
         raise DomainError("energy grid must be a nonempty 1-D array")
     fp, fm = abs(drive.F_probe_plus), abs(drive.F_probe_minus)
-    norm = _finite(lambda: fp * fp + fm * fm,
+    norm = _finite(fp * fp + fm * fm,
                    "the probe intensity |F+|^2 + |F-|^2 overflows") or 1.0
     with np.errstate(all="ignore"):
         _, e_a_t, v, _ = _rotating_frame(drive, mode, ip, cfg, energies)

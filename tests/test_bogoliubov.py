@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ def test_coefficients_reject_non_finite_arguments(name, bad):
     args[name] = bad
     with pytest.raises(DomainError, match=f"{name} must be finite"):
         coefficients(**args)
+
+
+@pytest.mark.parametrize("args,square", [((1e160, 0.0, 0.0), "(E_a~ - E)^2"),
+                                         ((1.0, 1e200, 0.0), "V_mf^2"),
+                                         ((1e308, 0.0, -1e308), "(E_a~ - E)^2")])
+def test_coefficients_name_an_overflowing_square(args, square):
+    # finite arguments whose square overflows: not a bare OverflowError, nor
+    # sqrt(inf - inf)
+    with pytest.raises(DomainError, match=re.escape(f"the square {square} overflows")):
+        coefficients(*args)
 
 
 @settings(max_examples=1000, deadline=None)

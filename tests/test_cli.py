@@ -773,6 +773,27 @@ def test_overflowing_damping_or_probe_is_a_numerical_domain_error(
     assert not out.exists()
 
 
+def test_oracle_with_an_overflowing_shift_is_a_numerical_domain_error(tmp_path, capsys):
+    # it wrote NaN centroids and an infinite expected separation, exit 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"oracle": {"V_dyn": 1e308}}))
+    out = tmp_path / "x.csv"
+    assert main(["oracle", "--preset", "paper", "--config", str(config),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical-domain error" in err
+    assert "2 V_dyn or the pad 4 (sum |C| + |V_dyn|) overflows" in err
+    assert not out.exists()
+
+
+def test_lattice_whose_cube_overflows_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lattice": {"a": 1e200}}))
+    assert main(["levels", "--preset", "paper", "--config", str(config),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "the cube a^3 overflows at a = 1e+200" in capsys.readouterr().err
+
+
 def test_evolve_at_an_overflowing_detuning_is_a_numerical_domain_error(tmp_path,
                                                                       capsys):
     # the Kerr solve names the square that overflowed, not a turning point

@@ -121,6 +121,14 @@ def test_double_excitation_rejects_non_finite_shift(wg, cfg, setup, bad):
                                    k_pump=setup.drive.k_pump)
 
 
+@pytest.mark.parametrize("big", [1e308, -1e308])
+def test_double_excitation_rejects_an_overflowing_pair_energy(wg, cfg, setup, big):
+    # E_e = inf would report the state excluded
+    with pytest.raises(DomainError, match=r"E_e = 2 E_A \+ 2 V_dyn overflows"):
+        double_excitation_excluded(cfg, wg, V_dyn=big, tolerance=1e-5,
+                                   k_pump=setup.drive.k_pump)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_double_excitation_rejects_non_finite_tolerance(wg, cfg, setup, bad):
     with pytest.raises(DomainError, match="tolerance must be finite and positive"):

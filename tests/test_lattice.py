@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -47,6 +48,14 @@ def test_dipole_coupling_inverse_cube_scaling(cfg):
     for r in (10.0, 123.4, 5000.0):
         assert dipole_coupling(2.0 * r, cfg) == pytest.approx(
             dipole_coupling(r, cfg) / 8.0, rel=1e-12)
+
+
+def test_dipole_coupling_array_equals_scalar_calls(cfg):
+    # the cube is a product, so a float64 array and a Python float round it
+    # alike; libm's pow for r ** 3 parted them on about 5% of these
+    r = np.random.default_rng(20261022).uniform(50.0, 5000.0, 200_000)
+    scalar = [dipole_coupling(x, cfg) for x in r.tolist()]
+    assert np.array_equal(dipole_coupling(r, cfg), scalar)
 
 
 def test_dipole_coupling_sign_and_monotonicity(cfg):
@@ -173,6 +182,16 @@ def test_config_invariants():
                 dict(good, R=1e-90), dict(good, mu=1e200), dict(good, a=1e200)):
         with pytest.raises((DomainError, ValueError)):
             SuperLatticeConfig(**bad)
+
+
+def test_config_names_an_overflowing_cube():
+    # r * r * r = inf would round J(a) to 0 and accept the lattice
+    good = dict(E_A=1.5, R=100.0, mu=2.5, theta=1.0, N=3)
+    assert SuperLatticeConfig(a=5e102, **good).levels.J > 0.0
+    for a in (6e102, 1e200):
+        with pytest.raises(DomainError, match=re.escape(
+                f"the cube a^3 overflows at a = {a!r}")):
+            SuperLatticeConfig(a=a, **good)
 
 
 def test_config_derives_its_levels_once(cfg, wg, monkeypatch):

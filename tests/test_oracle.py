@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from decimal import Decimal, getcontext, localcontext
 from itertools import combinations
@@ -144,6 +145,16 @@ def test_sectors_reject_invalid_rings(small_cfg, no_couplings):
             validate_blocking(small_cfg, 6, v_dyn)
     with pytest.raises(DomainError):
         oracle._pair_spectrum(small_cfg, 6, 1e-3, coupling_mode="everything")
+
+
+@pytest.mark.parametrize("n_cells", [5, 6])
+@pytest.mark.parametrize("v_dyn", [1e308, -1e308, 5e307])
+def test_pair_blocks_reject_an_overflowing_shift(small_cfg, n_cells, v_dyn):
+    # 2 V_dyn, or the even ring's pad 4 (sum |C| + |V_dyn|), would be inf
+    # and the report NaN; no numpy warning on the way
+    with pytest.raises(DomainError, match=re.escape(
+            f"2 V_dyn or the pad 4 (sum |C| + |V_dyn|) overflows at V_dyn = {v_dyn!r}")):
+        validate_blocking(small_cfg, n_cells, v_dyn)
 
 
 def test_bloch_levels_rejects_bad_modes_and_rings(small_cfg, no_couplings):
